@@ -76,6 +76,19 @@ def _factor_payload(ctx: FormalContext, result) -> dict:
     }
 
 
+def _budget_seconds(text: str) -> float:
+    """A ``--budget`` value: a finite, nonnegative number of seconds."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(seconds) or seconds < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, nonnegative number of seconds, got {text!r}"
+        )
+    return seconds
+
+
 def _cmd_check(args: argparse.Namespace, text: str) -> dict:
     ctx = _load_context(text)
     graph = build_incompatibility_graph(ctx)
@@ -110,7 +123,6 @@ def _cmd_maximal(args: argparse.Namespace, text: str) -> dict:
     )
     payload = _factor_payload(ctx, result)
     payload.update(
-        removed=_pair_names(ctx, result.removed),
         rounds=result.rounds,
         mode=args.mode,
         certificate=result.certificate,
@@ -238,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--budget",
-            type=float,
+            type=_budget_seconds,
             default=None,
             metavar="SECONDS",
             help="abort the search after this many seconds",

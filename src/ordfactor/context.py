@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
+from .bitset import bits, transpose
 from .errors import (
     CountMismatch,
     DuplicateName,
@@ -133,13 +134,11 @@ class FormalContext:
 
     def pairs(self) -> list[IncidencePair]:
         """All incidences in lexicographic (object, attribute) order."""
-        out = []
-        for g, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                out.append(IncidencePair(g, low.bit_length() - 1))
-                row ^= low
-        return out
+        return [
+            IncidencePair(g, m)
+            for g, row in enumerate(self.rows)
+            for m in bits(row)
+        ]
 
     def row_string(self, g: int) -> str:
         return "".join(
@@ -147,12 +146,7 @@ class FormalContext:
         )
 
     def transpose(self) -> "FormalContext":
-        cols = [0] * self.n_attributes
-        for g, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << g
-                row ^= low
+        cols = transpose(self.rows, self.n_attributes)
         return FormalContext(self.attributes, self.objects, tuple(cols), self.title)
 
 
@@ -172,7 +166,7 @@ def derive(ctx: FormalContext, side: str, subset: Iterable[int]) -> frozenset[in
         mask = (1 << ctx.n_attributes) - 1
         for g in indices:
             mask &= ctx.rows[g]
-        return frozenset(_bits(mask))
+        return frozenset(bits(mask))
     if side == "attributes":
         for m in indices:
             if not 0 <= m < ctx.n_attributes:
@@ -205,13 +199,6 @@ def remove_incidences(
             raise PairNotIncident(f"pair ({g}, {m}) is not an incidence")
         rows[g] ^= bit
     return FormalContext(ctx.objects, ctx.attributes, tuple(rows), ctx.title)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _int_line(line: str) -> int | None:
@@ -324,6 +311,19 @@ def context_from_json(text: str) -> FormalContext:
         title = payload.get("title")
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise MalformedHeader(f"invalid context JSON: {exc}") from exc
+    for key, value in (
+        ("objects", objects),
+        ("attributes", attributes),
+        ("rows", rows),
+    ):
+        if not isinstance(value, list) or not all(
+            isinstance(item, str) for item in value
+        ):
+            raise MalformedHeader(
+                f"invalid context JSON: {key!r} must be a list of strings"
+            )
+    if title is not None and not isinstance(title, str):
+        raise MalformedHeader("invalid context JSON: 'title' must be a string")
     if len(rows) != len(objects):
         raise CountMismatch(f"{len(objects)} objects but {len(rows)} rows")
     return FormalContext.from_strings(objects, attributes, rows, title)

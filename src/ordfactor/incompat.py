@@ -11,7 +11,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
+from .bitset import bits
 from .context import FormalContext, IncidencePair
 from .errors import IndexOutOfRange
 
@@ -32,7 +34,7 @@ class IncompatibilityGraph:
         return len(self.vertices)
 
     def neighbors(self, i: int) -> list[int]:
-        return list(_bits(self.adjacency[i]))
+        return list(bits(self.adjacency[i]))
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
@@ -44,7 +46,7 @@ class IncompatibilityGraph:
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for i, mask in enumerate(self.adjacency):
-            for j in _bits(mask):
+            for j in bits(mask):
                 if i < j:
                     out.append((i, j))
         return out
@@ -89,23 +91,11 @@ def build_incompatibility_graph(ctx: FormalContext) -> IncompatibilityGraph:
 
 def components(graph: IncompatibilityGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted tuples, ordered by smallest member."""
-    seen = [False] * graph.n
-    out = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        members = [start]
-        while queue:
-            v = queue.popleft()
-            for w in _bits(graph.adjacency[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    members.append(w)
-                    queue.append(w)
-        out.append(tuple(sorted(members)))
-    return out
+    everything = (1 << graph.n) - 1
+    return [
+        tuple(bits(part))
+        for part in component_masks(graph.adjacency, everything)
+    ]
 
 
 def isolated_pairs(graph: IncompatibilityGraph) -> frozenset[IncidencePair]:
@@ -118,42 +108,59 @@ def isolated_pairs(graph: IncompatibilityGraph) -> frozenset[IncidencePair]:
 def bipartition(graph: IncompatibilityGraph) -> BipartitionWitness:
     """2-color the graph or extract an odd cycle.
 
-    Colors are assigned by breadth-first search; the smallest vertex of
-    each component gets color 1, so the witness is deterministic.
+    Colors come from :func:`two_color`, shifted to 1 and 2; the smallest
+    vertex of each component gets color 1, so the witness is
+    deterministic.
     """
-    color = [0] * graph.n
-    parent = [-1] * graph.n
-    depth = [0] * graph.n
-    for start in range(graph.n):
-        if color[start]:
-            continue
-        color[start] = 1
-        queue = deque([start])
+    everything = (1 << graph.n) - 1
+    color, cycle = two_color(graph.adjacency, everything)
+    if cycle is not None:
+        _verify_cycle(graph, cycle)
+        return BipartitionWitness(None, cycle)
+    ones = sum(1 << v for v, c in color.items() if c)
+    for v, c in color.items():
+        if graph.adjacency[v] & (ones if c else everything & ~ones):
+            raise AssertionError("coloring violates an edge")
+    return BipartitionWitness({v: color[v] + 1 for v in range(graph.n)}, None)
+
+
+def two_color(
+    adj: Sequence[int], active: int
+) -> tuple[dict[int, int] | None, tuple[int, ...] | None]:
+    """Breadth-first 2-coloring of the subgraph induced by ``active``.
+
+    Returns ``(colors, None)`` with every active vertex colored 0 or 1,
+    or ``(None, cycle)`` with the first odd cycle met.  Roots and
+    neighbors are visited in ascending order, so the smallest vertex of
+    each component gets color 0 and the result is deterministic.
+    """
+    color: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    left = active
+    while left:
+        root = (left & -left).bit_length() - 1
+        color[root] = 0
+        left ^= 1 << root
+        queue = deque([root])
         while queue:
             v = queue.popleft()
-            for w in graph.neighbors(v):
-                if not color[w]:
-                    color[w] = 3 - color[v]
+            for w in bits(adj[v] & active):
+                if w not in color:
+                    color[w] = color[v] ^ 1
                     parent[w] = v
-                    depth[w] = depth[v] + 1
+                    left ^= 1 << w
                     queue.append(w)
                 elif color[w] == color[v]:
-                    cycle = _close_cycle(v, w, parent, depth)
-                    _verify_cycle(graph, cycle)
-                    return BipartitionWitness(None, cycle)
-    witness = BipartitionWitness({i: color[i] for i in range(graph.n)}, None)
-    for i, j in graph.edges():
-        assert witness.coloring is not None
-        if witness.coloring[i] == witness.coloring[j]:
-            raise AssertionError("coloring violates an edge")
-    return witness
+                    return None, trimmed_cycle(v, w, parent)
+    return color, None
 
 
-def _close_cycle(
-    v: int, w: int, parent: list[int], depth: list[int]
-) -> tuple[int, ...]:
-    # Same color in breadth-first search means same depth; walk both
-    # branches up to the common ancestor.
+def trimmed_cycle(v: int, w: int, parent: dict[int, int]) -> tuple[int, ...]:
+    """The odd cycle closed by the edge v-w of one breadth-first layer.
+
+    ``v`` and ``w`` have the same depth in the search tree ``parent``;
+    both branches are walked up to their meeting point.
+    """
     left = [v]
     right = [w]
     while left[-1] != right[-1]:
@@ -162,16 +169,27 @@ def _close_cycle(
     return tuple(left[:-1] + list(reversed(right)))
 
 
+def component_masks(adj: Sequence[int], active: int) -> list[int]:
+    """Connected components of the subgraph induced by ``active``, as
+    vertex masks ordered by smallest member."""
+    parts = []
+    left = active
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            grown = 0
+            for v in bits(frontier):
+                grown |= adj[v]
+            frontier = grown & active & ~comp
+            comp |= frontier
+        parts.append(comp)
+        left &= ~comp
+    return parts
+
+
 def _verify_cycle(graph: IncompatibilityGraph, cycle: tuple[int, ...]) -> None:
     if len(cycle) % 2 == 0 or len(cycle) < 3 or len(set(cycle)) != len(cycle):
         raise AssertionError(f"not a simple odd cycle: {cycle}")
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         if not graph.adjacency[a] >> b & 1:
             raise AssertionError(f"cycle edge {a}-{b} missing")
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

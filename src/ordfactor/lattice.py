@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from .bitset import bits, transpose
 from .context import FormalContext
 from .errors import ConceptBudgetExceeded, NotTwoDimensional
 
@@ -67,7 +68,7 @@ def enumerate_concepts(
                 f"{ctx.n_objects}x{ctx.n_attributes}"
             )
         concepts.append(
-            Concept(frozenset(_bits(extent)), frozenset(_bits(intent)))
+            Concept(frozenset(bits(extent)), frozenset(bits(intent)))
         )
 
     extent, intent = close(0)
@@ -163,7 +164,7 @@ def transitive_orientation(adjacency: Sequence[int]) -> ConjugateOrder:
         return True
 
     for i in range(n):
-        for j in _bits(remaining[i]):
+        for j in bits(remaining[i]):
             if j < i or out[i] >> j & 1 or out[j] >> i & 1:
                 continue
             orient(i, j)
@@ -172,24 +173,24 @@ def transitive_orientation(adjacency: Sequence[int]) -> ConjugateOrder:
             while queue:
                 a, b = queue.popleft()
                 # edges a-c with b,c nonadjacent must point a -> c
-                for c in _bits(remaining[a] & ~remaining[b] & ~(1 << b)):
+                for c in bits(remaining[a] & ~remaining[b] & ~(1 << b)):
                     if orient(a, c):
                         queue.append((a, c))
                         klass.append((a, c))
                 # edges c-b with a,c nonadjacent must point c -> b
-                for c in _bits(remaining[b] & ~remaining[a] & ~(1 << a)):
+                for c in bits(remaining[b] & ~remaining[a] & ~(1 << a)):
                     if orient(c, b):
                         queue.append((c, b))
                         klass.append((c, b))
             for a, b in klass:
                 remaining[a] &= ~(1 << b)
                 remaining[b] &= ~(1 << a)
+    into = transpose(out, n)
     for a in range(n):
-        covered = out[a] | _column(out, a, n)
-        if covered != adjacency[a]:
+        if out[a] | into[a] != adjacency[a]:
             raise NotTwoDimensional(f"vertex {a} has unoriented or extra edges")
     for a in range(n):
-        for b in _bits(out[a]):
+        for b in bits(out[a]):
             if out[b] & ~out[a]:
                 raise NotTwoDimensional(
                     f"orientation not transitive at {a} -> {b}"
@@ -211,17 +212,14 @@ def realizer_sequences(
     n = len(leq)
     if len(conjugate.leq_c) != n:
         raise NotTwoDimensional("conjugate order has wrong size")
-    geq_c = [0] * n
-    for i in range(n):
-        for j in _bits(conjugate.leq_c[i]):
-            geq_c[j] |= 1 << i
+    geq_c = transpose(conjugate.leq_c, n)
     strict_leq = [leq[i] & ~(1 << i) for i in range(n)]
     first = [strict_leq[i] | conjugate.leq_c[i] for i in range(n)]
     second = [strict_leq[i] | geq_c[i] for i in range(n)]
     sequences = []
     for strict in (first, second):
         for i in range(n):
-            for j in _bits(strict[i]):
+            for j in bits(strict[i]):
                 if strict[j] >> i & 1:
                     raise NotTwoDimensional(f"{i} and {j} ordered both ways")
                 if strict[j] & ~strict[i] & ~(1 << i):
@@ -236,18 +234,3 @@ def realizer_sequences(
         if both != leq[i]:
             raise NotTwoDimensional(f"realizer intersection differs at {i}")
     return sequences[0], sequences[1]
-
-
-def _column(masks: list[int], j: int, n: int) -> int:
-    col = 0
-    for i in range(n):
-        if masks[i] >> j & 1:
-            col |= 1 << i
-    return col
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

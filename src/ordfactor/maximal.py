@@ -16,9 +16,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+from .bitset import bits
 from .context import FormalContext, IncidencePair, remove_incidences
 from .errors import BudgetExceeded
-from .incompat import IncompatibilityGraph, bipartition, build_incompatibility_graph
+from .incompat import (
+    IncompatibilityGraph,
+    bipartition,
+    build_incompatibility_graph,
+    component_masks,
+    trimmed_cycle,
+    two_color,
+)
 from .twofactor import FactorizationResult, two_factorize
 
 logger = logging.getLogger(__name__)
@@ -178,7 +186,7 @@ class _ExactOct:
             return cached if cached[0] <= ub else None
         if self.too_big.get(active, 0) > ub:
             return None
-        parts = _component_masks(self.adj, active)
+        parts = component_masks(self.adj, active)
         if len(parts) > 1:
             return self._solve_split(active, ub, parts)
         result = self._solve_connected(active, ub)
@@ -233,65 +241,12 @@ class _ExactOct:
         count = 0
         work = active
         while True:
-            cycle = _first_odd_cycle(self.adj, work)
+            _, cycle = two_color(self.adj, work)
             if cycle is None:
                 return count
             count += 1
             for v in cycle:
                 work &= ~(1 << v)
-
-
-def _component_masks(adj: Sequence[int], active: int) -> list[int]:
-    parts = []
-    left = active
-    while left:
-        start = left & -left
-        comp = start
-        frontier = start
-        while frontier:
-            grown = 0
-            scan = frontier
-            while scan:
-                low = scan & -scan
-                grown |= adj[low.bit_length() - 1]
-                scan ^= low
-            frontier = grown & active & ~comp
-            comp |= frontier
-        parts.append(comp)
-        left &= ~comp
-    return parts
-
-
-def _first_odd_cycle(
-    adj: Sequence[int], active: int
-) -> tuple[int, ...] | None:
-    """Some odd cycle of the induced subgraph, via one BFS coloring."""
-    color = {}
-    left = active
-    while left:
-        root = (left & -left).bit_length() - 1
-        color[root] = 0
-        parent = {root: -1}
-        depth = {root: 0}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            mask = adj[v] & active
-            while mask:
-                low = mask & -mask
-                w = low.bit_length() - 1
-                mask ^= low
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return _trimmed_cycle(v, w, parent, depth)
-        for v in color:
-            left &= ~(1 << v)
-        left &= active
-    return None
 
 
 def _shortest_odd_cycle(
@@ -325,23 +280,12 @@ def _shortest_odd_cycle(
                     parent[w] = v
                     queue.append(w)
                 elif depth[w] == depth[v]:
-                    cycle = _trimmed_cycle(v, w, parent, depth)
+                    cycle = trimmed_cycle(v, w, parent)
                     if best is None or len(cycle) < len(best):
                         best = cycle
                         if len(best) == 3:
                             return best
     return best
-
-
-def _trimmed_cycle(
-    v: int, w: int, parent: dict[int, int], depth: dict[int, int]
-) -> tuple[int, ...]:
-    left = [v]
-    right = [w]
-    while left[-1] != right[-1]:
-        left.append(parent[left[-1]])
-        right.append(parent[right[-1]])
-    return tuple(left[:-1] + list(reversed(right)))
 
 
 # -- heuristic solver --------------------------------------------------
@@ -368,7 +312,7 @@ def _heuristic_oct(
                     continue
                 same = sum(
                     1
-                    for w in _bits(adj[v] & active)
+                    for w in bits(adj[v] & active)
                     if color[w] == color[v]
                 )
                 if same > worst_c:
@@ -378,7 +322,7 @@ def _heuristic_oct(
                 break
             other = adj[worst_v] & active
             flipped = sum(
-                1 for w in _bits(other) if color[w] != color[worst_v]
+                1 for w in bits(other) if color[w] != color[worst_v]
             )
             if flipped < worst_c:
                 color[worst_v] ^= 1
@@ -387,7 +331,7 @@ def _heuristic_oct(
         for v in range(n):
             if active >> v & 1:
                 continue
-            seen = {color[w] for w in _bits(adj[v] & active)}
+            seen = {color[w] for w in bits(adj[v] & active)}
             if len(seen) <= 1:
                 color[v] = 1 - seen.pop() if seen else 0
                 active |= 1 << v
@@ -400,9 +344,3 @@ def _heuristic_oct(
     assert best is not None or n == 0
     return best[1] if best else ()
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+from .bitset import bits
 from .context import FormalContext, IncidencePair, complement, remove_incidences
 from .errors import (
     ConceptBudgetExceeded,
@@ -199,24 +200,16 @@ def _sweep_rows(
         suffix[t] = suffix[t + 1] | int_masks[seq[t]]
     first = [steps] * n_objects
     for t, idx in enumerate(seq):
-        mask = ext_masks[idx]
-        while mask:
-            low = mask & -mask
-            g = low.bit_length() - 1
+        for g in bits(ext_masks[idx]):
             if first[g] == steps:
                 first[g] = t
-            mask ^= low
     return [full & ~suffix[first[g]] for g in range(n_objects)]
 
 
 def _rows_to_pairs(rows: list[int]) -> frozenset[IncidencePair]:
-    out = set()
-    for g, row in enumerate(rows):
-        while row:
-            low = row & -row
-            out.add(IncidencePair(g, low.bit_length() - 1))
-            row ^= low
-    return frozenset(out)
+    return frozenset(
+        IncidencePair(g, m) for g, row in enumerate(rows) for m in bits(row)
+    )
 
 
 def _mask(indices: frozenset[int]) -> int:
@@ -232,7 +225,9 @@ def validate_factorization(
     """Check a result against the factorization invariants.
 
     Returns an empty list iff the result is valid; problems come back as
-    data rather than exceptions.
+    data rather than exceptions.  That shared pairs are isolated in the
+    covered context's incompatibility graph needs no separate check: a
+    pair in both Ferrers factors is compatible with every covered pair.
     """
     violations = []
     incidence = frozenset(ctx.pairs())
@@ -272,19 +267,6 @@ def validate_factorization(
         violations.append(
             Violation("SharedViolation", "shared is not inside f1 and f2")
         )
-    if covered <= incidence:
-        covered_ctx = FormalContext.from_pairs(
-            ctx.objects, ctx.attributes, covered
-        )
-        free = isolated_pairs(build_incompatibility_graph(covered_ctx))
-        if not result.shared <= free:
-            violations.append(
-                Violation(
-                    "SharedViolation",
-                    "shared contains a pair that is not isolated in the "
-                    "covered context's incompatibility graph",
-                )
-            )
     return violations
 
 

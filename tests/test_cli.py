@@ -276,3 +276,29 @@ def test_report_is_sorted_and_stable(capsys):
     keys = list(report)
     assert keys == sorted(keys)
     assert json.loads(raw) == report
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "abc"])
+def test_budget_rejects_non_finite_and_negative_values(capsys, value):
+    with pytest.raises(SystemExit) as info:
+        run(["maximal", PERSISTENT, "--budget", value])
+    assert info.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"objects": ["a"], "attributes": ["x"], "rows": [1]}',
+        '{"objects": ["a"], "attributes": ["x"], "rows": "X"}',
+        '{"objects": "a", "attributes": ["x"], "rows": ["X"]}',
+        '{"objects": ["a"], "attributes": ["x"], "rows": ["X"], "title": 5}',
+    ],
+)
+def test_json_context_with_wrong_field_types(capsys, tmp_path, text):
+    path = tmp_path / "ctx.json"
+    path.write_text(text, encoding="utf-8")
+    code, report = _run(capsys, ["check", str(path)])
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "MalformedHeader"

@@ -1,8 +1,11 @@
 """Incompatibility graph construction, bipartiteness, components."""
+import random
+
 import pytest
 
 import ordfactor as of
 from ordfactor.context import FormalContext, IncidencePair
+from ordfactor.incompat import two_color
 from ordfactor.oracle import GeneratorSpec, random_context
 
 from conftest import induced_bipartite
@@ -54,14 +57,18 @@ def test_vertices_are_incidences_in_lexicographic_order(monuments):
 
 
 def test_adjacency_matches_pair_rule(monuments):
-    graph = of.build_incompatibility_graph(monuments)
-    for i, j in graph.edges():
-        g, m = graph.vertices[i]
-        h, n = graph.vertices[j]
-        assert not monuments.has(g, n)
-        assert not monuments.has(h, m)
-    # spot check one absent edge
-    assert graph.adjacency[0] >> 1 & 1 == 0 or True
+    contexts = [monuments] + [
+        random_context(
+            GeneratorSpec(objects=6, attributes=7, density=0.5, seed=seed)
+        )
+        for seed in range(5)
+    ]
+    for ctx in contexts:
+        graph = of.build_incompatibility_graph(ctx)
+        for i, (g, m) in enumerate(graph.vertices):
+            for j, (h, n) in enumerate(graph.vertices):
+                clash = not ctx.has(g, n) and not ctx.has(h, m)
+                assert bool(graph.adjacency[i] >> j & 1) == clash
 
 
 def test_bipartition_coloring_is_proper_and_deterministic(contranominal3):
@@ -85,6 +92,29 @@ def test_bipartition_odd_cycle_on_monuments(monuments):
     assert len(set(cycle)) == len(cycle)
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         assert graph.adjacency[a] >> b & 1
+
+
+def test_two_color_agrees_with_reference_on_vertex_deletions(
+    persistent_odd_cycle,
+):
+    graph = of.build_incompatibility_graph(persistent_odd_cycle)
+    rng = random.Random(7)
+    for _ in range(40):
+        deleted = set(rng.sample(range(graph.n), rng.randrange(graph.n)))
+        active = sum(1 << v for v in range(graph.n) if v not in deleted)
+        color, cycle = two_color(graph.adjacency, active)
+        assert (cycle is None) == induced_bipartite(graph, deleted)
+        if cycle is None:
+            assert set(color) == set(range(graph.n)) - deleted
+            for v in color:
+                for w in graph.neighbors(v):
+                    assert w in deleted or color[v] != color[w]
+        else:
+            assert len(cycle) % 2 == 1
+            assert len(set(cycle)) == len(cycle)
+            assert not deleted & set(cycle)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert graph.adjacency[a] >> b & 1
 
 
 def test_single_edge_graph_is_bipartite():

@@ -22,6 +22,12 @@ def _graph(n, edges):
     return IncompatibilityGraph(vertices, tuple(adjacency))
 
 
+def _covered_core(ctx, result):
+    """Isolated pairs of the incompatibility graph left after removal."""
+    kept = of.remove_incidences(ctx, result.removed)
+    return of.isolated_pairs(of.build_incompatibility_graph(kept))
+
+
 def _brute_min_oct(graph, limit):
     """Smallest deleted vertex count that leaves a bipartite induced
     subgraph, trying sizes 0..limit; the lexicographically smallest
@@ -128,6 +134,7 @@ def test_monuments_exact_removal(monuments):
     assert result.rounds == 1
     assert result.certificate
     assert of.validate_factorization(monuments, result) == []
+    assert result.shared <= _covered_core(monuments, result)
     assert len(result.covered) == 42
 
 
@@ -171,6 +178,7 @@ def test_persistent_fixture_heuristic_pinned(persistent_odd_cycle):
         persistent_odd_cycle, mode="heuristic", seed=0
     )
     assert of.validate_factorization(persistent_odd_cycle, result) == []
+    assert result.shared <= _covered_core(persistent_odd_cycle, result)
     assert len(result.removed) == 74
     assert result.rounds == 3
     assert not result.certificate
