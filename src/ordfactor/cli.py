@@ -26,7 +26,6 @@ from .context import (
 from .dimension import poset_from_json, two_dimension_extension
 from .errors import (
     BudgetExceeded,
-    DomainError,
     FormatError,
     OrdfactorError,
 )
@@ -293,32 +292,19 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         text = _read_input(args.input)
-    except OSError as exc:
-        report["status"] = "error"
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(report, started)
-        return _EXIT_FORMAT
-    report["input_digest"] = "sha256:" + hashlib.sha256(
-        text.encode("utf-8")
-    ).hexdigest()
-    try:
+        report["input_digest"] = "sha256:" + hashlib.sha256(
+            text.encode("utf-8")
+        ).hexdigest()
         report["payload"] = _COMMANDS[args.command](args, text)
-    except OrdfactorError as exc:
+    except (OrdfactorError, OSError) as exc:
         report["status"] = "error"
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         _emit(report, started)
         if isinstance(exc, BudgetExceeded):
             return _EXIT_BUDGET
-        if isinstance(exc, FormatError):
+        if isinstance(exc, (FormatError, OSError)):
             return _EXIT_FORMAT
-        if isinstance(exc, DomainError):
-            return _EXIT_DOMAIN
         return _EXIT_DOMAIN
-    except OSError as exc:
-        report["status"] = "error"
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(report, started)
-        return _EXIT_FORMAT
     report["status"] = "ok"
     _emit(report, started)
     return _EXIT_OK

@@ -302,6 +302,11 @@ def context_to_json(ctx: FormalContext) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def is_string_list(value: object) -> bool:
+    """Whether a parsed JSON value is a list of strings."""
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def context_from_json(text: str) -> FormalContext:
     try:
         payload = json.loads(text)
@@ -316,9 +321,7 @@ def context_from_json(text: str) -> FormalContext:
         ("attributes", attributes),
         ("rows", rows),
     ):
-        if not isinstance(value, list) or not all(
-            isinstance(item, str) for item in value
-        ):
+        if not is_string_list(value):
             raise MalformedHeader(
                 f"invalid context JSON: {key!r} must be a list of strings"
             )

@@ -198,8 +198,27 @@ def transitive_orientation(adjacency: Sequence[int]) -> ConjugateOrder:
     return ConjugateOrder(tuple(out))
 
 
+def linear_sequence(strict: Sequence[int]) -> tuple[int, ...] | None:
+    """The elements of a strict total order from least to greatest, or None.
+
+    Bit j of ``strict[i]`` means i is below j.  Elements are stably
+    sorted by how many elements lie strictly above them, most first, and
+    each row must equal exactly the set of elements after it in that
+    sequence.  A relation is a strict total order exactly when every row
+    matches, so this one mask comparison per element checks
+    irreflexivity, antisymmetry, transitivity and totality together.
+    """
+    sequence = sorted(range(len(strict)), key=lambda i: -strict[i].bit_count())
+    after = 0
+    for i in reversed(sequence):
+        if strict[i] != after:
+            return None
+        after |= 1 << i
+    return tuple(sequence)
+
+
 def realizer_sequences(
-    order: ConceptOrder | Sequence[int], conjugate: ConjugateOrder
+    order: ConceptOrder, conjugate: ConjugateOrder
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two linear orders combining an order with its conjugate.
 
@@ -208,7 +227,7 @@ def realizer_sequences(
     whose intersection is the original order; a failure raises
     :class:`NotTwoDimensional`.
     """
-    leq = order.leq if isinstance(order, ConceptOrder) else tuple(order)
+    leq = order.leq
     n = len(leq)
     if len(conjugate.leq_c) != n:
         raise NotTwoDimensional("conjugate order has wrong size")
@@ -216,21 +235,11 @@ def realizer_sequences(
     strict_leq = [leq[i] & ~(1 << i) for i in range(n)]
     first = [strict_leq[i] | conjugate.leq_c[i] for i in range(n)]
     second = [strict_leq[i] | geq_c[i] for i in range(n)]
-    sequences = []
-    for strict in (first, second):
-        for i in range(n):
-            for j in bits(strict[i]):
-                if strict[j] >> i & 1:
-                    raise NotTwoDimensional(f"{i} and {j} ordered both ways")
-                if strict[j] & ~strict[i] & ~(1 << i):
-                    raise NotTwoDimensional(f"union order not transitive at {i}")
-            below = sum(1 for j in range(n) if j != i and strict[j] >> i & 1)
-            if below + strict[i].bit_count() != n - 1:
-                raise NotTwoDimensional(f"union order not total at {i}")
-        ranks = sorted(range(n), key=lambda i: n - 1 - strict[i].bit_count())
-        sequences.append(tuple(ranks))
+    seq1, seq2 = linear_sequence(first), linear_sequence(second)
+    if seq1 is None or seq2 is None:
+        raise NotTwoDimensional("union order is not a strict total order")
     for i in range(n):
         both = (first[i] & second[i]) | (1 << i)
         if both != leq[i]:
             raise NotTwoDimensional(f"realizer intersection differs at {i}")
-    return sequences[0], sequences[1]
+    return seq1, seq2

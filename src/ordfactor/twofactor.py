@@ -143,26 +143,15 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
         ) from exc
     ext_masks = [_mask(c.extent) for c in concepts]
     int_masks = [_mask(c.intent) for c in concepts]
-    factors = []
     full = (1 << ctx.n_attributes) - 1
-    for seq in (seq1, seq2):
-        rows = _sweep_rows(ctx.n_objects, full, ext_masks, int_masks, seq)
-        for g, row in enumerate(rows):
-            if row & ~ctx.rows[g]:
-                raise NotTwoFactorizable(
-                    f"factor would reach outside the incidence at object {g}"
-                )
-        factors.append(rows)
-    f1_rows, f2_rows = factors
-    for g in range(ctx.n_objects):
-        if f1_rows[g] | f2_rows[g] != ctx.rows[g]:
-            raise NotTwoFactorizable(f"factors fail to cover object {g}")
-    f1 = _rows_to_pairs(f1_rows)
-    f2 = _rows_to_pairs(f2_rows)
-    if _ferrers_violation(f1) or _ferrers_violation(f2):
-        raise NotTwoFactorizable("sweep produced a non-Ferrers factor")
+    f1, f2 = (
+        _rows_to_pairs(
+            _sweep_rows(ctx.n_objects, full, ext_masks, int_masks, seq)
+        )
+        for seq in (seq1, seq2)
+    )
     f1, f2 = _canonical_labels(f1, f2)
-    return FactorizationResult(
+    result = FactorizationResult(
         FerrersFactor(f1),
         FerrersFactor(f2),
         shared=f1 & f2,
@@ -170,6 +159,10 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
         certificate=True,
         rounds=0,
     )
+    problems = validate_factorization(ctx, result)
+    if problems:
+        raise NotTwoFactorizable("; ".join(v.message for v in problems))
+    return result
 
 
 def _canonical_labels(

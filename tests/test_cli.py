@@ -302,3 +302,22 @@ def test_json_context_with_wrong_field_types(capsys, tmp_path, text):
     assert code == 2
     assert report["status"] == "error"
     assert report["error"]["type"] == "MalformedHeader"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"elements": 5, "relations": []}',
+        '{"elements": [1, 2], "relations": []}',
+        '{"elements": ["a", "b"], "relations": 7}',
+        '{"elements": ["a", "b"], "relations": [["a"]]}',
+        '{"elements": ["a", "b"], "relations": [[["x"], "b"]]}',
+    ],
+)
+def test_json_poset_with_wrong_field_types(capsys, tmp_path, text):
+    path = tmp_path / "poset.json"
+    path.write_text(text, encoding="utf-8")
+    code, report = _run(capsys, ["dim2ext", str(path)])
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "MalformedHeader"

@@ -86,7 +86,17 @@ def test_poset_json_closure_on_load():
 
 
 def test_poset_json_rejects_garbage():
-    for text in ("not json", "[1, 2]", '{"elements": ["a"]}', '{"relations": []}'):
+    for text in (
+        "not json",
+        "[1, 2]",
+        '{"elements": ["a"]}',
+        '{"relations": []}',
+        '{"elements": 5, "relations": []}',
+        '{"elements": [1, 2], "relations": []}',
+        '{"elements": ["a", "b"], "relations": 7}',
+        '{"elements": ["a", "b"], "relations": [["a"]]}',
+        '{"elements": ["a", "b"], "relations": [[["x"], "b"]]}',
+    ):
         with pytest.raises(of.MalformedHeader):
             of.poset_from_json(text)
 

@@ -6,10 +6,12 @@ import pytest
 import ordfactor as of
 from ordfactor.context import FormalContext
 from ordfactor.lattice import (
+    ConjugateOrder,
     cocomparability_graph,
     concept_cap,
     concept_order,
     enumerate_concepts,
+    linear_sequence,
     realizer_sequences,
     transitive_orientation,
 )
@@ -240,3 +242,37 @@ def test_realizer_on_complement_of_factorizable_contexts(forced_overlap):
         for j in range(n):
             both = pos1[i] <= pos1[j] and pos2[i] <= pos2[j]
             assert both == bool(order.leq[i] >> j & 1)
+
+
+def test_linear_sequence_reads_a_chain_from_least_to_greatest():
+    # 2 < 0 < 3 < 1
+    strict = (0b1010, 0b0000, 0b1011, 0b0010)
+    assert linear_sequence(strict) == (2, 0, 3, 1)
+    assert linear_sequence(()) == ()
+
+
+@pytest.mark.parametrize(
+    "strict",
+    [
+        (0b111, 0b100, 0b000),  # the chain 0 < 1 < 2 plus 0 < 0
+        (0b110, 0b000, 0b000),  # 1 and 2 are incomparable
+        (0b110, 0b101, 0b000),  # 0 and 1 ordered both ways
+        (0b010, 0b100, 0b001),  # cyclic tournament 0 < 1 < 2 < 0
+    ],
+)
+def test_linear_sequence_rejects_non_total_orders(strict):
+    assert linear_sequence(strict) is None
+
+
+def test_realizer_rejects_every_one_bit_corruption_of_the_conjugate(
+    forced_overlap,
+):
+    order = concept_order(enumerate_concepts(of.complement(forced_overlap)))
+    leq_c = transitive_orientation(cocomparability_graph(order.leq)).leq_c
+    n = len(leq_c)
+    for i in range(n):
+        for j in range(n):
+            flipped = list(leq_c)
+            flipped[i] ^= 1 << j
+            with pytest.raises(of.NotTwoDimensional):
+                realizer_sequences(order, ConjugateOrder(tuple(flipped)))
