@@ -45,6 +45,10 @@ _EXIT_DOMAIN = 1
 _EXIT_FORMAT = 2
 _EXIT_BUDGET = 3
 
+# concept enumeration is exponential in the worst case (a k x k
+# contranominal scale has 2**k concepts), so stats stops past this many
+_STATS_CONCEPT_CAP = 1 << 16
+
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -198,9 +202,9 @@ def _cmd_stats(args: argparse.Namespace, text: str) -> dict:
         "attributes": ctx.n_attributes,
         "incidences": ctx.incidence_count,
         "density": round(ctx.incidence_count / cells, 6) if cells else 0.0,
-        "concepts": len(enumerate_concepts(ctx, cap=math.inf)),
+        "concepts": len(enumerate_concepts(ctx, _STATS_CONCEPT_CAP)),
         "complement_concepts": len(
-            enumerate_concepts(complement(ctx), cap=math.inf)
+            enumerate_concepts(complement(ctx), _STATS_CONCEPT_CAP)
         ),
         "graph": {
             "edges": graph.edge_count,

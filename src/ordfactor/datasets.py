@@ -3,8 +3,9 @@
 Four small datasets exercising the interesting regimes: a real-world
 context that is not quite two-factorizable, the smallest context whose
 incompatibility graph is a cycle, a context whose two factors are forced
-to share a pair, and one whose incompatibility graph stays odd-cyclic
-even after removing a transversal.
+to share a pair, and one where removal creates new clashes: a known
+17-incidence transversal (valid, but not minimum) leaves an odd cycle
+behind, while one optimal round of 12 removals suffices.
 """
 from __future__ import annotations
 

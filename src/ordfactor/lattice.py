@@ -121,13 +121,9 @@ def cocomparability_graph(leq: Sequence[int]) -> tuple[int, ...]:
     (:class:`ConceptOrder` ``.leq`` or a poset's ``leq``).
     """
     n = len(leq)
-    adjacency = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not leq[i] >> j & 1 and not leq[j] >> i & 1:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-    return tuple(adjacency)
+    geq = transpose(leq, n)
+    full = (1 << n) - 1
+    return tuple(full & ~(leq[i] | geq[i]) for i in range(n))
 
 
 @dataclass(frozen=True)

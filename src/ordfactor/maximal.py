@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,6 @@ from .incompat import (
     bipartition,
     build_incompatibility_graph,
     component_masks,
-    trimmed_cycle,
     two_color,
 )
 from .twofactor import FactorizationResult, two_factorize
@@ -151,10 +149,13 @@ def certify_global_optimality(
 class _ExactOct:
     """Branch and bound for minimum odd cycle transversals.
 
-    Branches on the vertices of a shortest odd cycle, prunes with a
-    greedy packing of vertex-disjoint odd cycles, memoizes solved
-    subgraphs, and breaks size ties toward the lexicographically
-    smallest deleted set.
+    Each search node packs vertex-disjoint odd cycles greedily, prunes
+    when their count (each cycle needs a deletion of its own) exceeds
+    the size still allowed, and branches on the vertices of the
+    shortest packed cycle.  Solved subgraphs are memoized, and size ties are broken
+    toward the lexicographically smallest deleted set; every
+    transversal meets every odd cycle, so the result does not depend
+    on which cycle is branched on.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
@@ -188,8 +189,9 @@ class _ExactOct:
             return None
         parts = component_masks(self.adj, active)
         if len(parts) > 1:
-            return self._solve_split(active, ub, parts)
-        result = self._solve_connected(active, ub)
+            result = self._solve_split(ub, parts)
+        else:
+            result = self._solve_connected(active, ub)
         if result is None:
             self.too_big[active] = max(self.too_big.get(active, 0), ub + 1)
         else:
@@ -197,33 +199,30 @@ class _ExactOct:
         return result
 
     def _solve_split(
-        self, active: int, ub: int, parts: list[int]
+        self, ub: int, parts: list[int]
     ) -> tuple[int, tuple[int, ...]] | None:
-        bounds = [self._packing_bound(part) for part in parts]
+        bounds = [len(self._disjoint_odd_cycles(part)) for part in parts]
         total = 0
         merged: list[int] = []
         for i, part in enumerate(parts):
             slack = ub - total - sum(bounds[i + 1 :])
             sub = self.solve(part, slack)
             if sub is None:
-                self.too_big[active] = max(self.too_big.get(active, 0), ub + 1)
                 return None
             total += sub[0]
             merged.extend(sub[1])
-        result = (total, tuple(sorted(merged)))
-        self.exact[active] = result
-        return result
+        return (total, tuple(sorted(merged)))
 
     def _solve_connected(
         self, active: int, ub: int
     ) -> tuple[int, tuple[int, ...]] | None:
-        cycle = _shortest_odd_cycle(self.adj, active)
-        if cycle is None:
+        cycles = self._disjoint_odd_cycles(active)
+        if not cycles:
             return (0, ())
-        if self._packing_bound(active) > ub:
+        if len(cycles) > ub:
             return None
         best: tuple[int, tuple[int, ...]] | None = None
-        for v in sorted(cycle):
+        for v in sorted(min(cycles, key=len)):
             # limit keeps equal-size candidates reachable for the
             # lexicographic tie-break
             limit = (best[0] if best is not None else ub) - 1
@@ -235,57 +234,18 @@ class _ExactOct:
                 best = candidate
         return best
 
-    def _packing_bound(self, active: int) -> int:
-        """Greedy count of vertex-disjoint odd cycles; each needs a
-        deletion of its own."""
-        count = 0
+    def _disjoint_odd_cycles(self, active: int) -> list[tuple[int, ...]]:
+        """A greedy packing of vertex-disjoint odd cycles; each needs a
+        deletion of its own, so their count is a lower bound."""
+        cycles = []
         work = active
         while True:
             _, cycle = two_color(self.adj, work)
             if cycle is None:
-                return count
-            count += 1
+                return cycles
+            cycles.append(cycle)
             for v in cycle:
                 work &= ~(1 << v)
-
-
-def _shortest_odd_cycle(
-    adj: Sequence[int], active: int
-) -> tuple[int, ...] | None:
-    """A shortest odd cycle of the induced subgraph, or None.
-
-    Breadth-first search from every vertex; any edge inside one layer
-    closes an odd cycle, trimmed at the branches' meeting point.
-    """
-    best: tuple[int, ...] | None = None
-    scan_all = active
-    while scan_all:
-        low = scan_all & -scan_all
-        root = low.bit_length() - 1
-        scan_all ^= low
-        depth = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            if best is not None and depth[v] * 2 + 1 >= len(best):
-                break
-            mask = adj[v] & active
-            while mask:
-                nlow = mask & -mask
-                w = nlow.bit_length() - 1
-                mask ^= nlow
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-                elif depth[w] == depth[v]:
-                    cycle = trimmed_cycle(v, w, parent)
-                    if best is None or len(cycle) < len(best):
-                        best = cycle
-                        if len(best) == 3:
-                            return best
-    return best
 
 
 # -- heuristic solver --------------------------------------------------

@@ -224,6 +224,22 @@ def test_stats_contranominal(capsys):
     }
 
 
+def test_stats_stops_past_the_concept_cap(capsys, tmp_path):
+    # a 17x17 contranominal scale has 2**17 concepts
+    k = 17
+    names = tuple(str(i) for i in range(k))
+    rows = tuple(((1 << k) - 1) & ~(1 << i) for i in range(k))
+    path = tmp_path / "contranominal17.cxt"
+    path.write_text(
+        of.serialize_cxt(of.FormalContext(names, names, rows)),
+        encoding="utf-8",
+    )
+    code, report = _run(capsys, ["stats", str(path)])
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "ConceptBudgetExceeded"
+
+
 def test_missing_file_is_a_format_error(capsys):
     code, report = _run(capsys, ["check", "/no/such/file.cxt"])
     assert code == 2

@@ -22,6 +22,14 @@ def _graph(n, edges):
     return IncompatibilityGraph(vertices, tuple(adjacency))
 
 
+def _cycle(vertices):
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def _complete(n):
+    return list(itertools.combinations(range(n), 2))
+
+
 def _covered_core(ctx, result):
     """Isolated pairs of the incompatibility graph left after removal."""
     kept = of.remove_incidences(ctx, result.removed)
@@ -64,6 +72,47 @@ def test_two_disjoint_triangles():
     graph = _graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     solution = max_bipartite_subset(graph, mode="exact")
     assert solution.deleted == {IncidencePair(0, 0), IncidencePair(0, 3)}
+
+
+@pytest.mark.parametrize(
+    "n, edges, expected",
+    [
+        pytest.param(4, _complete(4), (0, 1), id="K4"),
+        pytest.param(
+            4, [e for e in _complete(4) if e != (0, 3)], (1,),
+            id="K4-minus-edge",
+        ),
+        pytest.param(
+            7, _cycle([0, 1, 2, 3, 4]) + _cycle([4, 5, 6]), (4,),
+            id="C5-and-triangle-sharing-a-vertex",
+        ),
+        pytest.param(
+            10, _cycle(list(range(7))) + _cycle([7, 8, 9]), (0, 7),
+            id="C7-and-disjoint-triangle",
+        ),
+        pytest.param(
+            10,
+            _cycle([0, 1, 2, 3, 4])
+            + [(i, i + 5) for i in range(5)]
+            + _cycle([5, 7, 9, 6, 8]),
+            (0, 2, 6),
+            id="petersen",
+        ),
+        pytest.param(5, _complete(5), (0, 1, 2), id="K5"),
+        pytest.param(
+            6, _cycle([0, 1, 2, 3, 4]) + [(i, 5) for i in range(5)], (0, 5),
+            id="wheel-W5",
+        ),
+    ],
+)
+def test_exact_on_overlapping_odd_cycles(n, edges, expected):
+    """Odd cycles that share vertices, and more than one deletion per
+    component; the brute-force witness is the lex-smallest minimum."""
+    graph = _graph(n, edges)
+    assert _brute_min_oct(graph, len(expected)) == (len(expected), expected)
+    solution = max_bipartite_subset(graph, mode="exact")
+    deleted_idx = {graph.vertex_index(p) for p in solution.deleted}
+    assert tuple(sorted(deleted_idx)) == expected
 
 
 def test_exact_matches_brute_force_on_random_graphs():
