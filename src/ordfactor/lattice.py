@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bitset import bits, transpose
 from .context import FormalContext
@@ -43,6 +43,17 @@ def enumerate_concepts(
     the default from :func:`concept_cap`, ``math.inf`` disables the
     limit.  Raises :class:`ConceptBudgetExceeded` past the cap.
     """
+    return [
+        Concept(frozenset(bits(extent)), frozenset(bits(intent)))
+        for extent, intent in concept_masks(ctx, cap)
+    ]
+
+
+def concept_masks(
+    ctx: FormalContext, cap: int | float | None = None
+) -> Iterator[tuple[int, int]]:
+    """The (extent, intent) bitmasks of :func:`enumerate_concepts`, one
+    at a time, so that counting them keeps no concept in memory."""
     if cap is None:
         cap = concept_cap(ctx)
     m = ctx.n_attributes
@@ -59,22 +70,18 @@ def enumerate_concepts(
                 intent &= row
         return extent, intent
 
-    concepts: list[Concept] = []
-
-    def emit(extent: int, intent: int) -> None:
-        if len(concepts) + 1 > cap:
+    extent, current = close(0)
+    produced = 0
+    while True:
+        produced += 1
+        if produced > cap:
             raise ConceptBudgetExceeded(
                 f"more than {cap} concepts for a context of size "
                 f"{ctx.n_objects}x{ctx.n_attributes}"
             )
-        concepts.append(
-            Concept(frozenset(bits(extent)), frozenset(bits(intent)))
-        )
-
-    extent, intent = close(0)
-    emit(extent, intent)
-    current = intent
-    while current != full_attrs:
+        yield extent, current
+        if current == full_attrs:
+            return
         for i in range(m - 1, -1, -1):
             if current >> i & 1:
                 continue
@@ -84,12 +91,10 @@ def enumerate_concepts(
             # lectic successor test: no new attribute below i
             if closed & below & ~current:
                 continue
-            emit(extent, closed)
             current = closed
             break
         else:
             raise AssertionError("NextClosure failed to advance")
-    return concepts
 
 
 @dataclass(frozen=True)

@@ -255,47 +255,61 @@ def _heuristic_oct(
     adj: Sequence[int], seed: int, deadline: float | None
 ) -> tuple[int, ...]:
     """Randomized 2-coloring plus local search, best of several
-    restarts.  The vertex with the most conflicting edges is recolored
-    when that strictly helps and evicted otherwise; evicted vertices
-    that fit again afterwards are re-added."""
+    restarts.  The first vertex with the most conflicting edges is
+    recolored when that strictly helps and evicted otherwise; evicted
+    vertices that fit again afterwards are re-added.
+
+    The coloring is the bitmask ``ones`` of color-1 vertices.  Each
+    restart counts every vertex's conflicts once with ``bit_count``;
+    a flip or an eviction then adjusts only the counts of the moved
+    vertex's active neighbours.
+    """
     n = len(adj)
+    everything = (1 << n) - 1
     rng = random.Random(seed)
     best: tuple[int, tuple[int, ...]] | None = None
     for _ in range(HEURISTIC_RESTARTS):
-        color = [rng.randrange(2) for _ in range(n)]
-        active = (1 << n) - 1 if n else 0
-        while True:
-            worst_v = -1
-            worst_c = 0
-            for v in range(n):
-                if not active >> v & 1:
-                    continue
-                same = sum(
-                    1
-                    for w in bits(adj[v] & active)
-                    if color[w] == color[v]
-                )
-                if same > worst_c:
-                    worst_c = same
-                    worst_v = v
-            if worst_v < 0:
-                break
-            other = adj[worst_v] & active
-            flipped = sum(
-                1 for w in bits(other) if color[w] != color[worst_v]
-            )
-            if flipped < worst_c:
-                color[worst_v] ^= 1
-            else:
-                active &= ~(1 << worst_v)
+        ones = 0
         for v in range(n):
-            if active >> v & 1:
+            if rng.randrange(2):
+                ones |= 1 << v
+        active = everything
+        same = [
+            (adj[v] & (ones if ones >> v & 1 else ~ones)).bit_count()
+            for v in range(n)
+        ]
+        while True:
+            # evicted vertices count 0; index() takes the lowest of the
+            # vertices with the most conflicts
+            worst_c = max(same, default=0)
+            if not worst_c:
+                break
+            worst_v = same.index(worst_c)
+            bit = 1 << worst_v
+            nbrs = adj[worst_v] & active
+            mates = nbrs & (ones if ones & bit else ~ones)
+            others = nbrs ^ mates
+            for w in bits(mates):
+                same[w] -= 1
+            flipped = others.bit_count()
+            if flipped < worst_c:
+                for w in bits(others):
+                    same[w] += 1
+                same[worst_v] = flipped
+                ones ^= bit
+            else:
+                same[worst_v] = 0
+                active ^= bit
+        for v in bits(everything & ~active):
+            bit = 1 << v
+            nbrs = adj[v] & active
+            zeros = nbrs & ~ones
+            if zeros and nbrs & ones:
                 continue
-            seen = {color[w] for w in bits(adj[v] & active)}
-            if len(seen) <= 1:
-                color[v] = 1 - seen.pop() if seen else 0
-                active |= 1 << v
-        evicted = tuple(v for v in range(n) if not active >> v & 1)
+            # take the color opposite to all active neighbours, else 0
+            ones = ones | bit if zeros else ones & ~bit
+            active |= bit
+        evicted = tuple(bits(everything & ~active))
         candidate = (len(evicted), evicted)
         if best is None or candidate < best:
             best = candidate
@@ -303,4 +317,3 @@ def _heuristic_oct(
             break
     assert best is not None or n == 0
     return best[1] if best else ()
-

@@ -1,11 +1,14 @@
 """Shared fixtures and helpers for the test suite."""
 from collections import deque
 import random
+import time
 
 import pytest
 
 import ordfactor as of
+from ordfactor.bitset import bits
 from ordfactor.dimension import Poset
+from ordfactor.maximal import HEURISTIC_RESTARTS
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +82,58 @@ def induced_bipartite(graph, deleted):
                 elif color[w] == color[v]:
                     return False
     return True
+
+
+def reference_heuristic_oct(adj, seed, deadline):
+    """The heuristic transversal as a plain rescan of every vertex per
+    step, with generator sums for the conflict counts.  It makes the
+    same choices as ``maximal._heuristic_oct`` and is kept only to
+    check that the incremental counts there change no decision."""
+    n = len(adj)
+    rng = random.Random(seed)
+    best = None
+    for _ in range(HEURISTIC_RESTARTS):
+        color = [rng.randrange(2) for _ in range(n)]
+        active = (1 << n) - 1 if n else 0
+        while True:
+            worst_v = -1
+            worst_c = 0
+            for v in range(n):
+                if not active >> v & 1:
+                    continue
+                same = sum(
+                    1
+                    for w in bits(adj[v] & active)
+                    if color[w] == color[v]
+                )
+                if same > worst_c:
+                    worst_c = same
+                    worst_v = v
+            if worst_v < 0:
+                break
+            other = adj[worst_v] & active
+            flipped = sum(
+                1 for w in bits(other) if color[w] != color[worst_v]
+            )
+            if flipped < worst_c:
+                color[worst_v] ^= 1
+            else:
+                active &= ~(1 << worst_v)
+        for v in range(n):
+            if active >> v & 1:
+                continue
+            seen = {color[w] for w in bits(adj[v] & active)}
+            if len(seen) <= 1:
+                color[v] = 1 - seen.pop() if seen else 0
+                active |= 1 << v
+        evicted = tuple(v for v in range(n) if not active >> v & 1)
+        candidate = (len(evicted), evicted)
+        if best is None or candidate < best:
+            best = candidate
+        if deadline is not None and time.monotonic() > deadline:
+            break
+    assert best is not None or n == 0
+    return best[1] if best else ()
 
 
 def random_poset(n, seed):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -222,6 +223,21 @@ def test_stats_contranominal(capsys):
         "edges": 3,
         "isolated": 0,
     }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["monuments", "contranominal3", "forced_overlap", "persistent_odd_cycle"],
+)
+def test_stats_counts_match_enumerated_concepts(capsys, name):
+    code, report = _run(capsys, ["stats", str(DATA / f"{name}.cxt")])
+    assert code == 0
+    ctx = of.load_dataset(name)
+    payload = report["payload"]
+    assert payload["concepts"] == len(of.enumerate_concepts(ctx, math.inf))
+    assert payload["complement_concepts"] == len(
+        of.enumerate_concepts(of.complement(ctx), math.inf)
+    )
 
 
 def test_stats_stops_past_the_concept_cap(capsys, tmp_path):

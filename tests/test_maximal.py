@@ -7,10 +7,10 @@ import pytest
 import ordfactor as of
 from ordfactor.context import IncidencePair
 from ordfactor.incompat import IncompatibilityGraph
-from ordfactor.maximal import max_bipartite_subset
+from ordfactor.maximal import _heuristic_oct, max_bipartite_subset
 from ordfactor.oracle import GeneratorSpec, random_context
 
-from conftest import induced_bipartite
+from conftest import induced_bipartite, reference_heuristic_oct
 
 
 def _graph(n, edges):
@@ -155,6 +155,49 @@ def test_heuristic_never_beats_exact():
         assert induced_bipartite(graph, deleted_idx)
         assert not heur.optimal
         assert len(heur.deleted) >= len(exact.deleted)
+
+
+def test_heuristic_matches_rescanning_reference(
+    monuments, contranominal3, forced_overlap
+):
+    """The incremental conflict counts change no choice of the search:
+    the same evicted tuple as a full rescan per step, seed by seed."""
+    contexts = [monuments, contranominal3, forced_overlap]
+    for size in (4, 6, 8, 10):
+        for density in (0.3, 0.5, 0.7):
+            contexts.append(
+                random_context(
+                    GeneratorSpec(
+                        objects=size,
+                        attributes=size,
+                        density=density,
+                        seed=size,
+                    )
+                )
+            )
+    evicting = 0
+    for ctx in contexts:
+        adj = of.build_incompatibility_graph(ctx).adjacency
+        for seed in (0, 7):
+            expected = reference_heuristic_oct(adj, seed, None)
+            assert _heuristic_oct(adj, seed, None) == expected
+            evicting += bool(expected)
+    assert evicting >= 15
+
+
+def test_heuristic_under_zero_budget(persistent_odd_cycle):
+    """A spent budget still yields a valid answer: one restart per
+    round, so more removals than the unbudgeted 74 in 3 rounds."""
+    result = of.maximal_two_factorization(
+        persistent_odd_cycle, mode="heuristic", budget=0.0, seed=0
+    )
+    assert of.validate_factorization(persistent_odd_cycle, result) == []
+    assert len(result.removed) == 100
+    assert result.rounds == 4
+    graph = of.build_incompatibility_graph(persistent_odd_cycle)
+    solution = max_bipartite_subset(graph, "heuristic", budget=0.0)
+    deleted_idx = {graph.vertex_index(p) for p in solution.deleted}
+    assert induced_bipartite(graph, deleted_idx)
 
 
 def test_heuristic_deterministic_per_seed(monuments):
