@@ -121,6 +121,7 @@ def _cmd_factorize(args: argparse.Namespace, text: str) -> dict:
 
 def _cmd_maximal(args: argparse.Namespace, text: str) -> dict:
     ctx = _load_context(text)
+    started = time.monotonic()
     result = maximal_two_factorization(
         ctx, mode=args.mode, budget=args.budget, seed=args.seed
     )
@@ -131,7 +132,11 @@ def _cmd_maximal(args: argparse.Namespace, text: str) -> dict:
         certificate=result.certificate,
     )
     if args.certify and not result.certificate:
-        payload["certificate"] = certify_global_optimality(ctx, result)
+        # one --budget covers both the search and the proof
+        left = None
+        if args.budget is not None:
+            left = max(0.0, args.budget - (time.monotonic() - started))
+        payload["certificate"] = certify_global_optimality(ctx, result, left)
     return payload
 
 
@@ -269,7 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--certify",
         action="store_true",
-        help="recheck heuristic removals with one exact round",
+        help="prove with one bounded exact search that no smaller "
+        "removal exists",
     )
     cmd = add("biplot", "render the factorization as a biplot")
     add_search_options(cmd)

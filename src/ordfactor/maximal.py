@@ -5,7 +5,7 @@ exists; the best possible is to drop a minimum set of incidences whose
 removal makes the rebuilt graph bipartite.  Removal can create fresh
 incompatibilities, so the transversal step may have to repeat; a single
 exact round certifies that the number of dropped incidences is globally
-minimum.
+minimum, and one bounded exact search certifies any other result.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .bitset import bits
 from .context import FormalContext, IncidencePair, remove_incidences
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidFactorization
 from .incompat import (
     IncompatibilityGraph,
     bipartition,
@@ -25,7 +25,11 @@ from .incompat import (
     component_masks,
     two_color,
 )
-from .twofactor import FactorizationResult, two_factorize
+from .twofactor import (
+    FactorizationResult,
+    two_factorize,
+    validate_factorization,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -120,27 +124,27 @@ def maximal_two_factorization(
 
 
 def certify_global_optimality(
-    ctx: FormalContext, result: FactorizationResult
+    ctx: FormalContext,
+    result: FactorizationResult,
+    budget: float | None = None,
 ) -> bool:
     """Whether the removal size of ``result`` is provably minimum.
 
-    Recomputes one exact transversal round on the original graph.  The
-    result is certified when that round already leaves a
-    two-factorizable incidence and its transversal has the same size as
-    ``result.removed``: the round size is a lower bound on any removal,
-    so matching it proves minimality even for heuristic results.
+    Removing incidences only adds edges among the kept ones, so every
+    valid removal is an odd cycle transversal of the original graph.
+    The result is certified when one bounded exact search proves that
+    no transversal of the original graph is smaller than
+    ``result.removed``; this holds for heuristic and multi-round
+    results alike.  Raises :class:`InvalidFactorization` on an invalid
+    result and :class:`BudgetExceeded` when the search outlasts
+    ``budget`` seconds.
     """
-    if not result.removed:
-        return True
-    graph = build_incompatibility_graph(ctx)
-    if bipartition(graph).is_bipartite:
-        # the graph needed no removal at all, so any removal is excess
-        return False
-    solution = max_bipartite_subset(graph, mode="exact")
-    if len(solution.deleted) != len(result.removed):
-        return False
-    kept_ctx = remove_incidences(ctx, solution.deleted)
-    return bipartition(build_incompatibility_graph(kept_ctx)).is_bipartite
+    problems = validate_factorization(ctx, result)
+    if problems:
+        raise InvalidFactorization("; ".join(v.message for v in problems))
+    deadline = time.monotonic() + budget if budget is not None else None
+    search = _ExactOct(build_incompatibility_graph(ctx).adjacency, deadline)
+    return search.solve(search.active, len(result.removed) - 1) is None
 
 
 # -- exact solver ------------------------------------------------------
@@ -152,25 +156,25 @@ class _ExactOct:
     Each search node packs vertex-disjoint odd cycles greedily, prunes
     when their count (each cycle needs a deletion of its own) exceeds
     the size still allowed, and branches on the vertices of the
-    shortest packed cycle.  Solved subgraphs are memoized, and size ties are broken
-    toward the lexicographically smallest deleted set; every
-    transversal meets every odd cycle, so the result does not depend
-    on which cycle is branched on.
+    shortest packed cycle.  A disconnected subgraph is solved part by
+    part, and the parts share the allowed size: each part may use what
+    the earlier parts left of it.  Solved subgraphs are memoized, and
+    size ties are broken toward the lexicographically smallest deleted
+    set; every transversal meets every odd cycle, so the result does
+    not depend on which cycle is branched on.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
         self.adj = adjacency
         self.n = len(adjacency)
         self.deadline = deadline
+        # isolated vertices lie on no odd cycle
+        self.active = sum(1 << v for v in range(self.n) if adjacency[v])
         self.exact: dict[int, tuple[int, tuple[int, ...]]] = {}
         self.too_big: dict[int, int] = {}
 
     def run(self) -> tuple[int, ...]:
-        active = 0
-        for v in range(self.n):
-            if self.adj[v]:
-                active |= 1 << v
-        result = self.solve(active, self.n)
+        result = self.solve(self.active, self.n)
         assert result is not None
         return result[1]
 
@@ -187,31 +191,24 @@ class _ExactOct:
             return cached if cached[0] <= ub else None
         if self.too_big.get(active, 0) > ub:
             return None
+        result: tuple[int, tuple[int, ...]] | None
         parts = component_masks(self.adj, active)
-        if len(parts) > 1:
-            result = self._solve_split(ub, parts)
-        else:
+        if len(parts) == 1:
             result = self._solve_connected(active, ub)
+        else:
+            result = (0, ())
+            for part in parts:
+                sub = self.solve(part, ub - result[0])
+                if sub is None:
+                    result = None
+                    break
+                merged = tuple(sorted(result[1] + sub[1]))
+                result = (result[0] + sub[0], merged)
         if result is None:
             self.too_big[active] = max(self.too_big.get(active, 0), ub + 1)
         else:
             self.exact[active] = result
         return result
-
-    def _solve_split(
-        self, ub: int, parts: list[int]
-    ) -> tuple[int, tuple[int, ...]] | None:
-        bounds = [len(self._disjoint_odd_cycles(part)) for part in parts]
-        total = 0
-        merged: list[int] = []
-        for i, part in enumerate(parts):
-            slack = ub - total - sum(bounds[i + 1 :])
-            sub = self.solve(part, slack)
-            if sub is None:
-                return None
-            total += sub[0]
-            merged.extend(sub[1])
-        return (total, tuple(sorted(merged)))
 
     def _solve_connected(
         self, active: int, ub: int

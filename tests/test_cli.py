@@ -132,6 +132,23 @@ def test_maximal_budget_exhaustion(capsys):
     assert report["error"]["type"] == "BudgetExceeded"
 
 
+def test_maximal_certify_shares_the_budget(capsys):
+    """The minimality proof runs under what the search left of
+    --budget; without one it runs past a minute on this input."""
+    code, report = _run(
+        capsys,
+        [
+            "maximal", PERSISTENT, "--mode", "heuristic", "--certify",
+            "--budget", "1",
+        ],
+    )
+    assert code == 3
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "BudgetExceeded"
+    assert "payload" not in report
+    assert report["elapsed_ms"] < 10_000
+
+
 def test_biplot_csv_inline(capsys):
     code, report = _run(capsys, ["biplot", MONUMENTS, "--format", "csv"])
     assert code == 0

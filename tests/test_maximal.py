@@ -7,8 +7,12 @@ import pytest
 import ordfactor as of
 from ordfactor.context import IncidencePair
 from ordfactor.incompat import IncompatibilityGraph
-from ordfactor.maximal import _heuristic_oct, max_bipartite_subset
-from ordfactor.oracle import GeneratorSpec, random_context
+from ordfactor.maximal import _ExactOct, _heuristic_oct, max_bipartite_subset
+from ordfactor.oracle import (
+    GeneratorSpec,
+    brute_force_min_removal,
+    random_context,
+)
 
 from conftest import induced_bipartite, reference_heuristic_oct
 
@@ -113,6 +117,13 @@ def test_exact_on_overlapping_odd_cycles(n, edges, expected):
     solution = max_bipartite_subset(graph, mode="exact")
     deleted_idx = {graph.vertex_index(p) for p in solution.deleted}
     assert tuple(sorted(deleted_idx)) == expected
+    # the bounded call behind certify_global_optimality
+    everything = (1 << n) - 1
+    k = len(expected)
+    assert _ExactOct(graph.adjacency, None).solve(everything, k - 1) is None
+    assert _ExactOct(graph.adjacency, None).solve(everything, k) == (
+        k, expected
+    )
 
 
 def test_exact_matches_brute_force_on_random_graphs():
@@ -250,6 +261,45 @@ def test_certify_global_optimality(monuments, forced_overlap):
     assert of.certify_global_optimality(monuments, exact)
     clean = of.maximal_two_factorization(forced_overlap, mode="exact")
     assert of.certify_global_optimality(forced_overlap, clean)
+
+
+def test_certify_refuses_invalid_results(monuments):
+    """Dropping two incidences and covering nothing is no
+    factorization, so there is no removal size to certify."""
+    removed = frozenset(monuments.pairs()[:2])
+    empty = of.FerrersFactor(frozenset())
+    bogus = of.FactorizationResult(
+        empty, empty, shared=frozenset(), removed=removed, certificate=False
+    )
+    problems = of.validate_factorization(monuments, bogus)
+    assert "CoverageViolation" in {p.kind for p in problems}
+    with pytest.raises(of.InvalidFactorization):
+        of.certify_global_optimality(monuments, bogus)
+
+
+def test_certify_agrees_with_brute_force():
+    """Certified exactly when the removal size is the brute-force
+    minimum, over exact and heuristic results of random contexts."""
+    certified = uncertified = 0
+    for size in (5, 6, 7, 8):
+        for density in (0.5, 0.6, 0.7):
+            for seed in range(6):
+                ctx = random_context(GeneratorSpec(size, size, density, seed))
+                exact = of.maximal_two_factorization(ctx, mode="exact")
+                if len(exact.removed) > 2:
+                    continue  # brute force tries every smaller subset
+                least = brute_force_min_removal(ctx, len(exact.removed))
+                heuristic = [
+                    of.maximal_two_factorization(ctx, "heuristic", seed=s)
+                    for s in range(3)
+                ]
+                for result in [exact] + heuristic:
+                    claim = of.certify_global_optimality(ctx, result)
+                    assert claim == (len(result.removed) == least)
+                    certified += claim
+                    uncertified += not claim
+    assert certified >= 100
+    assert uncertified >= 10
 
 
 def test_certify_rejects_oversized_heuristic_removals(monuments):
