@@ -35,7 +35,7 @@ from .incompat import (
     components,
     isolated_pairs,
 )
-from .lattice import concept_masks
+from .lattice import concept_intents
 from .maximal import certify_global_optimality, maximal_two_factorization
 from .oracle import brute_force_min_removal
 from .twofactor import two_factorize
@@ -207,9 +207,9 @@ def _cmd_stats(args: argparse.Namespace, text: str) -> dict:
         "attributes": ctx.n_attributes,
         "incidences": ctx.incidence_count,
         "density": round(ctx.incidence_count / cells, 6) if cells else 0.0,
-        "concepts": sum(1 for _ in concept_masks(ctx, _STATS_CONCEPT_CAP)),
-        "complement_concepts": sum(
-            1 for _ in concept_masks(complement(ctx), _STATS_CONCEPT_CAP)
+        "concepts": len(concept_intents(ctx, _STATS_CONCEPT_CAP)),
+        "complement_concepts": len(
+            concept_intents(complement(ctx), _STATS_CONCEPT_CAP)
         ),
         "graph": {
             "edges": graph.edge_count,

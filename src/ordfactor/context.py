@@ -73,23 +73,6 @@ class FormalContext:
                 raise CountMismatch(f"row {g} sets bits beyond the attribute count")
 
     @classmethod
-    def from_pairs(
-        cls,
-        objects: Iterable[str],
-        attributes: Iterable[str],
-        pairs: Iterable[tuple[int, int]],
-        title: str | None = None,
-    ) -> "FormalContext":
-        objects = tuple(objects)
-        attributes = tuple(attributes)
-        rows = [0] * len(objects)
-        for g, m in pairs:
-            if not (0 <= g < len(objects) and 0 <= m < len(attributes)):
-                raise IndexOutOfRange(f"pair ({g}, {m}) outside the context")
-            rows[g] |= 1 << m
-        return cls(objects, attributes, tuple(rows), title)
-
-    @classmethod
     def from_strings(
         cls,
         objects: Iterable[str],

@@ -36,9 +36,6 @@ class IncompatibilityGraph:
     def neighbors(self, i: int) -> list[int]:
         return list(bits(self.adjacency[i]))
 
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
-
     @property
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adjacency) // 2

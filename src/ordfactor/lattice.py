@@ -1,6 +1,7 @@
 """Concept lattices, cocomparability graphs and transitive orientations.
 
-Concepts are enumerated with NextClosure in lectic order of intents.
+The concept intents are the full attribute set and every intersection
+of object rows, collected in one pass and sorted in lectic order.
 The order on concepts (extent inclusion) is kept as bitmask rows, and a
 conjugate order is found, when one exists, by orienting the
 cocomparability graph transitively: implication classes are forced one
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bitset import bits, transpose
 from .context import FormalContext
@@ -41,60 +42,48 @@ def enumerate_concepts(
 
     ``cap`` limits how many concepts may be produced; ``None`` selects
     the default from :func:`concept_cap`, ``math.inf`` disables the
-    limit.  Raises :class:`ConceptBudgetExceeded` past the cap.
+    limit.  Raises :class:`ConceptBudgetExceeded` past the cap.  In
+    lectic order the smallest attribute where two intents differ
+    belongs to the later one, so intents sort as bit-reversed masks;
+    each extent is the set of rows that contain its intent.
     """
+    m = ctx.n_attributes
+    intents = sorted(
+        concept_intents(ctx, cap), key=lambda mask: f"{mask:0{m}b}"[::-1]
+    )
     return [
-        Concept(frozenset(bits(extent)), frozenset(bits(intent)))
-        for extent, intent in concept_masks(ctx, cap)
+        Concept(
+            frozenset(g for g, row in enumerate(ctx.rows) if row & i == i),
+            frozenset(bits(i)),
+        )
+        for i in intents
     ]
 
 
-def concept_masks(
+def concept_intents(
     ctx: FormalContext, cap: int | float | None = None
-) -> Iterator[tuple[int, int]]:
-    """The (extent, intent) bitmasks of :func:`enumerate_concepts`, one
-    at a time, so that counting them keeps no concept in memory."""
+) -> set[int]:
+    """The intents of all concepts, as attribute bitmasks, in no order.
+
+    The intents are the full attribute set and every intersection of
+    object rows, so each row is intersected into every intent found so
+    far.  ``cap`` is as in :func:`enumerate_concepts`; the count is
+    checked after every intersection, so at most ``cap + 1`` are held.
+    """
     if cap is None:
         cap = concept_cap(ctx)
-    m = ctx.n_attributes
-    full_attrs = (1 << m) - 1
-    rows = ctx.rows
-
-    def close(amask: int) -> tuple[int, int]:
-        # extent of the attribute set, then intent of that extent
-        extent = 0
-        intent = full_attrs
-        for g, row in enumerate(rows):
-            if row & amask == amask:
-                extent |= 1 << g
-                intent &= row
-        return extent, intent
-
-    extent, current = close(0)
-    produced = 0
-    while True:
-        produced += 1
-        if produced > cap:
-            raise ConceptBudgetExceeded(
-                f"more than {cap} concepts for a context of size "
-                f"{ctx.n_objects}x{ctx.n_attributes}"
-            )
-        yield extent, current
-        if current == full_attrs:
-            return
-        for i in range(m - 1, -1, -1):
-            if current >> i & 1:
-                continue
-            below = (1 << i) - 1
-            candidate = (current & below) | (1 << i)
-            extent, closed = close(candidate)
-            # lectic successor test: no new attribute below i
-            if closed & below & ~current:
-                continue
-            current = closed
-            break
-        else:
-            raise AssertionError("NextClosure failed to advance")
+    full = (1 << ctx.n_attributes) - 1
+    intents = {full}
+    # the full row adds nothing, but puts the seed itself under the cap
+    for row in (full, *ctx.rows):
+        for intent in list(intents):
+            intents.add(intent & row)
+            if len(intents) > cap:
+                raise ConceptBudgetExceeded(
+                    f"more than {cap} concepts for a context of size "
+                    f"{ctx.n_objects}x{ctx.n_attributes}"
+                )
+    return intents
 
 
 @dataclass(frozen=True)

@@ -135,15 +135,22 @@ def certify_global_optimality(
     The result is certified when one bounded exact search proves that
     no transversal of the original graph is smaller than
     ``result.removed``; this holds for heuristic and multi-round
-    results alike.  Raises :class:`InvalidFactorization` on an invalid
-    result and :class:`BudgetExceeded` when the search outlasts
-    ``budget`` seconds.
+    results alike.  A removed incidence that the original graph on the
+    kept ones takes back without an odd cycle already gives a smaller
+    transversal, so that answers False without a search.  Raises
+    :class:`InvalidFactorization` on an invalid result and
+    :class:`BudgetExceeded` when the search outlasts ``budget`` seconds.
     """
     problems = validate_factorization(ctx, result)
     if problems:
         raise InvalidFactorization("; ".join(v.message for v in problems))
     deadline = time.monotonic() + budget if budget is not None else None
-    search = _ExactOct(build_incompatibility_graph(ctx).adjacency, deadline)
+    graph = build_incompatibility_graph(ctx)
+    removed = [1 << graph.vertex_index(pair) for pair in result.removed]
+    kept = (1 << graph.n) - 1 - sum(removed)
+    if any(two_color(graph.adjacency, kept | v)[1] is None for v in removed):
+        return False
+    search = _ExactOct(graph.adjacency, deadline)
     return search.solve(search.active, len(result.removed) - 1) is None
 
 

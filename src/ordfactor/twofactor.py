@@ -112,21 +112,12 @@ def is_ferrers(ctx: FormalContext, pairs: Iterable[tuple[int, int]]) -> bool:
     return _ferrers_violation(pair_set) is None
 
 
-def _empty_result() -> FactorizationResult:
-    empty = FerrersFactor(frozenset())
-    return FactorizationResult(
-        empty, empty, frozenset(), frozenset(), certificate=True, rounds=0
-    )
-
-
 def two_factorize(ctx: FormalContext) -> FactorizationResult:
     """Split the incidence into two Ferrers relations, or fail.
 
     Raises :class:`NotTwoFactorizable` when no such split exists, which
     happens exactly when the incompatibility graph is not bipartite.
     """
-    if ctx.incidence_count == 0:
-        return _empty_result()
     comp = complement(ctx)
     try:
         concepts = enumerate_concepts(comp)

@@ -8,6 +8,8 @@ import pytest
 import ordfactor as of
 from ordfactor.bitset import bits
 from ordfactor.dimension import Poset
+from ordfactor.errors import ConceptBudgetExceeded
+from ordfactor.lattice import concept_cap
 from ordfactor.maximal import HEURISTIC_RESTARTS
 
 
@@ -134,6 +136,56 @@ def reference_heuristic_oct(adj, seed, deadline):
             break
     assert best is not None or n == 0
     return best[1] if best else ()
+
+
+def reference_concept_masks(ctx, cap=None):
+    """The (extent, intent) bitmasks of all concepts from NextClosure,
+    in lectic order of intents, one lectic successor at a time.  It
+    raises the same :class:`ConceptBudgetExceeded` past ``cap`` as
+    ``lattice.enumerate_concepts`` and is kept only to check that
+    enumeration by row intersections changes no concept, order or
+    message."""
+    if cap is None:
+        cap = concept_cap(ctx)
+    m = ctx.n_attributes
+    full_attrs = (1 << m) - 1
+    rows = ctx.rows
+
+    def close(amask):
+        # extent of the attribute set, then intent of that extent
+        extent = 0
+        intent = full_attrs
+        for g, row in enumerate(rows):
+            if row & amask == amask:
+                extent |= 1 << g
+                intent &= row
+        return extent, intent
+
+    extent, current = close(0)
+    produced = 0
+    while True:
+        produced += 1
+        if produced > cap:
+            raise ConceptBudgetExceeded(
+                f"more than {cap} concepts for a context of size "
+                f"{ctx.n_objects}x{ctx.n_attributes}"
+            )
+        yield extent, current
+        if current == full_attrs:
+            return
+        for i in range(m - 1, -1, -1):
+            if current >> i & 1:
+                continue
+            below = (1 << i) - 1
+            candidate = (current & below) | (1 << i)
+            extent, closed = close(candidate)
+            # lectic successor test: no new attribute below i
+            if closed & below & ~current:
+                continue
+            current = closed
+            break
+        else:
+            raise AssertionError("NextClosure failed to advance")
 
 
 def random_poset(n, seed):

@@ -3,9 +3,12 @@ import math
 
 import pytest
 
+from conftest import reference_concept_masks
 import ordfactor as of
+from ordfactor.bitset import bits
 from ordfactor.context import FormalContext
 from ordfactor.lattice import (
+    Concept,
     ConjugateOrder,
     cocomparability_graph,
     concept_cap,
@@ -14,6 +17,11 @@ from ordfactor.lattice import (
     linear_sequence,
     realizer_sequences,
     transitive_orientation,
+)
+from ordfactor.oracle import (
+    GeneratorSpec,
+    random_context,
+    random_two_factorizable_context,
 )
 
 
@@ -124,6 +132,61 @@ def test_concept_cap_enforced():
         enumerate_concepts(six)
     assert len(enumerate_concepts(six, cap=math.inf)) == 64
     assert len(enumerate_concepts(six, cap=64)) == 64
+
+
+def _seeded_contexts():
+    """Random contexts and complements of staircase unions, from 0x0 up
+    to 40x40; the densest random 40x40 has too many concepts for the
+    NextClosure reference."""
+    shapes = (
+        (0, 0), (0, 3), (3, 0), (1, 1), (4, 7), (7, 4),
+        (10, 10), (16, 12), (20, 20), (30, 30), (40, 40),
+    )
+    for n_obj, n_att in shapes:
+        for seed in range(2):
+            for density in (0.1, 0.3, 0.5):
+                if n_obj < 40 or density < 0.5:
+                    yield random_context(
+                        GeneratorSpec(n_obj, n_att, density, seed)
+                    )
+            for density in (0.3, 0.5, 0.7):
+                yield of.complement(
+                    random_two_factorizable_context(
+                        GeneratorSpec(n_obj, n_att, density, seed)
+                    )
+                )
+
+
+def _outcome(enumerate_, ctx, cap):
+    try:
+        return enumerate_(ctx, cap)
+    except of.ConceptBudgetExceeded as exc:
+        return type(exc), str(exc)
+
+
+def _reference_concepts(ctx, cap):
+    return [
+        Concept(frozenset(bits(extent)), frozenset(bits(intent)))
+        for extent, intent in reference_concept_masks(ctx, cap)
+    ]
+
+
+def test_enumeration_matches_next_closure_on_seeded_contexts():
+    """Same concepts in the same order as NextClosure, and the same
+    error and message whenever the cap is below the concept count."""
+    compared = refused = 0
+    for ctx in _seeded_contexts():
+        count = len(_reference_concepts(ctx, math.inf))
+        for cap in (None, math.inf, 0, 1, count, count - 1):
+            expected = _outcome(_reference_concepts, ctx, cap)
+            assert _outcome(enumerate_concepts, ctx, cap) == expected, (
+                ctx.n_objects, ctx.n_attributes, ctx.rows, cap,
+            )
+            compared += 1
+            refused += isinstance(expected, tuple)
+        assert isinstance(_outcome(enumerate_concepts, ctx, 0), tuple)
+    assert compared == 6 * 130
+    assert refused > 2 * 130
 
 
 def test_concept_order_of_diagonal_context():

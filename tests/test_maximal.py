@@ -326,6 +326,22 @@ def test_persistent_fixture_heuristic_pinned(persistent_odd_cycle):
     assert not result.certificate
 
 
+def test_certify_refutes_the_persistent_heuristic_without_a_search(
+    persistent_odd_cycle,
+):
+    """A removed incidence that fits back into the original graph on the
+    kept ones proves a transversal of 73, so no search is needed; the
+    bounded search alone runs past a minute on this input."""
+    result = of.maximal_two_factorization(
+        persistent_odd_cycle, mode="heuristic", seed=0
+    )
+    assert len(result.removed) == 74
+    claim = of.certify_global_optimality(
+        persistent_odd_cycle, result, budget=5.0
+    )
+    assert claim is False
+
+
 def test_persistent_fixture_logs_multi_round_event(
     persistent_odd_cycle, caplog
 ):
