@@ -51,10 +51,18 @@ _STATS_CONCEPT_CAP = 1 << 16
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        # stdin may decode with surrogateescape, which hides bad bytes
+        # until the text is encoded again
+        text.encode("utf-8")
+    except UnicodeError as exc:
+        raise FormatError(f"input is not UTF-8 text: {exc}") from None
+    return text
 
 
 def _load_context(text: str) -> FormalContext:
@@ -90,6 +98,19 @@ def _budget_seconds(text: str) -> float:
             f"must be a finite, nonnegative number of seconds, got {text!r}"
         )
     return seconds
+
+
+def _removal_count(text: str) -> int:
+    """A ``--kmax`` value: a nonnegative number of incidences."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative number of incidences, got {text!r}"
+        )
+    return count
 
 
 def _cmd_check(args: argparse.Namespace, text: str) -> dict:
@@ -289,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_search_options(cmd)
     cmd = add("oracle", "brute force the minimum removal count")
     cmd.add_argument(
-        "--kmax", type=int, default=4, help="largest removal count to try"
+        "--kmax", type=_removal_count, default=4, help="largest removal count to try"
     )
     add("stats", "summarize a context and its incompatibility graph")
     return parser

@@ -4,12 +4,12 @@ Two incidences (g, m) and (h, n) are incompatible when neither (g, n)
 nor (h, m) is an incidence: no Ferrers relation inside the incidence can
 contain both.  The context is a union of two Ferrers relations exactly
 when this graph is bipartite, which is what everything downstream leans
-on.
+on.  :func:`two_color` decides that with a layered bitmask sweep and
+returns either a 2-coloring or an odd cycle as the witness.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -124,46 +124,66 @@ def bipartition(graph: IncompatibilityGraph) -> BipartitionWitness:
 def two_color(
     adj: Sequence[int], active: int
 ) -> tuple[dict[int, int] | None, tuple[int, ...] | None]:
-    """Breadth-first 2-coloring of the subgraph induced by ``active``.
+    """Layered breadth-first 2-coloring of the subgraph induced by
+    ``active``.
+
+    Each component is swept one layer at a time from its smallest
+    vertex: a layer is a bitmask, the next one is the union of its
+    members' neighbourhoods less every vertex already seen, and a
+    vertex's color is the parity of its layer.  An edge inside one
+    layer closes an odd cycle; nothing else can, since every other
+    edge joins consecutive layers.
 
     Returns ``(colors, None)`` with every active vertex colored 0 or 1,
-    or ``(None, cycle)`` with the first odd cycle met.  Roots and
-    neighbors are visited in ascending order, so the smallest vertex of
-    each component gets color 0 and the result is deterministic.
+    or ``(None, cycle)`` for the first layer with an inner edge: v is
+    its smallest member with a neighbour in the layer and w the
+    smallest such neighbour.  The cycle is found lazily: v and w each
+    step to their smallest neighbour in the layer above until the two
+    walks meet.  The smallest vertex of each component gets color 0,
+    so the result is deterministic.
     """
-    color: dict[int, int] = {}
-    parent: dict[int, int] = {}
+    ones = 0
     left = active
     while left:
-        root = (left & -left).bit_length() - 1
-        color[root] = 0
-        left ^= 1 << root
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in bits(adj[v] & active):
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    parent[w] = v
-                    left ^= 1 << w
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None, trimmed_cycle(v, w, parent)
-    return color, None
+        layer = seen = left & -left
+        layers = [layer]
+        while layer:
+            nxt = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                # the layer lies inside active, so nb needs no mask yet
+                nb = adj[low.bit_length() - 1]
+                if nb & layer:
+                    return None, _layer_cycle(adj, layers, low, nb & layer)
+                nxt |= nb
+            layer = nxt & active & ~seen
+            seen |= layer
+            if len(layers) & 1:
+                ones |= layer
+            layers.append(layer)
+        left &= ~seen
+    return {v: ones >> v & 1 for v in bits(active)}, None
 
 
-def trimmed_cycle(v: int, w: int, parent: dict[int, int]) -> tuple[int, ...]:
-    """The odd cycle closed by the edge v-w of one breadth-first layer.
-
-    ``v`` and ``w`` have the same depth in the search tree ``parent``;
-    both branches are walked up to their meeting point.
-    """
-    left = [v]
-    right = [w]
-    while left[-1] != right[-1]:
-        left.append(parent[left[-1]])
-        right.append(parent[right[-1]])
-    return tuple(left[:-1] + list(reversed(right)))
+def _layer_cycle(
+    adj: Sequence[int], layers: list[int], v: int, clash: int
+) -> tuple[int, ...]:
+    """The odd cycle closed by the edge from ``v`` (a bit) to the
+    smallest member of ``clash``, both in the last of ``layers``."""
+    up = [v]
+    down = [clash & -clash]
+    depth = len(layers) - 1
+    while up[-1] != down[-1]:
+        depth -= 1
+        above = layers[depth]
+        a = adj[up[-1].bit_length() - 1] & above
+        b = adj[down[-1].bit_length() - 1] & above
+        up.append(a & -a)
+        down.append(b & -b)
+    path = up[:-1] + down[::-1]
+    return tuple(bit.bit_length() - 1 for bit in path)
 
 
 def component_masks(adj: Sequence[int], active: int) -> list[int]:

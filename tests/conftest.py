@@ -86,6 +86,45 @@ def induced_bipartite(graph, deleted):
     return True
 
 
+def reference_two_color(adj, active):
+    """The queue-based breadth-first 2-coloring that ``incompat.two_color``
+    replaced, kept verbatim as a reference: its colorings must match the
+    layered sweep's, and its cycles feed the exact search as well."""
+    color = {}
+    parent = {}
+    left = active
+    while left:
+        root = (left & -left).bit_length() - 1
+        color[root] = 0
+        left ^= 1 << root
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in bits(adj[v] & active):
+                if w not in color:
+                    color[w] = color[v] ^ 1
+                    parent[w] = v
+                    left ^= 1 << w
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None, _reference_trimmed_cycle(v, w, parent)
+    return color, None
+
+
+def _reference_trimmed_cycle(v, w, parent):
+    """The odd cycle closed by the edge v-w of one breadth-first layer.
+
+    ``v`` and ``w`` have the same depth in the search tree ``parent``;
+    both branches are walked up to their meeting point.
+    """
+    left = [v]
+    right = [w]
+    while left[-1] != right[-1]:
+        left.append(parent[left[-1]])
+        right.append(parent[right[-1]])
+    return tuple(left[:-1] + list(reversed(right)))
+
+
 def reference_heuristic_oct(adj, seed, deadline):
     """The heuristic transversal as a plain rescan of every vertex per
     step, with generator sums for the conflict counts.  It makes the

@@ -309,6 +309,30 @@ def test_stdin_input(capsys, monkeypatch, contranominal3):
     assert report["payload"]["bipartite"] is True
 
 
+def test_non_utf8_file_is_a_format_error(capsys, tmp_path):
+    path = tmp_path / "latin1.cxt"
+    path.write_bytes(b"B\n\n1\n1\n\n\xff\nm\nX\n")
+    code, report = _run(capsys, ["check", str(path)])
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "FormatError"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_non_utf8_stdin_is_a_format_error(capsys, monkeypatch, errors):
+    # a C locale reads stdin with surrogateescape, a UTF-8 one strictly
+    monkeypatch.setattr(
+        "sys.stdin",
+        io.TextIOWrapper(io.BytesIO(b"\xff\n"), "utf-8", errors),
+    )
+    code, report = _run(capsys, ["check", "-"])
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "FormatError"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_json_context_input(capsys, tmp_path, forced_overlap):
     path = tmp_path / "ctx.json"
     path.write_text(of.context_to_json(forced_overlap), encoding="utf-8")
@@ -338,6 +362,14 @@ def test_budget_rejects_non_finite_and_negative_values(capsys, value):
         run(["maximal", PERSISTENT, "--budget", value])
     assert info.value.code == 2
     assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "-3", "2.5", "abc"])
+def test_kmax_rejects_negative_and_non_integer_values(capsys, value):
+    with pytest.raises(SystemExit) as info:
+        run(["oracle", MONUMENTS, "--kmax", value])
+    assert info.value.code == 2
+    assert "--kmax" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

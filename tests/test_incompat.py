@@ -8,7 +8,7 @@ from ordfactor.context import FormalContext, IncidencePair
 from ordfactor.incompat import two_color
 from ordfactor.oracle import GeneratorSpec, random_context
 
-from conftest import induced_bipartite
+from conftest import induced_bipartite, reference_two_color
 
 
 def _named_edges(ctx, graph):
@@ -115,6 +115,48 @@ def test_two_color_agrees_with_reference_on_vertex_deletions(
             assert not deleted & set(cycle)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 assert graph.adjacency[a] >> b & 1
+
+
+def test_two_color_matches_queue_reference(
+    monuments, contranominal3, forced_overlap, persistent_odd_cycle
+):
+    """The layered sweep gives the queue BFS's verdict and, on bipartite
+    inputs, the very same colors; its odd cycles may differ but stay
+    simple, odd and inside ``active``."""
+    contexts = [monuments, contranominal3, forced_overlap, persistent_odd_cycle]
+    for size in range(3, 16):
+        for density in (0.3, 0.5, 0.7):
+            contexts.append(
+                random_context(
+                    GeneratorSpec(
+                        objects=size,
+                        attributes=size,
+                        density=density,
+                        seed=100 * size + int(10 * density),
+                    )
+                )
+            )
+    rng = random.Random(11)
+    verdicts = set()
+    for ctx in contexts:
+        graph = of.build_incompatibility_graph(ctx)
+        everything = (1 << graph.n) - 1
+        masks = [everything] + [rng.getrandbits(graph.n) for _ in range(12)]
+        for active in masks:
+            color, cycle = two_color(graph.adjacency, active)
+            ref_color, ref_cycle = reference_two_color(graph.adjacency, active)
+            assert (cycle is None) == (ref_cycle is None)
+            verdicts.add(cycle is None)
+            if cycle is None:
+                assert color == ref_color
+                continue
+            assert color is None
+            assert len(cycle) % 2 == 1 and len(cycle) >= 3
+            assert len(set(cycle)) == len(cycle)
+            assert all(active >> v & 1 for v in cycle)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert graph.adjacency[a] >> b & 1
+    assert verdicts == {True, False}
 
 
 def test_single_edge_graph_is_bipartite():

@@ -14,7 +14,11 @@ from ordfactor.oracle import (
     random_context,
 )
 
-from conftest import induced_bipartite, reference_heuristic_oct
+from conftest import (
+    induced_bipartite,
+    reference_heuristic_oct,
+    reference_two_color,
+)
 
 
 def _graph(n, edges):
@@ -152,6 +156,27 @@ def test_exact_matches_brute_force_on_random_graphs():
             assert tuple(sorted(deleted_idx)) == witness
             checked += 1
     assert checked >= 25
+
+
+def test_exact_unchanged_by_the_odd_cycles_it_packs(monkeypatch, monuments):
+    """The exact search returns the lexicographically smallest minimum
+    transversal, so packing the queue BFS's cycles instead of the
+    layered sweep's changes no result."""
+    graphs = [of.build_incompatibility_graph(monuments).adjacency]
+    for seed in range(19):
+        ctx = random_context(
+            GeneratorSpec(
+                objects=6 + seed % 4,
+                attributes=6 + seed % 3,
+                density=0.35 + 0.1 * (seed % 3),
+                seed=500 + seed,
+            )
+        )
+        graphs.append(of.build_incompatibility_graph(ctx).adjacency)
+    expected = [_ExactOct(adj, None).run() for adj in graphs]
+    monkeypatch.setattr("ordfactor.maximal.two_color", reference_two_color)
+    assert [_ExactOct(adj, None).run() for adj in graphs] == expected
+    assert sum(map(bool, expected)) >= 10
 
 
 def test_heuristic_never_beats_exact():
