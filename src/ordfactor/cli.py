@@ -4,6 +4,8 @@ Every subcommand reads one input (a file path or ``-`` for stdin),
 prints a single JSON report to stdout and exits with 0 on success,
 1 on domain failures such as a context that admits no factorization,
 2 on unreadable input or bad usage, and 3 when a time budget ran out.
+If the reader closes stdout first, as ``ordfactor stats x.cxt | head``
+may, the exit code is 1 and no traceback is printed.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from typing import Iterable
@@ -347,7 +350,14 @@ def _emit(report: dict, started: float) -> None:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull keeps that quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,14 +4,16 @@ Two incidences (g, m) and (h, n) are incompatible when neither (g, n)
 nor (h, m) is an incidence: no Ferrers relation inside the incidence can
 contain both.  The context is a union of two Ferrers relations exactly
 when this graph is bipartite, which is what everything downstream leans
-on.  :func:`two_color` decides that with a layered bitmask sweep and
-returns either a 2-coloring or an odd cycle as the witness.
+on.  :func:`sweep` is the one breadth-first pass over it: it finds the
+components and each one's first odd cycle, and :func:`components`,
+:func:`two_color` and :func:`pack_odd_cycles` all read their answers
+from it.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bitset import bits
 from .context import FormalContext, IncidencePair
@@ -88,11 +90,8 @@ def build_incompatibility_graph(ctx: FormalContext) -> IncompatibilityGraph:
 
 def components(graph: IncompatibilityGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted tuples, ordered by smallest member."""
-    everything = (1 << graph.n) - 1
-    return [
-        tuple(bits(part))
-        for part in component_masks(graph.adjacency, everything)
-    ]
+    parts = sweep(graph.adjacency, (1 << graph.n) - 1)
+    return [tuple(bits(part)) for part, _, _ in parts]
 
 
 def isolated_pairs(graph: IncompatibilityGraph) -> frozenset[IncidencePair]:
@@ -124,29 +123,67 @@ def bipartition(graph: IncompatibilityGraph) -> BipartitionWitness:
 def two_color(
     adj: Sequence[int], active: int
 ) -> tuple[dict[int, int] | None, tuple[int, ...] | None]:
-    """Layered breadth-first 2-coloring of the subgraph induced by
-    ``active``.
-
-    Each component is swept one layer at a time from its smallest
-    vertex: a layer is a bitmask, the next one is the union of its
-    members' neighbourhoods less every vertex already seen, and a
-    vertex's color is the parity of its layer.  An edge inside one
-    layer closes an odd cycle; nothing else can, since every other
-    edge joins consecutive layers.
-
-    Returns ``(colors, None)`` with every active vertex colored 0 or 1,
-    or ``(None, cycle)`` for the first layer with an inner edge: v is
-    its smallest member with a neighbour in the layer and w the
-    smallest such neighbour.  The cycle is found lazily: v and w each
-    step to their smallest neighbour in the layer above until the two
-    walks meet.  The smallest vertex of each component gets color 0,
-    so the result is deterministic.
-    """
+    """2-coloring of the subgraph induced by ``active``: ``(colors,
+    None)`` with each vertex colored by the parity of its layer in
+    :func:`sweep` (0 for the smallest vertex of each component), or
+    ``(None, cycle)`` with the first odd cycle the sweep closes."""
     ones = 0
-    left = active
+    for _, odd, walk in sweep(adj, active, stop=True):
+        if walk is not None:
+            return None, tuple(bit.bit_length() - 1 for bit in walk)
+        ones |= odd
+    return {v: ones >> v & 1 for v in bits(active)}, None
+
+
+def pack_odd_cycles(adj: Sequence[int], active: int, first: int) -> list[int]:
+    """Vertex-disjoint odd cycles of the subgraph induced by ``active``
+    as vertex masks, packed greedily from ``first``, the mask of the
+    first cycle :func:`sweep` closes there; each next one is the first
+    cycle the sweep closes in what is left.  Removing a cycle changes
+    no other component, so the sweep resumes at the smallest vertex
+    not yet found in a bipartite component instead of starting over."""
+    cycles = [first]
+    left = active = active & ~first
+    while True:
+        for part, _, walk in sweep(adj, active, left, stop=True):
+            if walk is not None:
+                break
+            left &= ~part
+        else:
+            return cycles
+        cycle = sum(walk)
+        cycles.append(cycle)
+        active &= ~cycle
+        left &= ~cycle
+
+
+def sweep(
+    adj: Sequence[int],
+    active: int,
+    left: int | None = None,
+    stop: bool = False,
+) -> Iterator[tuple[int, int, list[int] | None]]:
+    """Breadth-first sweep of the subgraph induced by ``active``, one
+    component at a time from the smallest vertex of ``left`` (default
+    ``active``) not yet swept, one layer at a time: a layer is a bitmask
+    and the next one holds its members' neighbours not yet seen.  An
+    edge inside a layer (a clash) closes an odd cycle; every other edge
+    joins consecutive layers.
+
+    Yields ``(mask, odd, walk)`` per component: its vertices, its odd
+    layers and, unless it is bipartite, the cycle of its first clash as
+    single-bit masks in cycle order.  That clash joins the smallest
+    layer member v with a neighbour in the layer to its smallest such
+    neighbour w; v and w each step to their smallest neighbour in the
+    layer above until they meet.  With ``stop`` the sweep ends at the
+    first clash, whose mask then holds only the layers swept so far.
+    """
+    left = active if left is None else left
     while left:
         layer = seen = left & -left
         layers = [layer]
+        odd = 0
+        walk = None
         while layer:
             nxt = 0
             rest = layer
@@ -155,21 +192,24 @@ def two_color(
                 rest ^= low
                 # the layer lies inside active, so nb needs no mask yet
                 nb = adj[low.bit_length() - 1]
-                if nb & layer:
-                    return None, _layer_cycle(adj, layers, low, nb & layer)
+                if nb & layer and walk is None:
+                    walk = _layer_cycle(adj, layers, low, nb & layer)
+                    if stop:
+                        yield seen, odd, walk
+                        return
                 nxt |= nb
             layer = nxt & active & ~seen
             seen |= layer
             if len(layers) & 1:
-                ones |= layer
+                odd |= layer
             layers.append(layer)
+        yield seen, odd, walk
         left &= ~seen
-    return {v: ones >> v & 1 for v in bits(active)}, None
 
 
 def _layer_cycle(
     adj: Sequence[int], layers: list[int], v: int, clash: int
-) -> tuple[int, ...]:
+) -> list[int]:
     """The odd cycle closed by the edge from ``v`` (a bit) to the
     smallest member of ``clash``, both in the last of ``layers``."""
     up = [v]
@@ -182,26 +222,7 @@ def _layer_cycle(
         b = adj[down[-1].bit_length() - 1] & above
         up.append(a & -a)
         down.append(b & -b)
-    path = up[:-1] + down[::-1]
-    return tuple(bit.bit_length() - 1 for bit in path)
-
-
-def component_masks(adj: Sequence[int], active: int) -> list[int]:
-    """Connected components of the subgraph induced by ``active``, as
-    vertex masks ordered by smallest member."""
-    parts = []
-    left = active
-    while left:
-        comp = frontier = left & -left
-        while frontier:
-            grown = 0
-            for v in bits(frontier):
-                grown |= adj[v]
-            frontier = grown & active & ~comp
-            comp |= frontier
-        parts.append(comp)
-        left &= ~comp
-    return parts
+    return up[:-1] + down[::-1]
 
 
 def _verify_cycle(graph: IncompatibilityGraph, cycle: tuple[int, ...]) -> None:

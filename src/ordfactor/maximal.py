@@ -22,7 +22,8 @@ from .incompat import (
     IncompatibilityGraph,
     bipartition,
     build_incompatibility_graph,
-    component_masks,
+    pack_odd_cycles,
+    sweep,
     two_color,
 )
 from .twofactor import (
@@ -160,15 +161,16 @@ def certify_global_optimality(
 class _ExactOct:
     """Branch and bound for minimum odd cycle transversals.
 
-    Each search node packs vertex-disjoint odd cycles greedily, prunes
-    when their count (each cycle needs a deletion of its own) exceeds
-    the size still allowed, and branches on the vertices of the
-    shortest packed cycle.  A disconnected subgraph is solved part by
-    part, and the parts share the allowed size: each part may use what
-    the earlier parts left of it.  Solved subgraphs are memoized, and
-    size ties are broken toward the lexicographically smallest deleted
-    set; every transversal meets every odd cycle, so the result does
-    not depend on which cycle is branched on.
+    Each search node sweeps its subgraph once.  The parts of a
+    disconnected one are solved in turn and share the allowed size.  A
+    connected one hands the sweep's first odd cycle to
+    :func:`pack_odd_cycles`, prunes when the packing's count (each
+    cycle needs a deletion of its own) exceeds the size still allowed,
+    and branches on the vertices of the smallest packed cycle.  Solved
+    subgraphs are memoized, and size ties are broken toward the
+    lexicographically smallest deleted set; every transversal meets
+    every odd cycle, so the result does not depend on which cycle is
+    branched on.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
@@ -199,12 +201,12 @@ class _ExactOct:
         if self.too_big.get(active, 0) > ub:
             return None
         result: tuple[int, tuple[int, ...]] | None
-        parts = component_masks(self.adj, active)
+        parts = list(sweep(self.adj, active))
         if len(parts) == 1:
-            result = self._solve_connected(active, ub)
+            result = self._solve_connected(active, parts[0][2], ub)
         else:
             result = (0, ())
-            for part in parts:
+            for part, _, _ in parts:
                 sub = self.solve(part, ub - result[0])
                 if sub is None:
                     result = None
@@ -218,15 +220,15 @@ class _ExactOct:
         return result
 
     def _solve_connected(
-        self, active: int, ub: int
+        self, active: int, walk: list[int] | None, ub: int
     ) -> tuple[int, tuple[int, ...]] | None:
-        cycles = self._disjoint_odd_cycles(active)
-        if not cycles:
+        if walk is None:
             return (0, ())
+        cycles = pack_odd_cycles(self.adj, active, sum(walk))
         if len(cycles) > ub:
             return None
         best: tuple[int, tuple[int, ...]] | None = None
-        for v in sorted(min(cycles, key=len)):
+        for v in bits(min(cycles, key=int.bit_count)):
             # limit keeps equal-size candidates reachable for the
             # lexicographic tie-break
             limit = (best[0] if best is not None else ub) - 1
@@ -237,19 +239,6 @@ class _ExactOct:
             if best is None or candidate < best:
                 best = candidate
         return best
-
-    def _disjoint_odd_cycles(self, active: int) -> list[tuple[int, ...]]:
-        """A greedy packing of vertex-disjoint odd cycles; each needs a
-        deletion of its own, so their count is a lower bound."""
-        cycles = []
-        work = active
-        while True:
-            _, cycle = two_color(self.adj, work)
-            if cycle is None:
-                return cycles
-            cycles.append(cycle)
-            for v in cycle:
-                work &= ~(1 << v)
 
 
 # -- heuristic solver --------------------------------------------------

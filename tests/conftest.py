@@ -9,6 +9,7 @@ import ordfactor as of
 from ordfactor.bitset import bits
 from ordfactor.dimension import Poset
 from ordfactor.errors import ConceptBudgetExceeded
+from ordfactor.incompat import two_color
 from ordfactor.lattice import concept_cap
 from ordfactor.maximal import HEURISTIC_RESTARTS
 
@@ -123,6 +124,37 @@ def _reference_trimmed_cycle(v, w, parent):
         left.append(parent[left[-1]])
         right.append(parent[right[-1]])
     return tuple(left[:-1] + list(reversed(right)))
+
+
+def reference_disjoint_odd_cycles(adj, active, two_color=two_color):
+    """The greedy odd-cycle packing of ``maximal._ExactOct`` before
+    ``incompat.pack_odd_cycles`` resumed its sweep, kept verbatim as a
+    reference: ``two_color`` restarts from scratch after each packed
+    cycle.  Cycles come back as vertex tuples in cycle order."""
+    cycles = []
+    work = active
+    while True:
+        _, cycle = two_color(adj, work)
+        if cycle is None:
+            return cycles
+        cycles.append(cycle)
+        for v in cycle:
+            work &= ~(1 << v)
+
+
+def reference_packing(calls, two_color=two_color):
+    """A drop-in for ``maximal.pack_odd_cycles`` that ignores the cycle
+    it is handed and packs with :func:`reference_disjoint_odd_cycles`;
+    it appends each ``active`` it is called on to ``calls``."""
+
+    def pack(adj, active, first):
+        calls.append(active)
+        return [
+            sum(1 << v for v in cycle)
+            for cycle in reference_disjoint_odd_cycles(adj, active, two_color)
+        ]
+
+    return pack
 
 
 def reference_heuristic_oct(adj, seed, deadline):

@@ -2,6 +2,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -276,6 +279,24 @@ def test_stats_stops_past_the_concept_cap(capsys, tmp_path):
     assert code == 1
     assert report["status"] == "error"
     assert report["error"]["type"] == "ConceptBudgetExceeded"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """A reader that leaves early, like ``| head -5``: the report cannot
+    be written, and the command says nothing more about it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(of.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ordfactor.cli", "stats", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # the child reads all of stdin before it writes, so this comes first
+    proc.stdout.close()
+    _, err = proc.communicate(Path(MONUMENTS).read_bytes(), timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_missing_file_is_a_format_error(capsys):

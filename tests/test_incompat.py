@@ -5,10 +5,14 @@ import pytest
 
 import ordfactor as of
 from ordfactor.context import FormalContext, IncidencePair
-from ordfactor.incompat import two_color
+from ordfactor.incompat import pack_odd_cycles, sweep, two_color
 from ordfactor.oracle import GeneratorSpec, random_context
 
-from conftest import induced_bipartite, reference_two_color
+from conftest import (
+    induced_bipartite,
+    reference_disjoint_odd_cycles,
+    reference_two_color,
+)
 
 
 def _named_edges(ctx, graph):
@@ -224,3 +228,65 @@ def test_vertex_index_lookup(contranominal3):
         assert graph.vertex_index(pair) == i
     with pytest.raises(of.IndexOutOfRange):
         graph.vertex_index(IncidencePair(0, 0))
+
+
+def _sweep_inputs(persistent_odd_cycle):
+    """(graph, active) pairs: 40 seeded vertex deletions from the 18x18
+    fixture, then seeded random contexts under a few random masks."""
+    graph = of.build_incompatibility_graph(persistent_odd_cycle)
+    rng = random.Random(7)
+    for _ in range(40):
+        deleted = set(rng.sample(range(graph.n), rng.randrange(graph.n)))
+        yield graph, sum(1 << v for v in range(graph.n) if v not in deleted)
+    rng = random.Random(13)
+    for size in range(4, 13):
+        for density in (0.3, 0.5, 0.7):
+            graph = of.build_incompatibility_graph(
+                random_context(
+                    GeneratorSpec(size, size, density, 10 * size + size % 3)
+                )
+            )
+            everything = (1 << graph.n) - 1
+            yield graph, everything
+            for _ in range(3):
+                yield graph, rng.getrandbits(graph.n)
+
+
+def test_pack_odd_cycles_matches_restarted_reference(persistent_odd_cycle):
+    """Resuming the sweep packs the same cycles, in the same order, as
+    restarting ``two_color`` after each one."""
+    packings = 0
+    for graph, active in _sweep_inputs(persistent_odd_cycle):
+        expected = [
+            sum(1 << v for v in cycle)
+            for cycle in reference_disjoint_odd_cycles(graph.adjacency, active)
+        ]
+        if not expected:
+            continue
+        packed = pack_odd_cycles(graph.adjacency, active, expected[0])
+        assert packed == expected
+        packings += len(expected) > 1
+    assert packings >= 20
+
+
+def test_sweep_components_match_networkx(persistent_odd_cycle):
+    nx = pytest.importorskip("networkx")
+    for graph, active in _sweep_inputs(persistent_odd_cycle):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(v for v in range(graph.n) if active >> v & 1)
+        nxg.add_edges_from(
+            (i, j) for i, j in graph.edges() if active >> i & active >> j & 1
+        )
+        expected = sorted(
+            sum(1 << v for v in comp) for comp in nx.connected_components(nxg)
+        )
+        swept = list(sweep(graph.adjacency, active))
+        parts = [part for part, _, _ in swept]
+        assert sorted(parts) == expected
+        # ordered by smallest member
+        assert parts == sorted(parts, key=lambda part: part & -part)
+        # each part's cycle is the one two_color closes in it alone
+        for part, _, walk in swept:
+            _, cycle = two_color(graph.adjacency, part)
+            bits = None if cycle is None else [1 << v for v in cycle]
+            assert walk == bits

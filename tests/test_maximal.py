@@ -17,6 +17,7 @@ from ordfactor.oracle import (
 from conftest import (
     induced_bipartite,
     reference_heuristic_oct,
+    reference_packing,
     reference_two_color,
 )
 
@@ -158,25 +159,64 @@ def test_exact_matches_brute_force_on_random_graphs():
     assert checked >= 25
 
 
-def test_exact_unchanged_by_the_odd_cycles_it_packs(monkeypatch, monuments):
-    """The exact search returns the lexicographically smallest minimum
-    transversal, so packing the queue BFS's cycles instead of the
-    layered sweep's changes no result."""
-    graphs = [of.build_incompatibility_graph(monuments).adjacency]
-    for seed in range(19):
+def _seeded_graphs(seed0, count):
+    for seed in range(count):
         ctx = random_context(
             GeneratorSpec(
                 objects=6 + seed % 4,
                 attributes=6 + seed % 3,
                 density=0.35 + 0.1 * (seed % 3),
-                seed=500 + seed,
+                seed=seed0 + seed,
             )
         )
-        graphs.append(of.build_incompatibility_graph(ctx).adjacency)
+        yield of.build_incompatibility_graph(ctx).adjacency
+
+
+def test_exact_unchanged_by_the_odd_cycles_it_packs(monkeypatch, monuments):
+    """The exact search returns the lexicographically smallest minimum
+    transversal, so packing the queue BFS's cycles, restarted from
+    scratch after each one, instead of the resumed sweep's changes no
+    result."""
+    graphs = [of.build_incompatibility_graph(monuments).adjacency]
+    graphs += _seeded_graphs(500, 19)
     expected = [_ExactOct(adj, None).run() for adj in graphs]
-    monkeypatch.setattr("ordfactor.maximal.two_color", reference_two_color)
+    calls = []
+    monkeypatch.setattr(
+        "ordfactor.maximal.pack_odd_cycles",
+        reference_packing(calls, reference_two_color),
+    )
     assert [_ExactOct(adj, None).run() for adj in graphs] == expected
     assert sum(map(bool, expected)) >= 10
+    assert len(calls) >= 100
+
+
+def test_exact_search_visits_the_same_nodes_as_the_restarted_packing(
+    monkeypatch,
+):
+    """The resumed packing finds the restarted packing's cycles in the
+    same order, so the search calls ``solve`` just as often."""
+
+    def counted_runs():
+        calls = []
+        solve = _ExactOct.solve
+
+        def counting(self, active, ub):
+            calls.append(active)
+            return solve(self, active, ub)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_ExactOct, "solve", counting)
+            results = [_ExactOct(adj, None).run() for adj in graphs]
+        return results, len(calls)
+
+    graphs = list(_seeded_graphs(700, 24))
+    results, nodes = counted_runs()
+    packed = []
+    monkeypatch.setattr(
+        "ordfactor.maximal.pack_odd_cycles", reference_packing(packed)
+    )
+    assert counted_runs() == (results, nodes)
+    assert packed and nodes > 1000
 
 
 def test_heuristic_never_beats_exact():
