@@ -26,7 +26,7 @@ def describe(name: str) -> None:
                 (ctx.objects[p.object_index], ctx.attributes[p.attribute_index])
                 for p in isolated
             ]
-            print(f"incidences forced into both factors: {names}")
+            print(f"incidences free to go in both factors: {names}")
     else:
         cycle = [
             (ctx.objects[g], ctx.attributes[m])

@@ -186,7 +186,8 @@ def remove_incidences(
 
 def _int_line(line: str) -> int | None:
     text = line.strip()
-    if text.isdigit():
+    # isdigit would also pass superscripts such as "²", which int rejects
+    if text.isdecimal():
         return int(text)
     return None
 
@@ -259,7 +260,21 @@ def parse_cxt(text: str) -> FormalContext:
 
 
 def serialize_cxt(ctx: FormalContext) -> str:
-    """Serialize to .cxt.  Round-trips through parse_cxt."""
+    """Serialize to .cxt.  Round-trips through parse_cxt.
+
+    Raises :class:`MalformedHeader` for a name or title that parse_cxt
+    would read back differently: an empty name, a name with leading or
+    trailing whitespace, a line break in a name or the title, a title
+    that is a bare integer and a title with trailing whitespace.
+    """
+    for name in ctx.objects + ctx.attributes:
+        if not name or name != name.strip() or "\n" in name or "\r" in name:
+            raise MalformedHeader(f"name {name!r} cannot be written to .cxt")
+    title = ctx.title or ""
+    if "\n" in title or "\r" in title or title != title.rstrip() or (
+        _int_line(title) is not None
+    ):
+        raise MalformedHeader(f"title {title!r} cannot be written to .cxt")
     lines = ["B"]
     if ctx.title is not None:
         lines.append(ctx.title)

@@ -1,7 +1,8 @@
 """Concept lattices, cocomparability graphs and transitive orientations.
 
 The concept intents are the full attribute set and every intersection
-of object rows, collected in one pass and sorted in lectic order.
+of object rows, collected in one pass and sorted in lectic order; the
+object and attribute concepts need only the rows, in the same order.
 The order on concepts (extent inclusion) is kept as bitmask rows, and a
 conjugate order is found, when one exists, by orienting the
 cocomparability graph transitively: implication classes are forced one
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import reduce
+from typing import Iterable, NamedTuple, Sequence
 
 from .bitset import bits, transpose
 from .context import FormalContext
@@ -28,8 +30,7 @@ def concept_cap(ctx: FormalContext) -> int:
     """Default enumeration cap: 3/2 * min(|G|, |M|)**2 + 2.
 
     Contexts whose complement admits an ordinal two-factorization stay
-    under this bound, so exceeding it while factorizing is itself a
-    certificate of failure.
+    under this bound.
     """
     k = min(ctx.n_objects, ctx.n_attributes)
     return 3 * k * k // 2 + 2
@@ -42,21 +43,37 @@ def enumerate_concepts(
 
     ``cap`` limits how many concepts may be produced; ``None`` selects
     the default from :func:`concept_cap`, ``math.inf`` disables the
-    limit.  Raises :class:`ConceptBudgetExceeded` past the cap.  In
-    lectic order the smallest attribute where two intents differ
-    belongs to the later one, so intents sort as bit-reversed masks;
-    each extent is the set of rows that contain its intent.
+    limit.  Raises :class:`ConceptBudgetExceeded` past the cap.
+    """
+    return _lectic_concepts(ctx, concept_intents(ctx, cap))
+
+
+def irreducible_concepts(ctx: FormalContext) -> list[Concept]:
+    """The object and attribute concepts, in lectic order of intents:
+    the rows, and per attribute the intersection of the rows holding it
+    (all attributes when none does).  Every concept is a join of the
+    former and a meet of the latter.
+    """
+    full = (1 << ctx.n_attributes) - 1
+    meets = (
+        reduce(int.__and__, (row for row in ctx.rows if row >> m & 1), full)
+        for m in range(ctx.n_attributes)
+    )
+    return _lectic_concepts(ctx, {*ctx.rows, *meets})
+
+
+def _lectic_concepts(ctx: FormalContext, intents: Iterable[int]) -> list[Concept]:
+    """The concepts with these intents, sorted as bit-reversed masks:
+    in lectic order the smallest attribute where two intents differ
+    belongs to the later one.  Each extent is the rows holding its intent.
     """
     m = ctx.n_attributes
-    intents = sorted(
-        concept_intents(ctx, cap), key=lambda mask: f"{mask:0{m}b}"[::-1]
-    )
     return [
         Concept(
             frozenset(g for g, row in enumerate(ctx.rows) if row & i == i),
             frozenset(bits(i)),
         )
-        for i in intents
+        for i in sorted(intents, key=lambda mask: f"{mask:0{m}b}"[::-1])
     ]
 
 

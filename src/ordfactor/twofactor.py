@@ -3,19 +3,18 @@
 A Ferrers relation is a staircase: for any two of its pairs (g, m) and
 (h, n) it also contains (g, n) or (h, m), equivalently its rows form a
 chain under inclusion.  A context is two-factorizable when its incidence
-is the union of two Ferrers relations; the construction here reads both
-factors off the concept lattice of the complement context, swept along
-the two linear orders induced by a conjugate order.
+is the union of two Ferrers relations; the construction here reads each
+factor off one order of a realizer of the object and attribute concepts
+of the complement context.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .bitset import bits
+from .bitset import bits, transpose
 from .context import FormalContext, IncidencePair, complement, remove_incidences
 from .errors import (
-    ConceptBudgetExceeded,
     InvalidFactorization,
     NotTwoDimensional,
     NotTwoFactorizable,
@@ -25,7 +24,7 @@ from .incompat import build_incompatibility_graph, isolated_pairs
 from .lattice import (
     cocomparability_graph,
     concept_order,
-    enumerate_concepts,
+    irreducible_concepts,
     realizer_sequences,
     transitive_orientation,
 )
@@ -115,31 +114,40 @@ def is_ferrers(ctx: FormalContext, pairs: Iterable[tuple[int, int]]) -> bool:
 def two_factorize(ctx: FormalContext) -> FactorizationResult:
     """Split the incidence into two Ferrers relations, or fail.
 
-    Raises :class:`NotTwoFactorizable` when no such split exists, which
-    happens exactly when the incompatibility graph is not bipartite.
+    Raises :class:`NotTwoFactorizable` when no such split exists: when
+    the incompatibility graph is not bipartite, or equivalently the
+    complement's concept lattice has dimension above two (Ganter and
+    Glodeanu 2012).  With γg and μm the object and attribute concepts of
+    the complement, (g, m) is not incident iff γg ≤ μm; factor i takes
+    the pairs with μm before γg in order i of a realizer of these
+    concepts alone.
+    * Its rows are the attributes whose μ precedes one position: nested.
+    * A non-incidence has γg first in both orders, an incidence has μm
+      first in one, so the factors cover exactly the incidence.
+    * The realizer exists when the context factorizes, as no subposet
+      has a larger dimension than the lattice (Trotter 1992).
+    * In a linear extension of the lattice, m is in an intent at or after
+      γg, the first concept whose extent holds g, iff μm is not before
+      γg, so sweeping every concept of the lattice gives the same rows.
     """
     comp = complement(ctx)
-    try:
-        concepts = enumerate_concepts(comp)
-    except ConceptBudgetExceeded as exc:
-        # past the concept bound for two-dimensional contexts
-        raise NotTwoFactorizable(str(exc)) from exc
+    concepts = irreducible_concepts(comp)
     order = concept_order(concepts)
     try:
         conjugate = transitive_orientation(cocomparability_graph(order.leq))
-        seq1, seq2 = realizer_sequences(order, conjugate)
+        realizer = realizer_sequences(order, conjugate)
     except NotTwoDimensional as exc:
         raise NotTwoFactorizable(
-            "complement concept lattice has no conjugate order"
+            "complement object and attribute concepts have no conjugate order"
         ) from exc
-    ext_masks = [_mask(c.extent) for c in concepts]
-    int_masks = [_mask(c.intent) for c in concepts]
-    full = (1 << ctx.n_attributes) - 1
+    by_intent = {c.intent: i for i, c in enumerate(concepts)}
+    by_extent = {c.extent: i for i, c in enumerate(concepts)}
+    gamma = [by_intent[frozenset(bits(row))] for row in comp.rows]
+    columns = transpose(comp.rows, comp.n_attributes)
+    mu = [by_extent[frozenset(bits(column))] for column in columns]
     f1, f2 = (
-        _rows_to_pairs(
-            _sweep_rows(ctx.n_objects, full, ext_masks, int_masks, seq)
-        )
-        for seq in (seq1, seq2)
+        frozenset(p for p in ctx.pairs() if at[mu[p[1]]] < at[gamma[p[0]]])
+        for at in ({i: t for t, i in enumerate(seq)} for seq in realizer)
     )
     f1, f2 = _canonical_labels(f1, f2)
     result = FactorizationResult(
@@ -148,7 +156,6 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
         shared=f1 & f2,
         removed=frozenset(),
         certificate=True,
-        rounds=0,
     )
     problems = validate_factorization(ctx, result)
     if problems:
@@ -167,40 +174,6 @@ def _canonical_labels(
     if not only1 and only2:
         return f2, f1
     return f1, f2
-
-
-def _sweep_rows(
-    n_objects: int,
-    full: int,
-    ext_masks: list[int],
-    int_masks: list[int],
-    seq: tuple[int, ...],
-) -> list[int]:
-    """Factor rows from one sweep: complement of the union of
-    accumulated-extent times intent rectangles."""
-    steps = len(seq)
-    suffix = [0] * (steps + 1)
-    for t in range(steps - 1, -1, -1):
-        suffix[t] = suffix[t + 1] | int_masks[seq[t]]
-    first = [steps] * n_objects
-    for t, idx in enumerate(seq):
-        for g in bits(ext_masks[idx]):
-            if first[g] == steps:
-                first[g] = t
-    return [full & ~suffix[first[g]] for g in range(n_objects)]
-
-
-def _rows_to_pairs(rows: list[int]) -> frozenset[IncidencePair]:
-    return frozenset(
-        IncidencePair(g, m) for g, row in enumerate(rows) for m in bits(row)
-    )
-
-
-def _mask(indices: frozenset[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
 
 
 def validate_factorization(

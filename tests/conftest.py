@@ -8,10 +8,28 @@ import pytest
 import ordfactor as of
 from ordfactor.bitset import bits
 from ordfactor.dimension import Poset
-from ordfactor.errors import ConceptBudgetExceeded
+from ordfactor.context import IncidencePair, complement
+from ordfactor.errors import (
+    ConceptBudgetExceeded,
+    NotTwoDimensional,
+    NotTwoFactorizable,
+)
 from ordfactor.incompat import two_color
-from ordfactor.lattice import concept_cap
+from ordfactor.lattice import (
+    cocomparability_graph,
+    concept_cap,
+    concept_order,
+    enumerate_concepts,
+    realizer_sequences,
+    transitive_orientation,
+)
 from ordfactor.maximal import HEURISTIC_RESTARTS
+from ordfactor.twofactor import (
+    FactorizationResult,
+    FerrersFactor,
+    _canonical_labels,
+    validate_factorization,
+)
 
 
 @pytest.fixture(scope="session")
@@ -257,6 +275,84 @@ def reference_concept_masks(ctx, cap=None):
             break
         else:
             raise AssertionError("NextClosure failed to advance")
+
+
+def reference_two_factorize(ctx):
+    """``two_factorize`` as it was before it ordered only the object and
+    attribute concepts: it enumerates the whole complement concept
+    lattice, says no past the concept cap, and sweeps every concept
+    along both realizer orders.  Kept verbatim as a reference: the
+    factors, the shared pairs and the verdict must not change."""
+    comp = complement(ctx)
+    try:
+        concepts = enumerate_concepts(comp)
+    except ConceptBudgetExceeded as exc:
+        # past the concept bound for two-dimensional contexts
+        raise NotTwoFactorizable(str(exc)) from exc
+    order = concept_order(concepts)
+    try:
+        conjugate = transitive_orientation(cocomparability_graph(order.leq))
+        seq1, seq2 = realizer_sequences(order, conjugate)
+    except NotTwoDimensional as exc:
+        raise NotTwoFactorizable(
+            "complement concept lattice has no conjugate order"
+        ) from exc
+    ext_masks = [_mask(c.extent) for c in concepts]
+    int_masks = [_mask(c.intent) for c in concepts]
+    full = (1 << ctx.n_attributes) - 1
+    f1, f2 = (
+        _rows_to_pairs(
+            _sweep_rows(ctx.n_objects, full, ext_masks, int_masks, seq)
+        )
+        for seq in (seq1, seq2)
+    )
+    f1, f2 = _canonical_labels(f1, f2)
+    result = FactorizationResult(
+        FerrersFactor(f1),
+        FerrersFactor(f2),
+        shared=f1 & f2,
+        removed=frozenset(),
+        certificate=True,
+        rounds=0,
+    )
+    problems = validate_factorization(ctx, result)
+    if problems:
+        raise NotTwoFactorizable("; ".join(v.message for v in problems))
+    return result
+
+
+def _sweep_rows(
+    n_objects: int,
+    full: int,
+    ext_masks: list[int],
+    int_masks: list[int],
+    seq: tuple[int, ...],
+) -> list[int]:
+    """Factor rows from one sweep: complement of the union of
+    accumulated-extent times intent rectangles."""
+    steps = len(seq)
+    suffix = [0] * (steps + 1)
+    for t in range(steps - 1, -1, -1):
+        suffix[t] = suffix[t + 1] | int_masks[seq[t]]
+    first = [steps] * n_objects
+    for t, idx in enumerate(seq):
+        for g in bits(ext_masks[idx]):
+            if first[g] == steps:
+                first[g] = t
+    return [full & ~suffix[first[g]] for g in range(n_objects)]
+
+
+def _rows_to_pairs(rows: list[int]) -> frozenset[IncidencePair]:
+    return frozenset(
+        IncidencePair(g, m) for g, row in enumerate(rows) for m in bits(row)
+    )
+
+
+def _mask(indices: frozenset[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def random_poset(n, seed):

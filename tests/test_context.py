@@ -64,6 +64,54 @@ def test_title_preserved_and_optional():
     assert of.serialize_cxt(untitled).splitlines()[1] == "1"
 
 
+def _json_context(objects=("g",), attributes=("m",), title=None):
+    payload = {
+        "objects": list(objects),
+        "attributes": list(attributes),
+        "rows": ["X" * len(attributes)] * len(objects),
+        "title": title,
+    }
+    return of.context_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"objects": (" a",)},
+        {"objects": ("a ",)},
+        {"attributes": ("\tm",)},
+        {"objects": ("   ",)},
+        {"objects": ("",)},
+        {"objects": ("a\nb",)},
+        {"attributes": ("m\rn",)},
+        {"title": "7"},
+        {"title": " 12 "},
+        {"title": "two\nlines"},
+        {"title": "trailing  "},
+    ],
+)
+def test_serialize_refuses_what_parse_would_read_back_differently(fields):
+    """JSON input accepts these names and titles, but written as .cxt
+    they would come back changed or not parse at all."""
+    ctx = _json_context(**fields)
+    with pytest.raises(of.MalformedHeader):
+        of.serialize_cxt(ctx)
+
+
+@pytest.mark.parametrize("title", ["", " leading", "x  y", "B", "²", "7a"])
+def test_serialize_keeps_unusual_titles_that_round_trip(title):
+    ctx = _json_context(objects=("g h",), attributes=("a, b",), title=title)
+    again = of.parse_cxt(of.serialize_cxt(ctx))
+    assert again == ctx
+    assert again.title == title
+
+
+def test_superscript_digits_are_no_count():
+    assert of.parse_cxt("B\n²\n1\n1\n\ng\nm\nX\n").title == "²"
+    with pytest.raises(of.MalformedHeader):
+        of.parse_cxt("B\n²\n1\n\ng\nm\nX\n")
+
+
 def test_parse_errors():
     with pytest.raises(of.MalformedHeader):
         of.parse_cxt("A\n1\n1\n\ng\nm\nX\n")

@@ -14,6 +14,7 @@ from ordfactor.lattice import (
     concept_cap,
     concept_order,
     enumerate_concepts,
+    irreducible_concepts,
     linear_sequence,
     realizer_sequences,
     transitive_orientation,
@@ -111,6 +112,30 @@ def test_lectic_order_of_intents(forced_overlap):
 
     keys = [lectic_key(c.intent) for c in concepts]
     assert keys == sorted(keys)
+
+
+def test_irreducible_concepts_are_the_object_and_attribute_concepts():
+    """Exactly the concepts whose intent is a row or whose extent is a
+    column, in the lectic order of the whole enumeration."""
+    contexts = [
+        FormalContext((), ("m", "n"), ()),
+        FormalContext(("g", "h"), (), (0, 0)),
+    ]
+    contexts += [
+        random_context(GeneratorSpec(1 + s % 7, 1 + s // 7 % 7, 0.5, s))
+        for s in range(60)
+    ]
+    for ctx in contexts:
+        intents = {frozenset(bits(row)) for row in ctx.rows}
+        extents = {
+            frozenset(g for g, row in enumerate(ctx.rows) if row >> m & 1)
+            for m in range(ctx.n_attributes)
+        }
+        assert irreducible_concepts(ctx) == [
+            c
+            for c in enumerate_concepts(ctx, math.inf)
+            if c.intent in intents or c.extent in extents
+        ]
 
 
 def test_concept_cap_enforced():

@@ -219,6 +219,29 @@ def test_exact_search_visits_the_same_nodes_as_the_restarted_packing(
     assert packed and nodes > 1000
 
 
+def test_exact_search_tree_is_pinned(monkeypatch, monuments):
+    """How often the exact search calls ``solve`` pins its tree: a
+    change of branching order can keep every result and still move
+    these counts."""
+    calls = []
+    solve = _ExactOct.solve
+
+    def counting(self, active, ub):
+        calls.append(active)
+        return solve(self, active, ub)
+
+    monkeypatch.setattr(_ExactOct, "solve", counting)
+    contexts = [monuments] + [
+        random_context(GeneratorSpec(9, 9, 0.5, seed)) for seed in range(4)
+    ]
+    nodes = []
+    for ctx in contexts:
+        calls.clear()
+        _ExactOct(of.build_incompatibility_graph(ctx).adjacency, None).run()
+        nodes.append(len(calls))
+    assert nodes == [147, 4540, 1643, 1902, 2530]
+
+
 def test_heuristic_never_beats_exact():
     for seed in range(25):
         ctx = random_context(

@@ -1,10 +1,18 @@
 """Exact two-factorization, Ferrers checks, canonical partition."""
+import random
+
 import pytest
 
 import ordfactor as of
 from ordfactor.context import FormalContext, IncidencePair
-from ordfactor.oracle import GeneratorSpec, random_two_factorizable_context
+from ordfactor.oracle import (
+    GeneratorSpec,
+    random_context,
+    random_two_factorizable_context,
+)
 from ordfactor.twofactor import FactorizationResult, FerrersFactor
+
+from conftest import random_poset, reference_two_factorize
 
 
 def _pairs(seq):
@@ -221,3 +229,63 @@ def test_factor_labels_are_canonical(forced_overlap):
     only1 = result.f1.pairs - result.f2.pairs
     only2 = result.f2.pairs - result.f1.pairs
     assert min(only1) < min(only2)
+
+
+def _outcome(factorize, ctx):
+    try:
+        result = factorize(ctx)
+    except of.OrdfactorError as exc:
+        return type(exc).__name__
+    return result.f1.pairs, result.f2.pairs, result.shared
+
+
+def _with_extra_rows(ctx, seed):
+    """The context plus a copy of one row, an empty row and a full row,
+    each inserted at a seeded position."""
+    rng = random.Random(seed)
+    rows = list(ctx.rows)
+    for extra in (rng.choice(rows), 0, (1 << ctx.n_attributes) - 1):
+        rows.insert(rng.randrange(len(rows) + 1), extra)
+    names = tuple(f"g{i}" for i in range(len(rows)))
+    return FormalContext(names, ctx.attributes, tuple(rows))
+
+
+def _reference_corpus():
+    yield FormalContext((), (), ())
+    yield FormalContext(("g",), ("m",), (0,))
+    yield FormalContext(("g",), ("m",), (1,))
+    yield FormalContext(("g", "h"), (), (0, 0))
+    yield FormalContext((), ("m", "n"), ())
+    for s in range(600):
+        yield random_two_factorizable_context(
+            GeneratorSpec(2 + s % 29, 2 + 7 * s % 29, 0.3 + 0.1 * (s % 5), s)
+        )
+    for s in range(900):
+        yield random_context(
+            GeneratorSpec(1 + s % 9, 1 + s // 9 % 9, 0.2 + 0.1 * (s % 7), s)
+        )
+    for s in range(300):
+        spec = GeneratorSpec(3 + s % 8, 3 + s % 6, 0.5, s)
+        base = (random_context, random_two_factorizable_context)[s % 2](spec)
+        yield _with_extra_rows(base, s)
+    # most complements here pass the concept cap, where the reference
+    # said no without ordering any concept
+    for s in range(60):
+        yield random_context(GeneratorSpec(12 + s % 9, 12 + s % 9, 0.3, s))
+    for s in range(150):
+        ctx = of.poset_to_context(random_poset(4 + s % 9, s))
+        yield ctx
+        result = of.maximal_two_factorization(ctx, mode="heuristic", seed=s)
+        yield of.remove_incidences(ctx, result.removed)
+
+
+def test_two_factorize_matches_the_whole_lattice_reference():
+    """Ordering only the object and attribute concepts gives the same
+    factors, shared pairs and verdict as sweeping the whole complement
+    lattice, which also said no past the concept cap."""
+    verdicts = []
+    for ctx in _reference_corpus():
+        got = _outcome(of.two_factorize, ctx)
+        assert got == _outcome(reference_two_factorize, ctx), ctx
+        verdicts.append(isinstance(got, str))
+    assert (len(verdicts), sum(verdicts)) == (2165, 378)
