@@ -90,30 +90,21 @@ def _factor_payload(ctx: FormalContext, result) -> dict:
     }
 
 
-def _budget_seconds(text: str) -> float:
-    """A ``--budget`` value: a finite, nonnegative number of seconds."""
-    try:
-        seconds = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not math.isfinite(seconds) or seconds < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite, nonnegative number of seconds, got {text!r}"
-        )
-    return seconds
+def _nonnegative(convert: type, wording: str):
+    """An argparse type: a value of ``convert`` in [0, inf)."""
 
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            )
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a {wording}, got {text!r}")
+        return value
 
-def _removal_count(text: str) -> int:
-    """A ``--kmax`` value: a nonnegative number of incidences."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a nonnegative number of incidences, got {text!r}"
-        )
-    return count
+    return parse
 
 
 def _cmd_check(args: argparse.Namespace, text: str) -> dict:
@@ -282,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--budget",
-            type=_budget_seconds,
+            type=_nonnegative(float, "finite, nonnegative number of seconds"),
             default=None,
             metavar="SECONDS",
             help="abort the search after this many seconds",
@@ -313,7 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_search_options(cmd)
     cmd = add("oracle", "brute force the minimum removal count")
     cmd.add_argument(
-        "--kmax", type=_removal_count, default=4, help="largest removal count to try"
+        "--kmax",
+        type=_nonnegative(int, "nonnegative number of incidences"),
+        default=4,
+        help="largest removal count to try",
     )
     add("stats", "summarize a context and its incompatibility graph")
     return parser

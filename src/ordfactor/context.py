@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .bitset import bits, transpose
 from .errors import (
@@ -143,22 +143,18 @@ def derive(ctx: FormalContext, side: str, subset: Iterable[int]) -> frozenset[in
     """
     indices = list(subset)
     if side == "objects":
-        for g in indices:
-            if not 0 <= g < ctx.n_objects:
-                raise IndexOutOfRange(f"object index {g} outside the context")
-        mask = (1 << ctx.n_attributes) - 1
-        for g in indices:
-            mask &= ctx.rows[g]
-        return frozenset(bits(mask))
-    if side == "attributes":
-        for m in indices:
-            if not 0 <= m < ctx.n_attributes:
-                raise IndexOutOfRange(f"attribute index {m} outside the context")
-        amask = 0
-        for m in indices:
-            amask |= 1 << m
-        return frozenset(g for g, row in enumerate(ctx.rows) if row & amask == amask)
-    raise ValueError(f"side must be 'objects' or 'attributes', got {side!r}")
+        rows, width = ctx.rows, ctx.n_attributes
+    elif side == "attributes":
+        rows, width = transpose(ctx.rows, ctx.n_attributes), ctx.n_objects
+    else:
+        raise ValueError(f"side must be 'objects' or 'attributes', got {side!r}")
+    for i in indices:
+        if not 0 <= i < len(rows):
+            raise IndexOutOfRange(f"{side[:-1]} index {i} outside the context")
+    mask = (1 << width) - 1
+    for i in indices:
+        mask &= rows[i]
+    return frozenset(bits(mask))
 
 
 def complement(ctx: FormalContext) -> FormalContext:
@@ -187,9 +183,12 @@ def remove_incidences(
 def _int_line(line: str) -> int | None:
     text = line.strip()
     # isdigit would also pass superscripts such as "²", which int rejects
-    if text.isdecimal():
+    if not text.isdecimal():
+        return None
+    try:
         return int(text)
-    return None
+    except ValueError:  # past the interpreter's digit limit
+        return None
 
 
 def parse_cxt(text: str) -> FormalContext:
@@ -197,14 +196,13 @@ def parse_cxt(text: str) -> FormalContext:
 
     Expected layout: a ``B`` line, an optional title line, the object
     and attribute counts, a separating blank line, the object names, the
-    attribute names, and one ``X``/``.`` row per object.  Whitespace-only
-    lines between sections are tolerated.
+    attribute names, and one row per object of ``X`` (or ``x``) for an
+    incidence and ``.`` for none; without attributes there are no rows.
+    Whitespace-only lines after the counts are skipped.
     """
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    pos = 0
-    while pos < len(lines) and not lines[pos].strip():
-        pos += 1
-    if pos >= len(lines) or lines[pos].strip() != "B":
+    pos = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    if pos == len(lines) or lines[pos].strip() != "B":
         raise MalformedHeader("first nonblank line must be 'B'")
     pos += 1
     if pos >= len(lines):
@@ -215,48 +213,28 @@ def parse_cxt(text: str) -> FormalContext:
     if _int_line(lines[pos]) is None:
         title = lines[pos].rstrip()
         pos += 1
-    counts = []
-    for _ in range(2):
-        if pos >= len(lines) or _int_line(lines[pos]) is None:
-            raise MalformedHeader("object and attribute counts must be integers")
-        counts.append(_int_line(lines[pos]))
-        pos += 1
+    counts = [_int_line(line) for line in lines[pos : pos + 2]]
+    if len(counts) < 2 or None in counts:
+        raise MalformedHeader("object and attribute counts must be integers")
     n_objects, n_attributes = counts
+    names = n_objects + n_attributes
+    content = [line for line in lines[pos + 2 :] if line.strip()]
+    # zero-width rows would be blank lines, so they are not written
+    end = names + n_objects if n_attributes else names
 
-    def next_content_line() -> str:
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
+    def rows() -> Iterator[str]:
+        if len(content) >= names:
+            for line in content[names:end] if n_attributes else [""] * n_objects:
+                yield line.rstrip()
+        # after the last row, so that a bad row is reported first
+        if len(content) < end:
             raise CountMismatch("file ends before all declared lines were read")
-        line = lines[pos].rstrip()
-        pos += 1
-        return line
+        if len(content) > end:
+            raise CountMismatch(f"unexpected trailing content: {content[end]!r}")
 
-    objects = tuple(next_content_line().strip() for _ in range(n_objects))
-    attributes = tuple(next_content_line().strip() for _ in range(n_attributes))
-    if any(not name for name in objects) or any(not name for name in attributes):
-        raise MalformedHeader("object and attribute names must be nonempty")
-    rows = []
-    for _ in range(n_objects):
-        # zero-width rows would be blank lines, so they are not written
-        line = next_content_line() if n_attributes else ""
-        if len(line) != n_attributes:
-            raise CountMismatch(
-                f"row {line!r} has {len(line)} cells, expected {n_attributes}"
-            )
-        mask = 0
-        for j, cell in enumerate(line):
-            if cell == "X":
-                mask |= 1 << j
-            elif cell != ".":
-                raise IllegalCharacter(f"illegal cell character {cell!r}")
-        rows.append(mask)
-    while pos < len(lines):
-        if lines[pos].strip():
-            raise CountMismatch(f"unexpected trailing content: {lines[pos]!r}")
-        pos += 1
-    return FormalContext(objects, attributes, tuple(rows), title)
+    objects = (name.strip() for name in content[:n_objects])
+    attributes = (name.strip() for name in content[n_objects:names])
+    return FormalContext.from_strings(objects, attributes, rows(), title)
 
 
 def serialize_cxt(ctx: FormalContext) -> str:
@@ -305,26 +283,30 @@ def is_string_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
-def context_from_json(text: str) -> FormalContext:
+def json_object(text: str, kind: str, keys: tuple[str, ...]) -> dict:
+    """Parse a JSON object that has ``keys``; any failure, even nesting
+    too deep or an integer past the digit limit, is MalformedHeader."""
     try:
         payload = json.loads(text)
-        objects = payload["objects"]
-        attributes = payload["attributes"]
-        rows = payload["rows"]
-        title = payload.get("title")
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
-        raise MalformedHeader(f"invalid context JSON: {exc}") from exc
-    for key, value in (
-        ("objects", objects),
-        ("attributes", attributes),
-        ("rows", rows),
-    ):
-        if not is_string_list(value):
+        for key in keys:
+            payload[key]  # a missing key, or a payload that is no object
+    except (ValueError, RecursionError, TypeError, KeyError) as exc:
+        raise MalformedHeader(f"invalid {kind} JSON: {exc}") from exc
+    return payload
+
+
+def context_from_json(text: str) -> FormalContext:
+    keys = ("objects", "attributes", "rows")
+    payload = json_object(text, "context", keys)
+    for key in keys:
+        if not is_string_list(payload[key]):
             raise MalformedHeader(
                 f"invalid context JSON: {key!r} must be a list of strings"
             )
+    objects, rows = payload["objects"], payload["rows"]
+    title = payload.get("title")
     if title is not None and not isinstance(title, str):
         raise MalformedHeader("invalid context JSON: 'title' must be a string")
     if len(rows) != len(objects):
         raise CountMismatch(f"{len(objects)} objects but {len(rows)} rows")
-    return FormalContext.from_strings(objects, attributes, rows, title)
+    return FormalContext.from_strings(objects, payload["attributes"], rows, title)

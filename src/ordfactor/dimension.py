@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .context import FormalContext, is_string_list
+from .context import FormalContext, is_string_list, json_object
 from .errors import MalformedHeader, NotAPartialOrder
 from .lattice import linear_sequence
 from .maximal import maximal_two_factorization
@@ -84,12 +84,8 @@ class Poset:
 
 def poset_from_json(text: str) -> Poset:
     """Load ``{"elements": [...], "relations": [[a, b], ...]}``."""
-    try:
-        payload = json.loads(text)
-        elements = payload["elements"]
-        relations = payload["relations"]
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
-        raise MalformedHeader(f"invalid poset JSON: {exc}") from exc
+    payload = json_object(text, "poset", ("elements", "relations"))
+    elements, relations = payload["elements"], payload["relations"]
     if not is_string_list(elements):
         raise MalformedHeader(
             "invalid poset JSON: 'elements' must be a list of strings"

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 from collections import deque
+import json
 import random
 import time
 
@@ -8,9 +9,17 @@ import pytest
 import ordfactor as of
 from ordfactor.bitset import bits
 from ordfactor.dimension import Poset
-from ordfactor.context import IncidencePair, complement
+from ordfactor.context import (
+    FormalContext,
+    IncidencePair,
+    complement,
+    is_string_list,
+)
 from ordfactor.errors import (
     ConceptBudgetExceeded,
+    CountMismatch,
+    IllegalCharacter,
+    MalformedHeader,
     NotTwoDimensional,
     NotTwoFactorizable,
 )
@@ -368,6 +377,136 @@ def random_poset(n, seed):
             if rng.random() < density:
                 relations.append((names[order[a]], names[order[b]]))
     return Poset.from_relations(names, relations)
+
+
+# The readers as they were before each input format went through one
+# path: .cxt rows through FormalContext.from_strings and one JSON loader
+# for contexts and posets.  Kept verbatim as references: every text must
+# give the same context or poset, or the same exception type and
+# message, except that .cxt rows may now use a lowercase "x" and that
+# JSON nested too deep or with integers past the digit limit, and count
+# lines past that limit, raise MalformedHeader instead of crashing.
+
+
+def _int_line(line: str) -> int | None:
+    text = line.strip()
+    # isdigit would also pass superscripts such as "²", which int rejects
+    if text.isdecimal():
+        return int(text)
+    return None
+
+
+def reference_parse_cxt(text: str) -> FormalContext:
+    """Parse Burmeister .cxt data.
+
+    Expected layout: a ``B`` line, an optional title line, the object
+    and attribute counts, a separating blank line, the object names, the
+    attribute names, and one ``X``/``.`` row per object.  Whitespace-only
+    lines between sections are tolerated.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    pos = 0
+    while pos < len(lines) and not lines[pos].strip():
+        pos += 1
+    if pos >= len(lines) or lines[pos].strip() != "B":
+        raise MalformedHeader("first nonblank line must be 'B'")
+    pos += 1
+    if pos >= len(lines):
+        raise MalformedHeader("missing object and attribute counts")
+    # The title line is optional; a line that is not a bare integer is
+    # taken to be the title (possibly empty).
+    title: str | None = None
+    if _int_line(lines[pos]) is None:
+        title = lines[pos].rstrip()
+        pos += 1
+    counts = []
+    for _ in range(2):
+        if pos >= len(lines) or _int_line(lines[pos]) is None:
+            raise MalformedHeader("object and attribute counts must be integers")
+        counts.append(_int_line(lines[pos]))
+        pos += 1
+    n_objects, n_attributes = counts
+
+    def next_content_line() -> str:
+        nonlocal pos
+        while pos < len(lines) and not lines[pos].strip():
+            pos += 1
+        if pos >= len(lines):
+            raise CountMismatch("file ends before all declared lines were read")
+        line = lines[pos].rstrip()
+        pos += 1
+        return line
+
+    objects = tuple(next_content_line().strip() for _ in range(n_objects))
+    attributes = tuple(next_content_line().strip() for _ in range(n_attributes))
+    if any(not name for name in objects) or any(not name for name in attributes):
+        raise MalformedHeader("object and attribute names must be nonempty")
+    rows = []
+    for _ in range(n_objects):
+        # zero-width rows would be blank lines, so they are not written
+        line = next_content_line() if n_attributes else ""
+        if len(line) != n_attributes:
+            raise CountMismatch(
+                f"row {line!r} has {len(line)} cells, expected {n_attributes}"
+            )
+        mask = 0
+        for j, cell in enumerate(line):
+            if cell == "X":
+                mask |= 1 << j
+            elif cell != ".":
+                raise IllegalCharacter(f"illegal cell character {cell!r}")
+        rows.append(mask)
+    while pos < len(lines):
+        if lines[pos].strip():
+            raise CountMismatch(f"unexpected trailing content: {lines[pos]!r}")
+        pos += 1
+    return FormalContext(objects, attributes, tuple(rows), title)
+
+
+def reference_context_from_json(text: str) -> FormalContext:
+    try:
+        payload = json.loads(text)
+        objects = payload["objects"]
+        attributes = payload["attributes"]
+        rows = payload["rows"]
+        title = payload.get("title")
+    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+        raise MalformedHeader(f"invalid context JSON: {exc}") from exc
+    for key, value in (
+        ("objects", objects),
+        ("attributes", attributes),
+        ("rows", rows),
+    ):
+        if not is_string_list(value):
+            raise MalformedHeader(
+                f"invalid context JSON: {key!r} must be a list of strings"
+            )
+    if title is not None and not isinstance(title, str):
+        raise MalformedHeader("invalid context JSON: 'title' must be a string")
+    if len(rows) != len(objects):
+        raise CountMismatch(f"{len(objects)} objects but {len(rows)} rows")
+    return FormalContext.from_strings(objects, attributes, rows, title)
+
+
+def reference_poset_from_json(text: str) -> Poset:
+    """Load ``{"elements": [...], "relations": [[a, b], ...]}``."""
+    try:
+        payload = json.loads(text)
+        elements = payload["elements"]
+        relations = payload["relations"]
+    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+        raise MalformedHeader(f"invalid poset JSON: {exc}") from exc
+    if not is_string_list(elements):
+        raise MalformedHeader(
+            "invalid poset JSON: 'elements' must be a list of strings"
+        )
+    if not isinstance(relations, list) or not all(
+        is_string_list(pair) and len(pair) == 2 for pair in relations
+    ):
+        raise MalformedHeader(
+            "invalid poset JSON: 'relations' must be a list of string pairs"
+        )
+    return Poset.from_relations(elements, relations)
 
 
 _ACCEPTANCE_LINES = []

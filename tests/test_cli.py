@@ -428,3 +428,37 @@ def test_json_poset_with_wrong_field_types(capsys, tmp_path, text):
     assert code == 2
     assert report["status"] == "error"
     assert report["error"]["type"] == "MalformedHeader"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("check", '{"objects":' + "[" * 200_000),
+        ("factorize", '{"objects":' + "[" * 200_000),
+        ("dim2ext", '{"elements":' + "[" * 200_000),
+        ("check", '{"objects": ' + "7" * 5_000 + "}"),
+        ("dim2ext", '{"elements": ' + "7" * 5_000 + "}"),
+        ("check", "B\n\n" + "7" * 5_000 + "\n1\n"),
+    ],
+    ids=[
+        "deep-context-check",
+        "deep-context-factorize",
+        "deep-poset",
+        "long-integer-context",
+        "long-integer-poset",
+        "long-count-line",
+    ],
+)
+def test_input_past_the_reader_limits_exits_2_without_traceback(
+    capsys, monkeypatch, command, text
+):
+    """JSON nested deeper than the decoder goes, integers longer than
+    int() accepts, and such a count line in a .cxt header."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = run([command, "-"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "MalformedHeader"
+    assert captured.err == ""

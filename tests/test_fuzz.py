@@ -1,0 +1,105 @@
+"""Property tests: no input makes a reader or the command line fail in
+any way other than a format error with a JSON report."""
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import ordfactor as of  # noqa: E402
+from ordfactor.cli import run  # noqa: E402
+
+# no example database on disk, and the same examples on every run
+_FUZZ = settings(database=None, derandomize=True, deadline=None, max_examples=150)
+# any character that UTF-8 can encode: text()'s default alphabet says the
+# same through its codec, which takes seconds to tabulate on a cold cache
+_CHAR = st.characters(exclude_categories=["Cs"])
+
+_LINES = st.one_of(
+    st.sampled_from(
+        ["", " ", "B", "0", "1", "2", "²", "g", "h", "m", "X", "x", ".", "X.", ".x"]
+    ),
+    st.text(_CHAR, max_size=4),
+)
+
+
+@st.composite
+def _cxt_texts(draw):
+    """Mostly well-formed .cxt text with a few lines dropped in."""
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(0, 3))
+    names = [draw(st.sampled_from("ghmnopq")) for _ in range(n + m)]
+    # zero-width rows are not written
+    rows = [draw(st.text("Xx.", min_size=m, max_size=m)) for _ in range(n if m else 0)]
+    title = draw(st.lists(st.text(_CHAR, max_size=5), max_size=1))
+    lines = ["B", *title, str(n), str(m), "", *names, *rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_LINES))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats()
+_JSON = st.recursive(
+    _SCALARS | st.text(_CHAR, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(
+            ["objects", "attributes", "rows", "title", "elements", "relations"]
+        )
+        | st.text(_CHAR, max_size=3),
+        inner,
+        max_size=6,
+    ),
+    max_leaves=16,
+)
+_WORDS = st.lists(st.sampled_from(["a", "b", "c", "X", "x.", ".X"]), max_size=3)
+_ELEMENTS = st.lists(st.sampled_from("abcd"), max_size=4, unique=True)
+# "e" is no element
+_PAIRS = st.lists(st.lists(st.sampled_from("abcde"), min_size=2, max_size=2))
+_SHAPED_JSON = st.fixed_dictionaries(
+    {"objects": _WORDS, "attributes": _WORDS, "rows": _WORDS},
+    optional={"title": st.none() | st.text(_CHAR, max_size=3) | st.integers()},
+) | st.fixed_dictionaries({"elements": _ELEMENTS | _WORDS, "relations": _PAIRS | _JSON})
+
+
+@_FUZZ
+@given(st.text(_CHAR) | _cxt_texts())
+def test_parse_cxt_raises_a_format_error_or_round_trips(text):
+    try:
+        ctx = of.parse_cxt(text)
+    except of.FormatError:
+        return
+    again = of.parse_cxt(of.serialize_cxt(ctx))
+    assert again == ctx
+    assert again.title == ctx.title
+
+
+@_FUZZ
+@given(_JSON | _SHAPED_JSON)
+def test_json_readers_raise_only_format_errors(value):
+    text = json.dumps(value)
+    for read in (of.context_from_json, of.poset_from_json):
+        try:
+            read(text)
+        except of.FormatError:
+            pass
+
+
+@_FUZZ
+@given(
+    st.sampled_from(["check", "dim2ext"]),
+    st.text(_CHAR) | _cxt_texts() | (_JSON | _SHAPED_JSON).map(json.dumps),
+)
+def test_cli_always_reports_in_json(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([command, "-"])
+    report = json.loads(out.getvalue())
+    assert code in (0, 1, 2)
+    assert report["status"] == ("ok" if code == 0 else "error")
+    assert err.getvalue() == ""
