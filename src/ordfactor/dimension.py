@@ -9,11 +9,12 @@ translation in both directions and builds an explicit realizer.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
+from .bitset import bits, transpose
 from .context import FormalContext, is_string_list, json_object
 from .errors import MalformedHeader, NotAPartialOrder
-from .lattice import linear_sequence
 from .maximal import maximal_two_factorization
 
 
@@ -150,44 +151,36 @@ def two_dimension_extension(
 ) -> DimensionExtension:
     """Extend the order to dimension at most two with few added pairs.
 
-    Runs the maximal factorization on the "not below" context; the
-    complements of the two factors, with ties broken by ascending
-    element index, become linear extensions whose intersection is the
-    returned extension.  With an exact single-round-certified
-    factorization, ``k`` is minimum.
+    Runs the maximal factorization on the "not below" context.  Each
+    factor's complement ranks the elements by how many cells of their
+    row it holds, most first, ties broken by ascending element index;
+    the realizer order places each element as soon as everything
+    strictly below it in the poset is placed.  The two orders are thus
+    linear extensions, and they meet in the returned extension.  With
+    an exact single-round-certified factorization, ``k`` is minimum.
     """
     n = poset.n
-    full = (1 << n) - 1
+    below = transpose(poset.leq, n)
     ctx = poset_to_context(poset)
     result = maximal_two_factorization(ctx, mode=mode, budget=budget, seed=seed)
-    linears = []
+    # bit i of at_or_before[j]: both orders place i no later than j
+    at_or_before = [(1 << n) - 1] * n
     realizer = []
     for factor in (result.f1, result.f2):
-        rows = [full] * n
-        for g, m in factor.pairs:
-            rows[g] &= ~(1 << m)
-        # break mutual ties by ascending element index
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i] >> j & 1 and rows[j] >> i & 1:
-                    rows[j] &= ~(1 << i)
-        # toggling the diagonal leaves a strict order only if rows is reflexive
-        sequence = linear_sequence([row ^ 1 << i for i, row in enumerate(rows)])
-        if sequence is None:
-            raise AssertionError("factor complement is not a linear order")
-        linears.append(rows)
-        realizer.append(sequence)
-    # a sequence that passes is exactly its rows' linear order, so the
-    # realizer meets in a & b, and two linear orders meet in a partial order
-    extension = tuple(a & b for a, b in zip(*linears))
-    for i in range(n):
-        if poset.leq[i] & ~extension[i]:
-            raise AssertionError("extension lost an original comparability")
-    k = sum(row.bit_count() for row in extension) - poset.pair_count
+        inside = Counter(g for g, _ in factor.pairs)
+        ranking = sorted(range(n), key=inside.__getitem__)
+        placed = 0
+        sequence = []
+        for _ in range(n):
+            # the first ranked element that is unplaced, all below it placed
+            v = next(v for v in ranking if below[v] & ~placed == 1 << v)
+            placed |= 1 << v
+            at_or_before[v] &= placed
+            sequence.append(v)
+        realizer.append(tuple(sequence))
+    k = sum(col.bit_count() for col in at_or_before) - poset.pair_count
     return DimensionExtension(
         k,
-        frozenset(
-            (i, j) for i in range(n) for j in range(n) if extension[i] >> j & 1
-        ),
+        frozenset((i, j) for j in range(n) for i in bits(at_or_before[j])),
         (realizer[0], realizer[1]),
     )

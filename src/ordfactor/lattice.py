@@ -11,7 +11,6 @@ can never leak out.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -175,19 +174,16 @@ def transitive_orientation(adjacency: Sequence[int]) -> ConjugateOrder:
             if j < i or out[i] >> j & 1 or out[j] >> i & 1:
                 continue
             orient(i, j)
-            queue = deque([(i, j)])
+            # the class grows while it is read, first in first out
             klass = [(i, j)]
-            while queue:
-                a, b = queue.popleft()
+            for a, b in klass:
                 # edges a-c with b,c nonadjacent must point a -> c
                 for c in bits(remaining[a] & ~remaining[b] & ~(1 << b)):
                     if orient(a, c):
-                        queue.append((a, c))
                         klass.append((a, c))
                 # edges c-b with a,c nonadjacent must point c -> b
                 for c in bits(remaining[b] & ~remaining[a] & ~(1 << a)):
                     if orient(c, b):
-                        queue.append((c, b))
                         klass.append((c, b))
             for a, b in klass:
                 remaining[a] &= ~(1 << b)

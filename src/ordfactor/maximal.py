@@ -96,11 +96,8 @@ def maximal_two_factorization(
     while not bipartition(graph).is_bipartite:
         if rounds >= ctx.incidence_count:
             raise AssertionError("transversal loop failed to terminate")
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 and mode == "exact":
-                raise BudgetExceeded("time budget exhausted before a round")
+        # an exact search out of time raises BudgetExceeded at its first node
+        remaining = deadline - time.monotonic() if deadline is not None else None
         solution = max_bipartite_subset(graph, mode, remaining, seed)
         removed |= solution.deleted
         current = remove_incidences(current, solution.deleted)

@@ -169,9 +169,7 @@ def _canonical_labels(
     # factor 1 owns the lexicographically smallest exclusive pair
     only1 = f1 - f2
     only2 = f2 - f1
-    if only1 and only2 and min(only2) < min(only1):
-        return f2, f1
-    if not only1 and only2:
+    if only2 and (not only1 or min(only2) < min(only1)):
         return f2, f1
     return f1, f2
 

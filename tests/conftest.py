@@ -29,6 +29,7 @@ from ordfactor.lattice import (
     concept_cap,
     concept_order,
     enumerate_concepts,
+    linear_sequence,
     realizer_sequences,
     transitive_orientation,
 )
@@ -377,6 +378,64 @@ def random_poset(n, seed):
             if rng.random() < density:
                 relations.append((names[order[a]], names[order[b]]))
     return Poset.from_relations(names, relations)
+
+
+def three_order_poset(n, seed):
+    """The intersection of three seeded random linear orders on n elements."""
+    rng = random.Random(seed)
+    ranks = []
+    for _ in range(3):
+        order = list(range(n))
+        rng.shuffle(order)
+        ranks.append({v: r for r, v in enumerate(order)})
+    leq = tuple(
+        sum(1 << j for j in range(n) if all(r[i] <= r[j] for r in ranks))
+        for i in range(n)
+    )
+    return Poset(tuple(f"p{i}" for i in range(n)), leq)
+
+
+def reference_two_dimension_extension(poset, mode="exact", budget=None, seed=0):
+    """``two_dimension_extension`` as it was before it built each order as
+    a linear extension of the poset: it complements each factor, breaks
+    mutual ties by ascending index and asserts that the result is a
+    linear order containing the poset.  Kept verbatim as a reference:
+    exact runs must not change, and heuristic runs may only gain."""
+    n = poset.n
+    full = (1 << n) - 1
+    ctx = of.poset_to_context(poset)
+    result = of.maximal_two_factorization(ctx, mode=mode, budget=budget, seed=seed)
+    linears = []
+    realizer = []
+    for factor in (result.f1, result.f2):
+        rows = [full] * n
+        for g, m in factor.pairs:
+            rows[g] &= ~(1 << m)
+        # break mutual ties by ascending element index
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rows[i] >> j & 1 and rows[j] >> i & 1:
+                    rows[j] &= ~(1 << i)
+        # toggling the diagonal leaves a strict order only if rows is reflexive
+        sequence = linear_sequence([row ^ 1 << i for i, row in enumerate(rows)])
+        if sequence is None:
+            raise AssertionError("factor complement is not a linear order")
+        linears.append(rows)
+        realizer.append(sequence)
+    # a sequence that passes is exactly its rows' linear order, so the
+    # realizer meets in a & b, and two linear orders meet in a partial order
+    extension = tuple(a & b for a, b in zip(*linears))
+    for i in range(n):
+        if poset.leq[i] & ~extension[i]:
+            raise AssertionError("extension lost an original comparability")
+    k = sum(row.bit_count() for row in extension) - poset.pair_count
+    return of.DimensionExtension(
+        k,
+        frozenset(
+            (i, j) for i in range(n) for j in range(n) if extension[i] >> j & 1
+        ),
+        (realizer[0], realizer[1]),
+    )
 
 
 # The readers as they were before each input format went through one

@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from conftest import three_order_poset
 
 import ordfactor as of
 from ordfactor.cli import run
@@ -217,6 +218,20 @@ def test_dim2ext_rejects_cycle(capsys, tmp_path):
     code, report = _run(capsys, ["dim2ext", str(path)])
     assert code == 2
     assert report["error"]["type"] == "NotAPartialOrder"
+
+
+def test_dim2ext_heuristic_reports_without_traceback(capsys, monkeypatch):
+    # its factor complements have mutual ties
+    poset = three_order_poset(10, 57)
+    monkeypatch.setattr("sys.stdin", io.StringIO(of.poset_to_json(poset)))
+    code = run(["dim2ext", "-", "--mode", "heuristic"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 0
+    assert captured.err == ""
+    assert report["status"] == "ok"
+    assert report["payload"]["k"] == 8
+    assert report["payload"]["extension_size"] == 27
 
 
 def test_oracle_monuments(capsys):

@@ -1,7 +1,11 @@
 """Poset model and two-dimension-extension tests."""
 import pytest
 
-from conftest import random_poset
+from conftest import (
+    random_poset,
+    reference_two_dimension_extension,
+    three_order_poset,
+)
 
 import ordfactor as of
 from ordfactor import Poset
@@ -222,3 +226,92 @@ def test_random_posets_match_removal_count():
         if result.certificate:
             assert ext.k == len(result.removed)
         assert _realizer_intersection(ext, poset.n) == ext.extension
+
+
+def _assert_valid_extension(poset, ext):
+    """Both realizer orders are linear extensions of the poset, they meet
+    exactly in the extension, and ``k`` counts the added pairs."""
+    for sequence in ext.realizer:
+        assert sorted(sequence) == list(range(poset.n))
+        placed = 0
+        for v in sequence:
+            placed |= 1 << v
+            # everything below v comes before it
+            below = [u for u in range(poset.n) if poset.leq[u] >> v & 1]
+            assert all(placed >> u & 1 for u in below)
+    assert _realizer_intersection(ext, poset.n) == ext.extension
+    assert ext.k == len(ext.extension) - poset.pair_count
+
+
+# heuristic runs whose factor complements have mutual ties, on which the
+# order built by complementing a factor was not linear
+@pytest.mark.parametrize(
+    "n, poset_seed, seed, removed, k",
+    [(10, 57, 0, 9, 8), (10, 11, 2, 9, 8), (12, 10, 0, 8, 6), (11, 7, 0, 23, 20)],
+)
+def test_heuristic_extension_is_built_from_linear_extensions(
+    n, poset_seed, seed, removed, k
+):
+    poset = three_order_poset(n, poset_seed)
+    with pytest.raises(AssertionError, match="not a linear order"):
+        reference_two_dimension_extension(poset, mode="heuristic", seed=seed)
+    ext = of.two_dimension_extension(poset, mode="heuristic", seed=seed)
+    _assert_valid_extension(poset, ext)
+    result = of.maximal_two_factorization(
+        of.poset_to_context(poset), mode="heuristic", seed=seed
+    )
+    assert len(result.removed) == removed
+    assert ext.k == k <= removed
+
+
+def test_extension_orders_wait_for_everything_below(monkeypatch):
+    """Removing every incidence leaves empty factors, which rank the
+    elements by index alone; each order still places an element only
+    after everything below it, so both are the least linear extension
+    by index and the extension is that chain."""
+
+    def remove_everything(ctx, **options):
+        empty = of.FerrersFactor(frozenset())
+        removed = frozenset(ctx.pairs())
+        return of.FactorizationResult(empty, empty, frozenset(), removed, False, 1)
+
+    monkeypatch.setattr(
+        "ordfactor.dimension.maximal_two_factorization", remove_everything
+    )
+    for seed in range(20):
+        poset = three_order_poset(8, seed)
+        ext = of.two_dimension_extension(poset)
+        _assert_valid_extension(poset, ext)
+        assert ext.realizer[0] == ext.realizer[1]
+        assert ext.k == 8 * 9 // 2 - poset.pair_count
+
+
+def test_extension_matches_the_reference():
+    """Exact runs give the reference's result; heuristic runs give it or
+    a smaller ``k``, and a valid extension where the reference fails."""
+    cases = [
+        (three_order_poset(n, s), mode, h)
+        for n in range(10)
+        for s in range(50)
+        for mode, h in [("exact", 0), *(("heuristic", h) for h in range(3))]
+    ]
+    # a reference failure and a smaller k, both at 10 elements
+    cases += [(three_order_poset(10, 11), "heuristic", 2)]
+    cases += [(three_order_poset(10, 29), "heuristic", 2)]
+    outcomes = {"same": 0, "smaller": 0, "failed": 0}
+    for poset, mode, h in cases:
+        ext = of.two_dimension_extension(poset, mode=mode, seed=h)
+        try:
+            expected = reference_two_dimension_extension(poset, mode=mode, seed=h)
+        except AssertionError:
+            assert mode == "heuristic"
+            _assert_valid_extension(poset, ext)
+            outcomes["failed"] += 1
+            continue
+        if ext == expected:
+            outcomes["same"] += 1
+        else:
+            assert mode == "heuristic" and ext.k < expected.k
+            _assert_valid_extension(poset, ext)
+            outcomes["smaller"] += 1
+    assert outcomes == {"same": 2000, "smaller": 1, "failed": 1}

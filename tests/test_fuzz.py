@@ -1,11 +1,12 @@
-"""Property tests: no input makes a reader or the command line fail in
-any way other than a format error with a JSON report."""
+"""Property tests: no input or flag value makes a reader or the command
+line fail in any way other than an error with a JSON report."""
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
+from conftest import three_order_poset
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -101,5 +102,44 @@ def test_cli_always_reports_in_json(command, text):
             code = run([command, "-"])
     report = json.loads(out.getvalue())
     assert code in (0, 1, 2)
+    assert report["status"] == ("ok" if code == 0 else "error")
+    assert err.getvalue() == ""
+
+
+@st.composite
+def _search_runs(draw):
+    """Stdin text and arguments for a search subcommand on a small input."""
+    seed = ["--seed", str(draw(st.integers(0, 5)))]
+    command = draw(st.sampled_from(["dim2ext", "maximal", "biplot"]))
+    if command == "dim2ext":
+        mode = draw(st.sampled_from(["heuristic", "exact"]))
+        poset = three_order_poset(
+            draw(st.integers(0, 12 if mode == "heuristic" else 8)),
+            draw(st.integers(0, 999)),
+        )
+        budget = ["--budget", "1"] if mode == "exact" else []
+        argv = ["dim2ext", "-", "--mode", mode, *budget, *seed]
+        return of.poset_to_json(poset), argv
+    spec = of.GeneratorSpec(
+        draw(st.integers(0, 6)),
+        draw(st.integers(0, 6)),
+        draw(st.sampled_from([0.3, 0.5, 0.7])),
+        draw(st.integers(0, 999)),
+    )
+    csv = ["--format", "csv"] if command == "biplot" else []
+    argv = [command, "-", "--mode", "heuristic", *seed, *csv]
+    return of.serialize_cxt(of.random_context(spec)), argv
+
+
+@_FUZZ
+@given(_search_runs())
+def test_search_subcommands_always_report_in_json(text_and_argv):
+    text, argv = text_and_argv
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    report = json.loads(out.getvalue())
+    assert code in (0, 1, 2, 3)
     assert report["status"] == ("ok" if code == 0 else "error")
     assert err.getvalue() == ""
