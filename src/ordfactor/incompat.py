@@ -95,7 +95,8 @@ def components(graph: IncompatibilityGraph) -> list[tuple[int, ...]]:
 
 
 def isolated_pairs(graph: IncompatibilityGraph) -> frozenset[IncidencePair]:
-    """Incidences compatible with every other incidence."""
+    """Incidences compatible with every other incidence: the pairs that
+    both factors of ``two_factorize`` share."""
     return frozenset(
         graph.vertices[i] for i in range(graph.n) if not graph.adjacency[i]
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .bitset import bits
@@ -109,14 +109,10 @@ def maximal_two_factorization(
             "does not apply",
             rounds,
         )
-    result = two_factorize(current)
-    certificate = rounds == 0 or (rounds == 1 and mode == "exact")
-    return FactorizationResult(
-        result.f1,
-        result.f2,
-        shared=result.shared,
+    return replace(
+        two_factorize(current),
         removed=frozenset(removed),
-        certificate=certificate,
+        certificate=rounds == 0 or (rounds == 1 and mode == "exact"),
         rounds=rounds,
     )
 
@@ -176,8 +172,8 @@ class _ExactOct:
         self.deadline = deadline
         # isolated vertices lie on no odd cycle
         self.active = sum(1 << v for v in range(self.n) if adjacency[v])
-        self.exact: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self.too_big: dict[int, int] = {}
+        # a solved subgraph's transversal, or a size its transversal exceeds
+        self.memo: dict[int, tuple[int, tuple[int, ...]] | int] = {}
 
     def run(self) -> tuple[int, ...]:
         result = self.solve(self.active, self.n)
@@ -192,10 +188,10 @@ class _ExactOct:
             raise BudgetExceeded("exact transversal search out of time")
         if ub < 0:
             return None
-        cached = self.exact.get(active)
-        if cached is not None:
-            return cached if cached[0] <= ub else None
-        if self.too_big.get(active, 0) > ub:
+        known = self.memo.get(active, 0)
+        if isinstance(known, tuple):
+            return known if known[0] <= ub else None
+        if known > ub:
             return None
         result: tuple[int, tuple[int, ...]] | None
         parts = list(sweep(self.adj, active))
@@ -210,10 +206,7 @@ class _ExactOct:
                     break
                 merged = tuple(sorted(result[1] + sub[1]))
                 result = (result[0] + sub[0], merged)
-        if result is None:
-            self.too_big[active] = max(self.too_big.get(active, 0), ub + 1)
-        else:
-            self.exact[active] = result
+        self.memo[active] = ub + 1 if result is None else result
         return result
 
     def _solve_connected(

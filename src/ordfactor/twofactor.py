@@ -9,7 +9,7 @@ of the complement context.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple
 
 from .bitset import bits, transpose
@@ -20,7 +20,6 @@ from .errors import (
     NotTwoFactorizable,
     PairNotIncident,
 )
-from .incompat import build_incompatibility_graph, isolated_pairs
 from .lattice import (
     cocomparability_graph,
     concept_order,
@@ -51,15 +50,15 @@ class FactorizationResult:
     """Outcome of an exact or maximal factorization.
 
     ``f1`` and ``f2`` cover the incidence minus ``removed``; ``shared``
-    is contained in their intersection and consists of pairs isolated in
-    the incompatibility graph of the covered context.  ``certificate``
-    is true when ``removed`` is known to be of minimum size (see the
-    maximal module); ``rounds`` counts transversal-removal rounds.
+    is their intersection, which in a valid result consists of pairs
+    isolated in the incompatibility graph of the covered context.
+    ``certificate`` is true when ``removed`` is known to be of minimum
+    size (see the maximal module); ``rounds`` counts transversal-removal
+    rounds.
     """
 
     f1: FerrersFactor
     f2: FerrersFactor
-    shared: frozenset[IncidencePair]
     removed: frozenset[IncidencePair]
     certificate: bool
     rounds: int = 0
@@ -67,6 +66,10 @@ class FactorizationResult:
     @property
     def covered(self) -> frozenset[IncidencePair]:
         return self.f1.pairs | self.f2.pairs
+
+    @property
+    def shared(self) -> frozenset[IncidencePair]:
+        return self.f1.pairs & self.f2.pairs
 
 
 class Violation(NamedTuple):
@@ -129,6 +132,12 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     * In a linear extension of the lattice, m is in an intent at or after
       γg, the first concept whose extent holds g, iff μm is not before
       γg, so sweeping every concept of the lattice gives the same rows.
+    * ``shared`` is the compatible core, the pairs isolated in the
+      incompatibility graph.  μm ≤ γg iff every object h lacking m has
+      row(h) ⊆ row(g), i.e. every incidence (h, n) has (g, n) or (h, m):
+      (g, m) is compatible with all of them.  For an incidence the order
+      is strict, and the two orders of a realizer agree exactly on the
+      poset order, so μm comes first in both iff μm < γg.
     """
     comp = complement(ctx)
     concepts = irreducible_concepts(comp)
@@ -151,11 +160,7 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     )
     f1, f2 = _canonical_labels(f1, f2)
     result = FactorizationResult(
-        FerrersFactor(f1),
-        FerrersFactor(f2),
-        shared=f1 & f2,
-        removed=frozenset(),
-        certificate=True,
+        FerrersFactor(f1), FerrersFactor(f2), frozenset(), certificate=True
     )
     problems = validate_factorization(ctx, result)
     if problems:
@@ -189,7 +194,6 @@ def validate_factorization(
     named = {
         "f1": result.f1.pairs,
         "f2": result.f2.pairs,
-        "shared": result.shared,
         "removed": result.removed,
     }
     for label, pairs in named.items():
@@ -218,10 +222,6 @@ def validate_factorization(
                     f"{label} violates the Ferrers condition at {witness}",
                 )
             )
-    if not result.shared <= result.f1.pairs & result.f2.pairs:
-        violations.append(
-            Violation("SharedViolation", "shared is not inside f1 and f2")
-        )
     return violations
 
 
@@ -230,10 +230,11 @@ def canonical_partition(
 ) -> FactorizationResult:
     """Normalize a valid result so shared is the whole compatible core.
 
-    The core C consists of the isolated vertices of the covered
-    context's incompatibility graph; adding C to both factors keeps them
-    Ferrers, and f1 minus C, f2 minus C, C then partition the covered
-    incidence.  Raises :class:`InvalidFactorization` on invalid input.
+    The core C, the isolated vertices of the covered context's
+    incompatibility graph, is what both factors of :func:`two_factorize`
+    share there; adding C to both factors keeps them Ferrers, and f1
+    minus C, f2 minus C, C then partition the covered incidence.  Raises
+    :class:`InvalidFactorization` on invalid input.
     """
     problems = validate_factorization(ctx, result)
     if problems:
@@ -241,17 +242,10 @@ def canonical_partition(
     covered_ctx = (
         remove_incidences(ctx, result.removed) if result.removed else ctx
     )
-    core = isolated_pairs(build_incompatibility_graph(covered_ctx))
+    core = two_factorize(covered_ctx).shared
     f1 = result.f1.pairs | core
     f2 = result.f2.pairs | core
     if _ferrers_violation(f1) or _ferrers_violation(f2):
         raise InvalidFactorization("adding the core broke a factor")
     f1, f2 = _canonical_labels(f1, f2)
-    return FactorizationResult(
-        FerrersFactor(f1),
-        FerrersFactor(f2),
-        shared=core,
-        removed=result.removed,
-        certificate=result.certificate,
-        rounds=result.rounds,
-    )
+    return replace(result, f1=FerrersFactor(f1), f2=FerrersFactor(f2))

@@ -14,16 +14,22 @@ from ordfactor.context import (
     IncidencePair,
     complement,
     is_string_list,
+    remove_incidences,
 )
 from ordfactor.errors import (
     ConceptBudgetExceeded,
     CountMismatch,
     IllegalCharacter,
+    InvalidFactorization,
     MalformedHeader,
     NotTwoDimensional,
     NotTwoFactorizable,
 )
-from ordfactor.incompat import two_color
+from ordfactor.incompat import (
+    build_incompatibility_graph,
+    isolated_pairs,
+    two_color,
+)
 from ordfactor.lattice import (
     cocomparability_graph,
     concept_cap,
@@ -38,6 +44,7 @@ from ordfactor.twofactor import (
     FactorizationResult,
     FerrersFactor,
     _canonical_labels,
+    _ferrers_violation,
     validate_factorization,
 )
 
@@ -320,7 +327,6 @@ def reference_two_factorize(ctx):
     result = FactorizationResult(
         FerrersFactor(f1),
         FerrersFactor(f2),
-        shared=f1 & f2,
         removed=frozenset(),
         certificate=True,
         rounds=0,
@@ -329,6 +335,26 @@ def reference_two_factorize(ctx):
     if problems:
         raise NotTwoFactorizable("; ".join(v.message for v in problems))
     return result
+
+
+def reference_canonical_partition(ctx, result):
+    """``canonical_partition`` as it was before it read the core off
+    ``two_factorize``: the core is the set of isolated vertices of the
+    covered context's incompatibility graph.  Kept verbatim as a
+    reference; returns the normalized factors and the core."""
+    problems = validate_factorization(ctx, result)
+    if problems:
+        raise InvalidFactorization("; ".join(v.message for v in problems))
+    covered_ctx = (
+        remove_incidences(ctx, result.removed) if result.removed else ctx
+    )
+    core = isolated_pairs(build_incompatibility_graph(covered_ctx))
+    f1 = result.f1.pairs | core
+    f2 = result.f2.pairs | core
+    if _ferrers_violation(f1) or _ferrers_violation(f2):
+        raise InvalidFactorization("adding the core broke a factor")
+    f1, f2 = _canonical_labels(f1, f2)
+    return f1, f2, core
 
 
 def _sweep_rows(

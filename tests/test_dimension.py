@@ -273,7 +273,7 @@ def test_extension_orders_wait_for_everything_below(monkeypatch):
     def remove_everything(ctx, **options):
         empty = of.FerrersFactor(frozenset())
         removed = frozenset(ctx.pairs())
-        return of.FactorizationResult(empty, empty, frozenset(), removed, False, 1)
+        return of.FactorizationResult(empty, empty, removed, False, 1)
 
     monkeypatch.setattr(
         "ordfactor.dimension.maximal_two_factorization", remove_everything

@@ -325,7 +325,7 @@ def test_monuments_exact_removal(monuments):
     assert result.rounds == 1
     assert result.certificate
     assert of.validate_factorization(monuments, result) == []
-    assert result.shared <= _covered_core(monuments, result)
+    assert result.shared == _covered_core(monuments, result)
     assert len(result.covered) == 42
 
 
@@ -357,7 +357,7 @@ def test_certify_refuses_invalid_results(monuments):
     removed = frozenset(monuments.pairs()[:2])
     empty = of.FerrersFactor(frozenset())
     bogus = of.FactorizationResult(
-        empty, empty, shared=frozenset(), removed=removed, certificate=False
+        empty, empty, removed=removed, certificate=False
     )
     problems = of.validate_factorization(monuments, bogus)
     assert "CoverageViolation" in {p.kind for p in problems}
@@ -408,7 +408,7 @@ def test_persistent_fixture_heuristic_pinned(persistent_odd_cycle):
         persistent_odd_cycle, mode="heuristic", seed=0
     )
     assert of.validate_factorization(persistent_odd_cycle, result) == []
-    assert result.shared <= _covered_core(persistent_odd_cycle, result)
+    assert result.shared == _covered_core(persistent_odd_cycle, result)
     assert len(result.removed) == 74
     assert result.rounds == 3
     assert not result.certificate

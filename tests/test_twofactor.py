@@ -1,4 +1,5 @@
 """Exact two-factorization, Ferrers checks, canonical partition."""
+from dataclasses import replace
 import random
 
 import pytest
@@ -12,7 +13,11 @@ from ordfactor.oracle import (
 )
 from ordfactor.twofactor import FactorizationResult, FerrersFactor
 
-from conftest import random_poset, reference_two_factorize
+from conftest import (
+    random_poset,
+    reference_canonical_partition,
+    reference_two_factorize,
+)
 
 
 def _pairs(seq):
@@ -141,7 +146,6 @@ def test_canonical_partition_rejects_invalid_input(contranominal3):
     bogus = FactorizationResult(
         f1=FerrersFactor(_pairs([(0, 1)])),
         f2=FerrersFactor(_pairs([(1, 0)])),
-        shared=frozenset(),
         removed=frozenset(),
         certificate=False,
     )
@@ -153,7 +157,6 @@ def test_validator_flags_ferrers_violation(contranominal3):
     result = FactorizationResult(
         f1=FerrersFactor(_pairs([(0, 1), (0, 2), (1, 2)])),
         f2=FerrersFactor(_pairs([(0, 2), (1, 0), (2, 1)])),
-        shared=frozenset(),
         removed=_pairs([(2, 0)]),
         certificate=False,
     )
@@ -165,7 +168,6 @@ def test_validator_flags_coverage_gap(contranominal3):
     result = FactorizationResult(
         f1=FerrersFactor(_pairs([(0, 1)])),
         f2=FerrersFactor(_pairs([(1, 0)])),
-        shared=frozenset(),
         removed=frozenset(),
         certificate=False,
     )
@@ -177,7 +179,6 @@ def test_validator_flags_stray_pairs(contranominal3):
     result = FactorizationResult(
         f1=FerrersFactor(_pairs([(0, 0)])),
         f2=FerrersFactor(frozenset()),
-        shared=frozenset(),
         removed=frozenset(),
         certificate=False,
     )
@@ -185,19 +186,19 @@ def test_validator_flags_stray_pairs(contranominal3):
     assert "PairViolation" in kinds
 
 
-def test_validator_flags_shared_outside_intersection(forced_overlap):
+def test_shared_is_derived_from_the_factors(forced_overlap):
+    """No result can hold a shared part other than its factors'
+    intersection: ``shared`` is not a constructor argument."""
     good = of.two_factorize(forced_overlap)
-    tampered = FactorizationResult(
-        f1=good.f1,
-        f2=good.f2,
-        shared=_pairs([(0, 3)]),  # incidence, but not isolated
-        removed=frozenset(),
-        certificate=False,
-    )
-    kinds = {
-        v.kind for v in of.validate_factorization(forced_overlap, tampered)
-    }
-    assert "SharedViolation" in kinds
+    with pytest.raises(TypeError):
+        FactorizationResult(
+            f1=good.f1,
+            f2=good.f2,
+            shared=_pairs([(0, 3)]),  # incidence, but not isolated
+            removed=frozenset(),
+            certificate=False,
+        )
+    assert good.shared == good.f1.pairs & good.f2.pairs
 
 
 def test_factor_container_protocol(contranominal3):
@@ -221,7 +222,7 @@ def test_random_staircase_unions_always_factorize():
         result = of.two_factorize(ctx)
         assert of.validate_factorization(ctx, result) == []
         assert result.covered == frozenset(ctx.pairs())
-        assert result.f1.pairs & result.f2.pairs <= of.isolated_pairs(graph)
+        assert result.f1.pairs & result.f2.pairs == of.isolated_pairs(graph)
 
 
 def test_factor_labels_are_canonical(forced_overlap):
@@ -289,3 +290,76 @@ def test_two_factorize_matches_the_whole_lattice_reference():
         assert got == _outcome(reference_two_factorize, ctx), ctx
         verdicts.append(isinstance(got, str))
     assert (len(verdicts), sum(verdicts)) == (2165, 378)
+
+
+def _canonical_corpus():
+    """Valid results: factorizations, repairs that remove incidences,
+    and both with core pairs dropped from one factor."""
+    results = []
+    for s in range(400):
+        ctx = random_two_factorizable_context(
+            GeneratorSpec(2 + s % 15, 2 + 3 * s % 15, 0.3 + 0.1 * (s % 5), s)
+        )
+        results.append((ctx, of.two_factorize(ctx)))
+    for s in range(250):
+        ctx = random_context(
+            GeneratorSpec(2 + s % 7, 2 + s // 7 % 7, 0.3 + 0.1 * (s % 4), s)
+        )
+        mode = "exact" if ctx.incidence_count <= 20 else "heuristic"
+        results.append((ctx, of.maximal_two_factorization(ctx, mode, seed=s)))
+    for s, (ctx, result) in enumerate(results):
+        yield ctx, result
+        rng = random.Random(s)
+        core = sorted(result.shared)
+        for factor in ("f1", "f2"):
+            dropped = (
+                rng.sample(core, rng.randint(1, len(core))) if core else []
+            )
+            pairs = getattr(result, factor).pairs - frozenset(dropped)
+            variant = replace(result, **{factor: FerrersFactor(pairs)})
+            if dropped and not of.validate_factorization(ctx, variant):
+                yield ctx, variant
+
+
+def test_canonical_partition_matches_the_graph_reference():
+    """The core read off ``two_factorize`` of the covered context is the
+    set of isolated vertices of its incompatibility graph, so the
+    normalized factors match the graph-based reference."""
+    calls = repairs = partial = 0
+    for ctx, result in _canonical_corpus():
+        got = of.canonical_partition(ctx, result)
+        expected = reference_canonical_partition(ctx, result)
+        assert (got.f1.pairs, got.f2.pairs, got.shared) == expected, ctx
+        assert (got.removed, got.certificate, got.rounds) == (
+            result.removed, result.certificate, result.rounds
+        )
+        calls += 1
+        repairs += bool(result.removed)
+        partial += got.shared != result.shared
+    assert (calls, repairs, partial) == (1065, 152, 415)
+
+
+def test_canonical_partition_builds_no_graph(
+    monkeypatch, forced_overlap, monuments
+):
+    """The compatible core comes off the realizer, so normalizing a
+    factorization or a repair builds no incompatibility graph."""
+
+    def no_graph(ctx):
+        raise AssertionError("incompatibility graph built")
+
+    repaired = of.maximal_two_factorization(monuments, mode="exact")
+    monkeypatch.setattr(
+        "ordfactor.incompat.build_incompatibility_graph", no_graph
+    )
+    monkeypatch.setattr(
+        "ordfactor.twofactor.build_incompatibility_graph",
+        no_graph,
+        raising=False,
+    )
+    clean = of.two_factorize(forced_overlap)
+    canonical = of.canonical_partition(forced_overlap, clean)
+    assert _named(forced_overlap, canonical.shared) == {("6", "f")}
+    canonical = of.canonical_partition(monuments, repaired)
+    assert canonical.removed == repaired.removed
+    assert of.validate_factorization(monuments, canonical) == []
