@@ -208,7 +208,7 @@ def _cmd_dim2ext(args: argparse.Namespace, text: str) -> dict:
 
 def _cmd_oracle(args: argparse.Namespace, text: str) -> dict:
     ctx = _load_context(text)
-    k = brute_force_min_removal(ctx, k_max=args.kmax)
+    k = brute_force_min_removal(ctx, k_max=args.kmax, budget=args.budget)
     return {"k": k, "kmax": args.kmax}
 
 
@@ -264,13 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         return cmd
 
-    def add_search_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--mode",
-            choices=("exact", "heuristic"),
-            default="exact",
-            help="incidence removal search strategy",
-        )
+    def add_budget(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
             "--budget",
             type=_nonnegative(float, "finite, nonnegative number of seconds"),
@@ -278,6 +272,15 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="SECONDS",
             help="abort the search after this many seconds",
         )
+
+    def add_search_options(cmd: argparse.ArgumentParser) -> None:
+        cmd.add_argument(
+            "--mode",
+            choices=("exact", "heuristic"),
+            default="exact",
+            help="incidence removal search strategy",
+        )
+        add_budget(cmd)
         cmd.add_argument(
             "--seed", type=int, default=0, help="heuristic random seed"
         )
@@ -309,6 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=4,
         help="largest removal count to try",
     )
+    add_budget(cmd)
     add("stats", "summarize a context and its incompatibility graph")
     return parser
 

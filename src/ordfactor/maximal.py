@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .bitset import bits
+from .bitset import bits, transpose
 from .context import FormalContext, IncidencePair, remove_incidences
 from .errors import BudgetExceeded, InvalidFactorization
 from .incompat import (
@@ -242,13 +242,21 @@ def _heuristic_oct(
     recolored when that strictly helps and evicted otherwise; evicted
     vertices that fit again afterwards are re-added.
 
-    The coloring is the bitmask ``ones`` of color-1 vertices.  Each
-    restart counts every vertex's conflicts once with ``bit_count``;
-    a flip or an eviction then adjusts only the counts of the moved
-    vertex's active neighbours.
+    The coloring is the bitmask ``ones`` of color-1 vertices.  The
+    conflict counts are bit-sliced: ``planes[j]`` is the mask of the
+    vertices whose count has bit j set, and ``width``, the bit length
+    of the largest degree, is enough for any count.  The pick
+    intersects the planes from the top down, keeping a plane's
+    vertices whenever it has any, which leaves the vertices with the
+    most conflicts.  A move then subtracts 1 from all of its
+    same-colored active neighbours with one borrow ripple through the
+    planes, adds 1 to the others with one carry ripple when it is a
+    flip, and XORs the moved vertex's old and new count into the
+    planes (an eviction writes 0).
     """
     n = len(adj)
     everything = (1 << n) - 1
+    width = max((a.bit_count() for a in adj), default=0).bit_length()
     rng = random.Random(seed)
     best: tuple[int, tuple[int, ...]] | None = None
     for _ in range(HEURISTIC_RESTARTS):
@@ -257,32 +265,54 @@ def _heuristic_oct(
             if rng.randrange(2):
                 ones |= 1 << v
         active = everything
-        same = [
-            (adj[v] & (ones if ones >> v & 1 else ~ones)).bit_count()
-            for v in range(n)
-        ]
+        planes = transpose(
+            [
+                (adj[v] & (ones if ones >> v & 1 else ~ones)).bit_count()
+                for v in range(n)
+            ],
+            width,
+        )
         while True:
-            # evicted vertices count 0; index() takes the lowest of the
-            # vertices with the most conflicts
-            worst_c = max(same, default=0)
+            # evicted vertices count 0; the lowest bit of the vertices
+            # with the most conflicts breaks the tie
+            worst = everything
+            worst_c = 0
+            for j in range(width - 1, -1, -1):
+                top = worst & planes[j]
+                if top:
+                    worst = top
+                    worst_c |= 1 << j
             if not worst_c:
                 break
-            worst_v = same.index(worst_c)
-            bit = 1 << worst_v
-            nbrs = adj[worst_v] & active
+            bit = worst & -worst
+            nbrs = adj[bit.bit_length() - 1] & active
             mates = nbrs & (ones if ones & bit else ~ones)
             others = nbrs ^ mates
-            for w in bits(mates):
-                same[w] -= 1
+            # every mate conflicts with the moved vertex, so counts >= 1
+            borrow = mates
+            for j in range(width):
+                if not borrow:
+                    break
+                plane = planes[j]
+                planes[j] = plane ^ borrow
+                borrow &= ~plane
             flipped = others.bit_count()
             if flipped < worst_c:
-                for w in bits(others):
-                    same[w] += 1
-                same[worst_v] = flipped
+                carry = others
+                for j in range(width):
+                    if not carry:
+                        break
+                    plane = planes[j]
+                    planes[j] = plane ^ carry
+                    carry &= plane
                 ones ^= bit
             else:
-                same[worst_v] = 0
+                flipped = 0  # an evicted vertex counts 0
                 active ^= bit
+            change = worst_c ^ flipped
+            for j in range(change.bit_length()):
+                if change >> j & 1:
+                    planes[j] ^= bit
         for v in bits(everything & ~active):
             bit = 1 << v
             nbrs = adj[v] & active

@@ -8,11 +8,12 @@ or two-factorizable by construction.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
 from .context import FormalContext, remove_incidences
-from .errors import NotFound
+from .errors import BudgetExceeded, NotFound
 from .incompat import bipartition, build_incompatibility_graph
 
 
@@ -70,17 +71,23 @@ def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield rest + (last,)
 
 
-def brute_force_min_removal(ctx: FormalContext, k_max: int) -> int:
+def brute_force_min_removal(
+    ctx: FormalContext, k_max: int, budget: float | None = None
+) -> int:
     """Smallest removal count that leaves a bipartite graph.
 
     Tries every subset of the incidence of size 0, 1, ... up to
     ``k_max`` in colexicographic order, rebuilding the incompatibility
     graph each time.  Raises :class:`NotFound` when no subset within the
-    bound works.
+    bound works and :class:`BudgetExceeded` when the enumeration
+    outlasts ``budget`` seconds.
     """
+    deadline = time.monotonic() + budget if budget is not None else None
     pairs = ctx.pairs()
     for k in range(min(k_max, len(pairs)) + 1):
         for subset in colex_combinations(len(pairs), k):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded("brute-force removal search out of time")
             candidate = remove_incidences(ctx, [pairs[i] for i in subset])
             if bipartition(build_incompatibility_graph(candidate)).is_bipartite:
                 return k

@@ -196,7 +196,7 @@ def reference_heuristic_oct(adj, seed, deadline):
     """The heuristic transversal as a plain rescan of every vertex per
     step, with generator sums for the conflict counts.  It makes the
     same choices as ``maximal._heuristic_oct`` and is kept only to
-    check that the incremental counts there change no decision."""
+    check that the bit-sliced counts there change no decision."""
     n = len(adj)
     rng = random.Random(seed)
     best = None

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -377,6 +378,23 @@ def test_json_context_input(capsys, tmp_path, forced_overlap):
     assert report["payload"]["isolated"] == [["6", "f"]]
 
 
+def test_oracle_budget_runs_out(capsys, monkeypatch):
+    """persistent_odd_cycle needs 12 removals; without a budget, trying
+    every removal of at most 2 of its 273 incidences still runs after
+    20 s."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(PERSISTENT).read_text()))
+    started = time.monotonic()
+    code = run(["oracle", "-", "--kmax", "2", "--budget", "0.5"])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 3
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "BudgetExceeded"
+    assert captured.err == ""
+    assert elapsed < 5
+
+
 def test_unknown_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         run(["nonsense"])
@@ -396,6 +414,14 @@ def test_report_is_sorted_and_stable(capsys):
 def test_budget_rejects_non_finite_and_negative_values(capsys, value):
     with pytest.raises(SystemExit) as info:
         run(["maximal", PERSISTENT, "--budget", value])
+    assert info.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_oracle_budget_rejects_non_finite_and_negative_values(capsys, value):
+    with pytest.raises(SystemExit) as info:
+        run(["oracle", MONUMENTS, "--budget", value])
     assert info.value.code == 2
     assert "--budget" in capsys.readouterr().err
 

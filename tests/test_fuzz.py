@@ -6,13 +6,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
-from conftest import three_order_poset
+from conftest import reference_heuristic_oct, three_order_poset
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import ordfactor as of  # noqa: E402
 from ordfactor.cli import run  # noqa: E402
+from ordfactor.maximal import _heuristic_oct  # noqa: E402
 
 # no example database on disk, and the same examples on every run
 _FUZZ = settings(database=None, derandomize=True, deadline=None, max_examples=150)
@@ -143,3 +144,22 @@ def test_search_subcommands_always_report_in_json(text_and_argv):
     assert code in (0, 1, 2, 3)
     assert report["status"] == ("ok" if code == 0 else "error")
     assert err.getvalue() == ""
+
+
+@st.composite
+def _graphs(draw):
+    """A symmetric adjacency on 0-24 vertices, one bitmask per vertex."""
+    n = draw(st.integers(0, 24))
+    adj = [0] * n
+    for u in range(n):
+        # u's neighbours above u, as one draw
+        adj[u] |= draw(st.integers(0, (1 << (n - u - 1)) - 1)) << (u + 1)
+        for v in range(u + 1, n):
+            adj[v] |= (adj[u] >> v & 1) << u
+    return adj
+
+
+@_FUZZ
+@given(_graphs(), st.integers(0, 1000))
+def test_heuristic_matches_the_reference_on_random_graphs(adj, seed):
+    assert _heuristic_oct(adj, seed, None) == reference_heuristic_oct(adj, seed, None)

@@ -257,10 +257,12 @@ def test_heuristic_never_beats_exact():
 
 
 def test_heuristic_matches_rescanning_reference(
-    monuments, contranominal3, forced_overlap
+    monuments, contranominal3, forced_overlap, persistent_odd_cycle
 ):
-    """The incremental conflict counts change no choice of the search:
-    the same evicted tuple as a full rescan per step, seed by seed."""
+    """The bit-sliced conflict counts change no choice of the search:
+    the same evicted tuple as a full rescan per step, seed by seed.
+    Complete graphs up to K17 and stars up to 16 leaves take counts
+    up to 16, so borrows and carries cross every plane boundary."""
     contexts = [monuments, contranominal3, forced_overlap]
     for size in (4, 6, 8, 10):
         for density in (0.3, 0.5, 0.7):
@@ -274,14 +276,24 @@ def test_heuristic_matches_rescanning_reference(
                     )
                 )
             )
+    contexts.append(random_context(GeneratorSpec(12, 12, 0.5, 12)))
+    graphs = [of.build_incompatibility_graph(ctx).adjacency for ctx in contexts]
+    graphs += [_graph(n, _complete(n)).adjacency for n in range(2, 18)]
+    graphs += [
+        _graph(k + 1, [(0, leaf) for leaf in range(1, k + 1)]).adjacency
+        for k in (1, 2, 4, 8, 16)
+    ]
     evicting = 0
-    for ctx in contexts:
-        adj = of.build_incompatibility_graph(ctx).adjacency
+    for adj in graphs:
         for seed in (0, 7):
             expected = reference_heuristic_oct(adj, seed, None)
             assert _heuristic_oct(adj, seed, None) == expected
             evicting += bool(expected)
-    assert evicting >= 15
+    assert evicting >= 50
+    # the first-round graph of the pinned seed-0 run
+    adj = of.build_incompatibility_graph(persistent_odd_cycle).adjacency
+    assert len(adj) == 273
+    assert _heuristic_oct(adj, 0, None) == reference_heuristic_oct(adj, 0, None)
 
 
 def test_heuristic_under_zero_budget(persistent_odd_cycle):

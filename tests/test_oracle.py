@@ -88,6 +88,7 @@ def test_brute_force_full_context_is_trivial():
 
 def test_brute_force_monuments_needs_two(monuments):
     assert of.brute_force_min_removal(monuments, k_max=2) == 2
+    assert of.brute_force_min_removal(monuments, k_max=2, budget=60.0) == 2
 
 
 def test_brute_force_raises_when_bound_too_small(monuments):
