@@ -63,7 +63,6 @@ from .incompat import (
 from .lattice import (
     Concept,
     ConceptOrder,
-    ConjugateOrder,
     cocomparability_graph,
     concept_cap,
     concept_order,
@@ -80,7 +79,6 @@ from .maximal import (
 from .oracle import (
     GeneratorSpec,
     brute_force_min_removal,
-    colex_combinations,
     random_context,
     random_two_factorizable_context,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "Concept",
     "ConceptBudgetExceeded",
     "ConceptOrder",
-    "ConjugateOrder",
     "CountMismatch",
     "DimensionExtension",
     "DomainError",
@@ -136,7 +133,6 @@ __all__ = [
     "canonical_partition",
     "certify_global_optimality",
     "cocomparability_graph",
-    "colex_combinations",
     "complement",
     "components",
     "concept_cap",

@@ -10,12 +10,13 @@ can be read back off.
 from __future__ import annotations
 
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Iterable
 
 from .context import FormalContext, IncidencePair
-from .errors import NotFerrers, UnsupportedFormat
+from .errors import MalformedHeader, NotFerrers, UnsupportedFormat
 from .twofactor import FactorizationResult, is_ferrers
 
 _FORMATS = ("csv", "svg", "tikz")
@@ -116,14 +117,17 @@ def render(
 
 
 def _render_csv(axes: tuple[FactorAxis, FactorAxis]) -> str:
+    # each comment stays on one line; the rows are quoted as in RFC 4180
     lines = [
-        "#axis1: " + ";".join(axes[0].labels),
-        "#axis2: " + ";".join(axes[1].labels),
-        "object,x,y",
+        f"#axis{i}: "
+        + ";".join(axis.labels).replace("\r", r"\r").replace("\n", r"\n")
+        for i, axis in enumerate(axes, start=1)
     ]
+    lines.append("object,x,y")
     for g, name in enumerate(axes[0].objects):
-        field = f'"{name}"' if "," in name else name
-        lines.append(f"{field},{axes[0].positions[g]},{axes[1].positions[g]}")
+        if any(ch in name for ch in ',"\r\n'):
+            name = '"' + name.replace('"', '""') + '"'
+        lines.append(f"{name},{axes[0].positions[g]},{axes[1].positions[g]}")
     return "\n".join(lines) + "\n"
 
 
@@ -154,11 +158,16 @@ def _points(
 _STEP = 90
 _MARGIN = 150
 _JITTER = 10.0
+# characters outside the XML 1.0 Char production
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _render_svg(
     axes: tuple[FactorAxis, FactorAxis], title: str | None
 ) -> str:
+    for text in (title or "", *axes[0].objects, *axes[0].labels, *axes[1].labels):
+        if _NOT_XML.search(text):
+            raise MalformedHeader(f"{text!r} holds a character XML forbids")
     nx, ny = axes[0].n_steps, axes[1].n_steps
     width = 2 * _MARGIN + _STEP * max(nx, 1)
     height = 2 * _MARGIN + _STEP * max(ny, 1)
@@ -259,13 +268,15 @@ def _render_tikz(
     return "\n".join(lines) + "\n"
 
 
+_TEX = str.maketrans(
+    {
+        **{ch: "\\" + ch for ch in "#$%&_{}"},
+        "\\": r"\textbackslash{}",
+        "^": r"\textasciicircum{}",
+        "~": r"\textasciitilde{}",
+    }
+)
+
+
 def _tex(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in "#$%&_{}":
-            out.append("\\" + ch)
-        elif ch == "\\":
-            out.append(r"\textbackslash{}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return text.translate(_TEX)

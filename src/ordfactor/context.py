@@ -285,11 +285,13 @@ def is_string_list(value: object) -> bool:
 
 def json_object(text: str, kind: str, keys: tuple[str, ...]) -> dict:
     """Parse a JSON object that has ``keys``; any failure, even nesting
-    too deep or an integer past the digit limit, is MalformedHeader."""
+    too deep, an integer past the digit limit or an escaped lone
+    surrogate that UTF-8 cannot encode, is MalformedHeader."""
     try:
         payload = json.loads(text)
         for key in keys:
             payload[key]  # a missing key, or a payload that is no object
+        json.dumps(payload, ensure_ascii=False).encode("utf-8")
     except (ValueError, RecursionError, TypeError, KeyError) as exc:
         raise MalformedHeader(f"invalid {kind} JSON: {exc}") from exc
     return payload

@@ -35,9 +35,6 @@ class IncompatibilityGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, i: int) -> list[int]:
-        return list(bits(self.adjacency[i]))
-
     @property
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
@@ -105,35 +102,34 @@ def isolated_pairs(graph: IncompatibilityGraph) -> frozenset[IncidencePair]:
 def bipartition(graph: IncompatibilityGraph) -> BipartitionWitness:
     """2-color the graph or extract an odd cycle.
 
-    Colors come from :func:`two_color`, shifted to 1 and 2; the smallest
-    vertex of each component gets color 1, so the witness is
+    Color 2 is the odd-layer mask of :func:`two_color`, so the smallest
+    vertex of each component gets color 1 and the witness is
     deterministic.
     """
     everything = (1 << graph.n) - 1
-    color, cycle = two_color(graph.adjacency, everything)
+    ones, cycle = two_color(graph.adjacency, everything)
     if cycle is not None:
         _verify_cycle(graph, cycle)
         return BipartitionWitness(None, cycle)
-    ones = sum(1 << v for v, c in color.items() if c)
-    for v, c in color.items():
-        if graph.adjacency[v] & (ones if c else everything & ~ones):
+    for v in range(graph.n):
+        if graph.adjacency[v] & (ones if ones >> v & 1 else everything & ~ones):
             raise AssertionError("coloring violates an edge")
-    return BipartitionWitness({v: color[v] + 1 for v in range(graph.n)}, None)
+    return BipartitionWitness({v: (ones >> v & 1) + 1 for v in range(graph.n)}, None)
 
 
 def two_color(
     adj: Sequence[int], active: int
-) -> tuple[dict[int, int] | None, tuple[int, ...] | None]:
-    """2-coloring of the subgraph induced by ``active``: ``(colors,
-    None)`` with each vertex colored by the parity of its layer in
-    :func:`sweep` (0 for the smallest vertex of each component), or
+) -> tuple[int | None, tuple[int, ...] | None]:
+    """2-coloring of the subgraph induced by ``active``: ``(odd, None)``
+    with ``odd`` the mask of the vertices in odd layers of :func:`sweep`
+    (so the smallest vertex of each component is not in it), or
     ``(None, cycle)`` with the first odd cycle the sweep closes."""
     ones = 0
     for _, odd, walk in sweep(adj, active, stop=True):
         if walk is not None:
             return None, tuple(bit.bit_length() - 1 for bit in walk)
         ones |= odd
-    return {v: ones >> v & 1 for v in bits(active)}, None
+    return ones, None
 
 
 def pack_odd_cycles(adj: Sequence[int], active: int, first: int) -> list[int]:

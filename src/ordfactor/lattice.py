@@ -136,20 +136,11 @@ def cocomparability_graph(leq: Sequence[int]) -> tuple[int, ...]:
     return tuple(full & ~(leq[i] | geq[i]) for i in range(n))
 
 
-@dataclass(frozen=True)
-class ConjugateOrder:
-    """A strict transitive orientation of a cocomparability graph.
-
-    Bit j of ``leq_c[i]`` means i is oriented toward j.  Each graph edge
-    is oriented exactly once and the relation is transitive.
-    """
-
-    leq_c: tuple[int, ...]
-
-
-def transitive_orientation(adjacency: Sequence[int]) -> ConjugateOrder:
+def transitive_orientation(adjacency: Sequence[int]) -> tuple[int, ...]:
     """Orient every edge so the result is transitive.
 
+    Returns the conjugate order as strict rows: bit j of row i means i
+    is oriented toward j, and each edge is oriented exactly once.
     Edges are processed in lexicographic order; each choice is closed
     under the forcing rule (two edges sharing an endpoint whose other
     endpoints are nonadjacent must agree), working in the shrinking
@@ -198,7 +189,7 @@ def transitive_orientation(adjacency: Sequence[int]) -> ConjugateOrder:
                 raise NotTwoDimensional(
                     f"orientation not transitive at {a} -> {b}"
                 )
-    return ConjugateOrder(tuple(out))
+    return tuple(out)
 
 
 def linear_sequence(strict: Sequence[int]) -> tuple[int, ...] | None:
@@ -221,22 +212,23 @@ def linear_sequence(strict: Sequence[int]) -> tuple[int, ...] | None:
 
 
 def realizer_sequences(
-    order: ConceptOrder, conjugate: ConjugateOrder
+    order: ConceptOrder, conjugate: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two linear orders combining an order with its conjugate.
 
-    Returns index sequences sorted by leq union leq_c and by leq union
-    the reverse of leq_c.  Verifies both unions really are total orders
-    whose intersection is the original order; a failure raises
+    Returns index sequences sorted by leq union ``conjugate`` (strict
+    rows from :func:`transitive_orientation`) and by leq union its
+    reverse.  Verifies both unions really are total orders whose
+    intersection is the original order; a failure raises
     :class:`NotTwoDimensional`.
     """
     leq = order.leq
     n = len(leq)
-    if len(conjugate.leq_c) != n:
+    if len(conjugate) != n:
         raise NotTwoDimensional("conjugate order has wrong size")
-    geq_c = transpose(conjugate.leq_c, n)
+    geq_c = transpose(conjugate, n)
     strict_leq = [leq[i] & ~(1 << i) for i in range(n)]
-    first = [strict_leq[i] | conjugate.leq_c[i] for i in range(n)]
+    first = [strict_leq[i] | conjugate[i] for i in range(n)]
     second = [strict_leq[i] | geq_c[i] for i in range(n)]
     seq1, seq2 = linear_sequence(first), linear_sequence(second)
     if seq1 is None or seq2 is None:

@@ -39,15 +39,9 @@ HEURISTIC_RESTARTS = 32
 
 @dataclass(frozen=True)
 class OctSolution:
-    """A vertex set whose induced subgraph is bipartite.
+    """Vertices whose deletion leaves the graph bipartite."""
 
-    ``optimal`` is asserted only in exact mode, where ``deleted`` is the
-    lexicographically smallest minimum odd cycle transversal.
-    """
-
-    kept: frozenset[IncidencePair]
     deleted: frozenset[IncidencePair]
-    optimal: bool
 
 
 def max_bipartite_subset(
@@ -59,9 +53,10 @@ def max_bipartite_subset(
     """Delete as few vertices as possible to make the graph bipartite.
 
     ``mode`` is ``"exact"`` (branch and bound, may raise
-    :class:`BudgetExceeded` past the time budget) or ``"heuristic"``
-    (randomized coloring with local search, always returns).  Both are
-    deterministic for a fixed mode and seed.
+    :class:`BudgetExceeded` past the time budget; ``deleted`` is then the
+    lexicographically smallest minimum odd cycle transversal) or
+    ``"heuristic"`` (randomized coloring with local search, always
+    returns).  Both are deterministic for a fixed mode and seed.
     """
     deadline = time.monotonic() + budget if budget is not None else None
     if mode == "exact":
@@ -70,9 +65,7 @@ def max_bipartite_subset(
         deleted = _heuristic_oct(graph.adjacency, seed, deadline)
     else:
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    deleted_pairs = frozenset(graph.vertices[v] for v in deleted)
-    kept_pairs = frozenset(graph.vertices) - deleted_pairs
-    return OctSolution(kept_pairs, deleted_pairs, optimal=(mode == "exact"))
+    return OctSolution(frozenset(graph.vertices[v] for v in deleted))
 
 
 def maximal_two_factorization(

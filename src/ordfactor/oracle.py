@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import combinations
 
 from .context import FormalContext, remove_incidences
 from .errors import BudgetExceeded, NotFound
@@ -61,31 +61,21 @@ def random_two_factorizable_context(spec: GeneratorSpec) -> FormalContext:
     return FormalContext(_names("g", spec.objects), _names("m", spec.attributes), tuple(rows))
 
 
-def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """k-subsets of range(n) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for last in range(k - 1, n):
-        for rest in colex_combinations(last, k - 1):
-            yield rest + (last,)
-
-
 def brute_force_min_removal(
     ctx: FormalContext, k_max: int, budget: float | None = None
 ) -> int:
     """Smallest removal count that leaves a bipartite graph.
 
     Tries every subset of the incidence of size 0, 1, ... up to
-    ``k_max`` in colexicographic order, rebuilding the incompatibility
-    graph each time.  Raises :class:`NotFound` when no subset within the
-    bound works and :class:`BudgetExceeded` when the enumeration
-    outlasts ``budget`` seconds.
+    ``k_max`` with :func:`itertools.combinations`, rebuilding the
+    incompatibility graph each time.  Raises :class:`NotFound` when no
+    subset within the bound works and :class:`BudgetExceeded` when the
+    enumeration outlasts ``budget`` seconds.
     """
     deadline = time.monotonic() + budget if budget is not None else None
     pairs = ctx.pairs()
     for k in range(min(k_max, len(pairs)) + 1):
-        for subset in colex_combinations(len(pairs), k):
+        for subset in combinations(range(len(pairs)), k):
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("brute-force removal search out of time")
             candidate = remove_incidences(ctx, [pairs[i] for i in subset])

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 from collections import deque
+import csv
+import io
 import json
 import random
 import time
@@ -419,6 +421,16 @@ def three_order_poset(n, seed):
         for i in range(n)
     )
     return Poset(tuple(f"p{i}" for i in range(n)), leq)
+
+
+def read_biplot_csv(text):
+    """The (object, x, y) rows of a csv biplot, read back with
+    ``csv.reader`` after its two one-line ``#axis`` comments."""
+    first, second, body = text.split("\n", 2)
+    assert first.startswith("#axis1: ") and second.startswith("#axis2: ")
+    header, *rows = csv.reader(io.StringIO(body, newline=""))
+    assert header == ["object", "x", "y"]
+    return [(name, int(x), int(y)) for name, x, y in rows]
 
 
 def reference_two_dimension_extension(poset, mode="exact", budget=None, seed=0):

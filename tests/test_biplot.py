@@ -2,6 +2,7 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from conftest import read_biplot_csv
 
 import ordfactor as of
 from ordfactor import FormalContext, GeneratorSpec, IncidencePair
@@ -107,6 +108,20 @@ def test_csv_quotes_names_containing_commas():
     assert any(line.startswith('"Athens, GA",') for line in lines)
 
 
+def test_csv_rows_read_back_with_the_csv_module():
+    """Quotes, commas and line breaks in names survive ``csv.reader``;
+    line breaks in labels stay inside their one comment line."""
+    objects = ('e"f,g', "a\rb", "c\nd", '"', "plain")
+    ctx = FormalContext(objects, ("x\ny", "z\r"), (0b11,) * 5)
+    axes = of.biplot_axes(ctx, of.two_factorize(ctx))
+    text = of.render(axes, fmt="csv")
+    assert text.splitlines()[0] == r"#axis1: x\ny,z\r"
+    assert read_biplot_csv(text) == [
+        (name, axes[0].positions[g], axes[1].positions[g])
+        for g, name in enumerate(objects)
+    ]
+
+
 def test_svg_has_one_marker_per_object(monuments):
     result = of.maximal_two_factorization(monuments, mode="exact")
     axes = of.biplot_axes(monuments, result)
@@ -148,6 +163,39 @@ def test_tikz_rendering(monuments):
     assert text.endswith("\\end{document}\n")
     assert r"100\% \& more\_" in text
     assert text.count(r"\fill") == monuments.n_objects
+
+
+def test_tikz_escapes_caret_and_tilde():
+    ctx = FormalContext(("a^b", "c~d"), ("^~",), (0b1, 0b1))
+    axes = of.biplot_axes(ctx, of.two_factorize(ctx))
+    text = of.render(axes, fmt="tikz", title="x^2 ~ y")
+    assert r"a\textasciicircum{}b" in text
+    assert r"c\textasciitilde{}d" in text
+    assert r"x\textasciicircum{}2 \textasciitilde{} y" in text
+    assert "^" not in text and "~" not in text
+
+
+@pytest.mark.parametrize(
+    "objects, attributes, title",
+    [
+        (("a\x01", "b"), ("x",), None),
+        (("a", "b"), ("x\x1f",), None),
+        (("a", "b"), ("x",), "t\ufffe"),
+    ],
+    ids=["object", "attribute", "title"],
+)
+def test_svg_refuses_characters_that_xml_forbids(objects, attributes, title):
+    ctx = FormalContext(objects, attributes, (0b1, 0b1))
+    axes = of.biplot_axes(ctx, of.two_factorize(ctx))
+    with pytest.raises(of.MalformedHeader):
+        of.render(axes, fmt="svg", title=title)
+
+
+def test_svg_keeps_tabs_and_line_breaks_well_formed():
+    ctx = FormalContext(("a\tb", "c\r\nd"), ("<&>",), (0b1, 0b1))
+    axes = of.biplot_axes(ctx, of.two_factorize(ctx))
+    root = ET.fromstring(of.render(axes, fmt="svg", title="\U0001f600"))
+    assert root.tag.endswith("svg")
 
 
 def test_render_rejects_unknown_format(contranominal3):

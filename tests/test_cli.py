@@ -184,6 +184,38 @@ def test_biplot_svg_to_file(capsys, tmp_path):
     assert root.tag.endswith("svg")
 
 
+def test_biplot_out_with_an_escaped_lone_surrogate_exits_2(capsys, tmp_path):
+    """The escape is ASCII, so the input is UTF-8; the name it decodes
+    to is not, and would fail only when the rendering is written."""
+    path = tmp_path / "ctx.json"
+    path.write_text(
+        '{"objects": ["a\\ud800", "b"], "attributes": ["x"], "rows": ["X", "X"]}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "plot.svg"
+    code = run(["biplot", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["error"]["type"] == "MalformedHeader"
+    assert captured.err == ""
+    assert not out.exists()
+
+
+def test_biplot_svg_refuses_a_control_character_with_exit_2(capsys, tmp_path):
+    path = tmp_path / "ctx.json"
+    path.write_text(
+        '{"objects": ["a\\u0001", "b"], "attributes": ["x"], "rows": ["X", "X"]}',
+        encoding="utf-8",
+    )
+    code, report = _run(capsys, ["biplot", str(path), "--format", "svg"])
+    assert code == 2
+    assert report["error"]["type"] == "MalformedHeader"
+    code, report = _run(capsys, ["biplot", str(path), "--format", "csv"])
+    assert code == 0
+    assert report["payload"]["rendering"].splitlines()[3] == "a\x01,1,1"
+
+
 def test_dim2ext_standard_example(capsys, tmp_path, s3_poset):
     path = tmp_path / "s3.json"
     path.write_text(of.poset_to_json(s3_poset), encoding="utf-8")

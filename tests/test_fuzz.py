@@ -2,11 +2,12 @@
 line fail in any way other than an error with a JSON report."""
 import io
 import json
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
-from conftest import reference_heuristic_oct, three_order_poset
+from conftest import read_biplot_csv, reference_heuristic_oct, three_order_poset
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -91,6 +92,29 @@ def test_json_readers_raise_only_format_errors(value):
             pass
 
 
+# every code point, lone surrogates drawn often: json.dumps writes those
+# as ASCII escapes, which pass the UTF-8 check on the input text
+_ANY_CHAR = st.characters() | st.characters(categories=["Cs"])
+_ANY_NAMES = st.lists(st.text(_ANY_CHAR, max_size=3), max_size=3)
+
+
+@_FUZZ
+@given(_ANY_NAMES, _ANY_NAMES)
+def test_json_names_that_load_encode_as_utf8(objects, attributes):
+    rows = ["X" * len(attributes)] * len(objects)
+    context = {"objects": objects, "attributes": attributes, "rows": rows}
+    for read, payload, names in (
+        (of.context_from_json, context, lambda ctx: ctx.objects + ctx.attributes),
+        (of.poset_from_json, {"elements": objects, "relations": []}, lambda p: p.elements),
+    ):
+        try:
+            loaded = read(json.dumps(payload))
+        except of.FormatError:
+            continue
+        # json.loads joins an escaped surrogate pair into one code point
+        "".join(names(loaded)).encode("utf-8")
+
+
 @_FUZZ
 @given(
     st.sampled_from(["check", "dim2ext"]),
@@ -105,6 +129,44 @@ def test_cli_always_reports_in_json(command, text):
     assert code in (0, 1, 2)
     assert report["status"] == ("ok" if code == 0 else "error")
     assert err.getvalue() == ""
+
+
+_SPECIAL = st.text(st.sampled_from('",^~<&\r\n\x01\ud800'), max_size=3)
+
+
+@st.composite
+def _special_name_contexts(draw):
+    """JSON contexts of up to 4x3 whose names and title hold characters
+    that the csv, svg and tikz writers must quote, escape or refuse."""
+    objects = draw(st.lists(_SPECIAL, max_size=4, unique=True))
+    attributes = draw(st.lists(_SPECIAL, max_size=3, unique=True))
+    width = len(attributes)
+    rows = [draw(st.text("X.", min_size=width, max_size=width)) for _ in objects]
+    payload = {"objects": objects, "attributes": attributes, "rows": rows}
+    payload["title"] = draw(st.none() | _SPECIAL)
+    return json.dumps(payload)
+
+
+@_FUZZ
+@given(_special_name_contexts(), st.sampled_from(["csv", "svg", "tikz"]))
+def test_biplot_writes_special_names_it_can_read_back(text, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["biplot", "-", "--format", fmt])
+    report = json.loads(out.getvalue())
+    assert code in (0, 1, 2)
+    assert report["status"] == ("ok" if code == 0 else "error")
+    assert err.getvalue() == ""
+    if code:
+        return
+    rendering = report["payload"]["rendering"]
+    if fmt == "svg":
+        ET.fromstring(rendering)
+    elif fmt == "csv":
+        x, y = (axis["positions"] for axis in report["payload"]["axes"])
+        objects = json.loads(text)["objects"]
+        assert read_biplot_csv(rendering) == [(g, x[g], y[g]) for g in objects]
 
 
 @st.composite

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import ordfactor as of
+from ordfactor.bitset import bits
 from ordfactor.context import FormalContext, IncidencePair
 from ordfactor.incompat import pack_odd_cycles, sweep, two_color
 from ordfactor.oracle import GeneratorSpec, random_context
@@ -106,13 +107,13 @@ def test_two_color_agrees_with_reference_on_vertex_deletions(
     for _ in range(40):
         deleted = set(rng.sample(range(graph.n), rng.randrange(graph.n)))
         active = sum(1 << v for v in range(graph.n) if v not in deleted)
-        color, cycle = two_color(graph.adjacency, active)
+        ones, cycle = two_color(graph.adjacency, active)
         assert (cycle is None) == induced_bipartite(graph, deleted)
         if cycle is None:
-            assert set(color) == set(range(graph.n)) - deleted
-            for v in color:
-                for w in graph.neighbors(v):
-                    assert w in deleted or color[v] != color[w]
+            assert ones & ~active == 0
+            for v in bits(active):
+                for w in bits(graph.adjacency[v]):
+                    assert w in deleted or ones >> v & 1 != ones >> w & 1
         else:
             assert len(cycle) % 2 == 1
             assert len(set(cycle)) == len(cycle)
@@ -147,14 +148,15 @@ def test_two_color_matches_queue_reference(
         everything = (1 << graph.n) - 1
         masks = [everything] + [rng.getrandbits(graph.n) for _ in range(12)]
         for active in masks:
-            color, cycle = two_color(graph.adjacency, active)
+            ones, cycle = two_color(graph.adjacency, active)
             ref_color, ref_cycle = reference_two_color(graph.adjacency, active)
             assert (cycle is None) == (ref_cycle is None)
             verdicts.add(cycle is None)
             if cycle is None:
-                assert color == ref_color
+                assert set(ref_color) == set(bits(active))
+                assert ones == sum(1 << v for v, c in ref_color.items() if c)
                 continue
-            assert color is None
+            assert ones is None
             assert len(cycle) % 2 == 1 and len(cycle) >= 3
             assert len(set(cycle)) == len(cycle)
             assert all(active >> v & 1 for v in cycle)

@@ -1,5 +1,4 @@
 """Brute-force oracle and generator tests."""
-import itertools
 
 import pytest
 
@@ -52,29 +51,6 @@ def test_staircase_union_always_two_factorizable():
         assert of.bipartition(graph).is_bipartite
         result = of.two_factorize(ctx)
         assert of.validate_factorization(ctx, result) == []
-
-
-def test_colex_combinations_match_itertools():
-    for n in range(7):
-        for k in range(n + 2):
-            ours = list(of.colex_combinations(n, k))
-            expected = sorted(
-                itertools.combinations(range(n), k),
-                key=lambda t: t[::-1],
-            )
-            assert ours == expected
-
-
-def test_colex_combinations_edge_cases():
-    assert list(of.colex_combinations(0, 0)) == [()]
-    assert list(of.colex_combinations(3, 0)) == [()]
-    assert list(of.colex_combinations(2, 3)) == []
-    assert list(of.colex_combinations(5, 2))[:4] == [
-        (0, 1),
-        (0, 2),
-        (1, 2),
-        (0, 3),
-    ]
 
 
 def test_brute_force_zero_when_already_bipartite(contranominal3):

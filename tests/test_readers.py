@@ -221,6 +221,17 @@ def test_json_past_the_decoder_limits_is_malformed(key, value):
             read(text)
 
 
+def test_json_names_with_a_lone_surrogate_are_malformed():
+    context = '{"objects": ["%s"], "attributes": [], "rows": [""]}'
+    poset = '{"elements": ["%s"], "relations": []}'
+    for read, text in ((of.context_from_json, context), (of.poset_from_json, poset)):
+        for escape in ("\\ud800", "\\udfff", "a\\ude00\\ud83d"):
+            with pytest.raises(of.MalformedHeader, match="surrogates"):
+                read(text % escape)
+        # a surrogate pair is one code point that UTF-8 encodes
+        assert "\U0001f600" in repr(read(text % "\\ud83d\\ude00"))
+
+
 def test_count_line_past_the_digit_limit_is_malformed():
     with pytest.raises(of.MalformedHeader, match="counts must be integers"):
         of.parse_cxt(f"B\n\n{_DIGITS}\n1\n")
