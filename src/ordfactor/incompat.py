@@ -39,14 +39,6 @@ class IncompatibilityGraph:
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i, mask in enumerate(self.adjacency):
-            for j in bits(mask):
-                if i < j:
-                    out.append((i, j))
-        return out
-
     def vertex_index(self, pair: IncidencePair) -> int:
         i = bisect_left(self.vertices, tuple(pair))
         if i == len(self.vertices) or self.vertices[i] != tuple(pair):

@@ -104,13 +104,12 @@ def concept_intents(
 
 @dataclass(frozen=True)
 class ConceptOrder:
-    """Concepts plus their order by extent inclusion.
+    """The order of a list of concepts by extent inclusion.
 
     ``leq`` has one bitmask per concept: bit j of ``leq[i]`` means
     concept i is below (or equal to) concept j.
     """
 
-    concepts: tuple[Concept, ...]
     leq: tuple[int, ...]
 
 
@@ -121,7 +120,7 @@ def concept_order(concepts: Sequence[Concept]) -> ConceptOrder:
         for j in range(n):
             if concepts[i].extent <= concepts[j].extent:
                 leq[i] |= 1 << j
-    return ConceptOrder(tuple(concepts), tuple(leq))
+    return ConceptOrder(tuple(leq))
 
 
 def cocomparability_graph(leq: Sequence[int]) -> tuple[int, ...]:
@@ -220,7 +219,10 @@ def realizer_sequences(
     rows from :func:`transitive_orientation`) and by leq union its
     reverse.  Verifies both unions really are total orders whose
     intersection is the original order; a failure raises
-    :class:`NotTwoDimensional`.
+    :class:`NotTwoDimensional`.  No path in the package calls it: for a
+    verified conjugate the unions are a realizer (Dushnik and Miller
+    1941), which :func:`~ordfactor.twofactor.two_factorize` reads off
+    the rows directly.  It stays as an independent check of that fact.
     """
     leq = order.leq
     n = len(leq)

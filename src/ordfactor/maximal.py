@@ -58,14 +58,18 @@ def max_bipartite_subset(
     ``"heuristic"`` (randomized coloring with local search, always
     returns).  Both are deterministic for a fixed mode and seed.
     """
+    _check_mode(mode)
     deadline = time.monotonic() + budget if budget is not None else None
     if mode == "exact":
         deleted = _ExactOct(graph.adjacency, deadline).run()
-    elif mode == "heuristic":
-        deleted = _heuristic_oct(graph.adjacency, seed, deadline)
     else:
-        raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
+        deleted = _heuristic_oct(graph.adjacency, seed, deadline)
     return OctSolution(frozenset(graph.vertices[v] for v in deleted))
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
 
 
 def maximal_two_factorization(
@@ -81,6 +85,7 @@ def maximal_two_factorization(
     ``certificate`` is true when nothing was removed or exactly one
     exact round sufficed, in which case the removal is globally minimum.
     """
+    _check_mode(mode)
     deadline = time.monotonic() + budget if budget is not None else None
     current = ctx
     removed: set[IncidencePair] = set()

@@ -10,7 +10,7 @@ of the complement context.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bitset import bits, transpose
 from .context import FormalContext, IncidencePair, complement, remove_incidences
@@ -24,7 +24,6 @@ from .lattice import (
     cocomparability_graph,
     concept_order,
     irreducible_concepts,
-    realizer_sequences,
     transitive_orientation,
 )
 
@@ -34,15 +33,6 @@ class FerrersFactor:
     """One factor of a factorization; a set of incidence pairs."""
 
     pairs: frozenset[IncidencePair]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[IncidencePair]:
-        return iter(sorted(self.pairs))
-
-    def __contains__(self, pair: object) -> bool:
-        return pair in self.pairs
 
 
 @dataclass(frozen=True)
@@ -121,17 +111,17 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     the incompatibility graph is not bipartite, or equivalently the
     complement's concept lattice has dimension above two (Ganter and
     Glodeanu 2012).  With γg and μm the object and attribute concepts of
-    the complement, (g, m) is not incident iff γg ≤ μm; factor i takes
-    the pairs with μm before γg in order i of a realizer of these
-    concepts alone.
+    the complement, (g, m) is not incident iff γg ≤ μm.  When the context
+    factorizes, these concepts alone have dimension at most two, as no
+    subposet has a larger dimension than the lattice (Trotter 1992), so
+    :func:`transitive_orientation` finds and verifies a transitive
+    orientation T of their incomparability graph, or says no.  ≤ ∪ T and
+    ≤ ∪ T⁻¹ are then a realizer (Dushnik and Miller 1941): factor 1 takes
+    (g, m) when bit γg of row μm of ≤ ∪ T is set, i.e. μm comes first,
+    and factor 2 reads ≤ ∪ T⁻¹ alike.
     * Its rows are the attributes whose μ precedes one position: nested.
     * A non-incidence has γg first in both orders, an incidence has μm
       first in one, so the factors cover exactly the incidence.
-    * The realizer exists when the context factorizes, as no subposet
-      has a larger dimension than the lattice (Trotter 1992).
-    * In a linear extension of the lattice, m is in an intent at or after
-      γg, the first concept whose extent holds g, iff μm is not before
-      γg, so sweeping every concept of the lattice gives the same rows.
     * ``shared`` is the compatible core, the pairs isolated in the
       incompatibility graph.  μm ≤ γg iff every object h lacking m has
       row(h) ⊆ row(g), i.e. every incidence (h, n) has (g, n) or (h, m):
@@ -141,10 +131,9 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     """
     comp = complement(ctx)
     concepts = irreducible_concepts(comp)
-    order = concept_order(concepts)
+    leq = concept_order(concepts).leq
     try:
-        conjugate = transitive_orientation(cocomparability_graph(order.leq))
-        realizer = realizer_sequences(order, conjugate)
+        conjugate = transitive_orientation(cocomparability_graph(leq))
     except NotTwoDimensional as exc:
         raise NotTwoFactorizable(
             "complement object and attribute concepts have no conjugate order"
@@ -155,8 +144,12 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     columns = transpose(comp.rows, comp.n_attributes)
     mu = [by_extent[frozenset(bits(column))] for column in columns]
     f1, f2 = (
-        frozenset(p for p in ctx.pairs() if at[mu[p[1]]] < at[gamma[p[0]]])
-        for at in ({i: t for t, i in enumerate(seq)} for seq in realizer)
+        frozenset(
+            p
+            for p in ctx.pairs()
+            if (leq[mu[p[1]]] | after[mu[p[1]]]) >> gamma[p[0]] & 1
+        )
+        for after in (conjugate, transpose(conjugate, len(leq)))
     )
     f1, f2 = _canonical_labels(f1, f2)
     result = FactorizationResult(

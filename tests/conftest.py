@@ -9,7 +9,7 @@ import time
 import pytest
 
 import ordfactor as of
-from ordfactor.bitset import bits
+from ordfactor.bitset import bits, transpose
 from ordfactor.dimension import Poset
 from ordfactor.context import (
     FormalContext,
@@ -37,6 +37,7 @@ from ordfactor.lattice import (
     concept_cap,
     concept_order,
     enumerate_concepts,
+    irreducible_concepts,
     linear_sequence,
     realizer_sequences,
     transitive_orientation,
@@ -332,6 +333,42 @@ def reference_two_factorize(ctx):
         removed=frozenset(),
         certificate=True,
         rounds=0,
+    )
+    problems = validate_factorization(ctx, result)
+    if problems:
+        raise NotTwoFactorizable("; ".join(v.message for v in problems))
+    return result
+
+
+def reference_realizer_two_factorize(ctx):
+    """``two_factorize`` as it was before it read the factors off the
+    conjugate rows: it builds both realizer orders with
+    ``realizer_sequences``, which checks each is a strict total order
+    and that they intersect in the concept order, and compares positions
+    in them.  Kept verbatim as a reference: the factors, the shared
+    pairs and every message must not change."""
+    comp = complement(ctx)
+    concepts = irreducible_concepts(comp)
+    order = concept_order(concepts)
+    try:
+        conjugate = transitive_orientation(cocomparability_graph(order.leq))
+        realizer = realizer_sequences(order, conjugate)
+    except NotTwoDimensional as exc:
+        raise NotTwoFactorizable(
+            "complement object and attribute concepts have no conjugate order"
+        ) from exc
+    by_intent = {c.intent: i for i, c in enumerate(concepts)}
+    by_extent = {c.extent: i for i, c in enumerate(concepts)}
+    gamma = [by_intent[frozenset(bits(row))] for row in comp.rows]
+    columns = transpose(comp.rows, comp.n_attributes)
+    mu = [by_extent[frozenset(bits(column))] for column in columns]
+    f1, f2 = (
+        frozenset(p for p in ctx.pairs() if at[mu[p[1]]] < at[gamma[p[0]]])
+        for at in ({i: t for t, i in enumerate(seq)} for seq in realizer)
+    )
+    f1, f2 = _canonical_labels(f1, f2)
+    result = FactorizationResult(
+        FerrersFactor(f1), FerrersFactor(f2), frozenset(), certificate=True
     )
     problems = validate_factorization(ctx, result)
     if problems:

@@ -133,6 +133,15 @@ def test_extension_of_chain_adds_nothing():
     assert ext.realizer[1] == (0, 1, 2, 3)
 
 
+def test_extension_rejects_an_unknown_mode(s3_poset):
+    """Chains and antichains need no transversal round, S3 needs one;
+    each checks the mode first."""
+    chains = [_chain([]), _chain(["a"]), _chain(["a", "b"])]
+    for poset in (*chains, _antichain(["a", "b", "c"]), s3_poset):
+        with pytest.raises(ValueError, match="'bogus'"):
+            of.two_dimension_extension(poset, mode="bogus")
+
+
 def test_extension_of_antichain_adds_nothing():
     ext = of.two_dimension_extension(_antichain(["a", "b", "c"]))
     assert ext.k == 0

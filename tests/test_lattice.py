@@ -215,10 +215,11 @@ def test_enumeration_matches_next_closure_on_seeded_contexts():
 
 def test_concept_order_of_diagonal_context():
     ctx = FormalContext(("1", "2", "3"), ("a", "b", "c"), (1, 2, 4))
-    order = concept_order(enumerate_concepts(ctx))
-    n = len(order.concepts)
+    concepts = enumerate_concepts(ctx)
+    order = concept_order(concepts)
+    n = len(concepts)
     assert n == 5
-    sizes = [len(c.extent) for c in order.concepts]
+    sizes = [len(c.extent) for c in concepts]
     bottom = sizes.index(0)
     top = sizes.index(3)
     for i in range(n):
@@ -233,9 +234,10 @@ def test_concept_order_of_diagonal_context():
 
 
 def test_concept_order_matches_extent_inclusion(forced_overlap):
-    order = concept_order(enumerate_concepts(forced_overlap))
-    for i, a in enumerate(order.concepts):
-        for j, b in enumerate(order.concepts):
+    concepts = enumerate_concepts(forced_overlap)
+    order = concept_order(concepts)
+    for i, a in enumerate(concepts):
+        for j, b in enumerate(concepts):
             assert bool(order.leq[i] >> j & 1) == (a.extent <= b.extent)
 
 
@@ -319,7 +321,7 @@ def test_realizer_on_complement_of_factorizable_contexts(forced_overlap):
     order = concept_order(enumerate_concepts(comp))
     conjugate = transitive_orientation(cocomparability_graph(order.leq))
     seq1, seq2 = realizer_sequences(order, conjugate)
-    n = len(order.concepts)
+    n = len(order.leq)
     assert sorted(seq1) == list(range(n))
     assert sorted(seq2) == list(range(n))
     pos1 = {v: p for p, v in enumerate(seq1)}

@@ -5,7 +5,7 @@ import logging
 import pytest
 
 import ordfactor as of
-from ordfactor.context import IncidencePair
+from ordfactor.context import FormalContext, IncidencePair
 from ordfactor.incompat import IncompatibilityGraph
 from ordfactor.maximal import _ExactOct, _heuristic_oct, max_bipartite_subset
 from ordfactor.oracle import (
@@ -366,6 +366,20 @@ def test_unknown_mode_rejected(contranominal3):
     graph = of.build_incompatibility_graph(contranominal3)
     with pytest.raises(ValueError):
         max_bipartite_subset(graph, mode="quantum")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["contranominal3", "forced_overlap", "monuments", "persistent_odd_cycle"],
+)
+def test_maximal_rejects_an_unknown_mode_whether_or_not_a_round_runs(name):
+    """The first two fixtures are bipartite already, so no transversal
+    search runs on them; the mode is still checked."""
+    ctx = of.load_dataset(name)
+    with pytest.raises(ValueError, match="'bogus'"):
+        of.maximal_two_factorization(ctx, mode="bogus")
+    with pytest.raises(ValueError, match="'bogus'"):
+        of.maximal_two_factorization(FormalContext((), (), ()), mode="bogus")
 
 
 def test_monuments_exact_removal(monuments):

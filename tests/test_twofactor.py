@@ -16,6 +16,7 @@ from ordfactor.twofactor import FactorizationResult, FerrersFactor
 from conftest import (
     random_poset,
     reference_canonical_partition,
+    reference_realizer_two_factorize,
     reference_two_factorize,
 )
 
@@ -201,13 +202,6 @@ def test_shared_is_derived_from_the_factors(forced_overlap):
     assert good.shared == good.f1.pairs & good.f2.pairs
 
 
-def test_factor_container_protocol(contranominal3):
-    result = of.two_factorize(contranominal3)
-    assert len(result.f1) == 3
-    assert list(result.f1) == sorted(result.f1.pairs)
-    assert next(iter(result.f1)) in result.f1
-
-
 def test_random_staircase_unions_always_factorize():
     for seed in range(120):
         spec = GeneratorSpec(
@@ -290,6 +284,59 @@ def test_two_factorize_matches_the_whole_lattice_reference():
         assert got == _outcome(reference_two_factorize, ctx), ctx
         verdicts.append(isinstance(got, str))
     assert (len(verdicts), sum(verdicts)) == (2165, 378)
+
+
+def _exact_outcome(factorize, ctx):
+    """The factors and shared pairs as printed, so a plain tuple in
+    place of an IncidencePair shows, or the message of a "no"."""
+    try:
+        result = factorize(ctx)
+    except of.NotTwoFactorizable as exc:
+        return str(exc)
+    return tuple(
+        repr(sorted(pairs))
+        for pairs in (result.f1.pairs, result.f2.pairs, result.shared)
+    )
+
+
+def test_two_factorize_matches_the_realizer_reference():
+    """Reading each factor off the conjugate rows gives the factors,
+    shared pairs and messages that comparing positions in the two
+    checked realizer orders gave."""
+    corpus = [of.load_dataset(name) for name in of.available_datasets()]
+    for s in range(5400):
+        generate = (random_context, random_two_factorizable_context)[s % 2]
+        spec = GeneratorSpec(1 + s % 9, 1 + s // 9 % 9, 0.2 + 0.1 * (s % 7), s)
+        corpus.append(generate(spec))
+    messages = []
+    for ctx in corpus:
+        got = _exact_outcome(of.two_factorize, ctx)
+        assert got == _exact_outcome(reference_realizer_two_factorize, ctx), ctx
+        if isinstance(got, str):
+            messages.append(got)
+    assert (len(corpus), len(messages)) == (5404, 765)
+    # every "no" is the orientation's, none comes from validation
+    assert set(messages) == {
+        "complement object and attribute concepts have no conjugate order"
+    }
+
+
+def test_two_factorize_builds_no_linear_order(
+    monkeypatch, forced_overlap, contranominal3
+):
+    """No total-order check runs: the orders ≤ ∪ T and ≤ ∪ T⁻¹ are a
+    realizer once ``transitive_orientation`` has verified T."""
+    fixtures = (forced_overlap, contranominal3)
+    expected = [reference_realizer_two_factorize(ctx) for ctx in fixtures]
+
+    def refuse(strict):
+        raise AssertionError("linear_sequence was called")
+
+    monkeypatch.setattr("ordfactor.lattice.linear_sequence", refuse)
+    for ctx, want in zip(fixtures, expected):
+        got = of.two_factorize(ctx)
+        assert (got.f1, got.f2, got.shared) == (want.f1, want.f2, want.shared)
+        assert of.validate_factorization(ctx, got) == []
 
 
 def _canonical_corpus():
