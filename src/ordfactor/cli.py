@@ -3,7 +3,8 @@
 Every subcommand reads one input (a file path or ``-`` for stdin),
 prints a single JSON report to stdout and exits with 0 on success,
 1 on domain failures such as a context that admits no factorization,
-2 on unreadable input or bad usage, and 3 when a time budget ran out.
+2 on unreadable input or bad usage, and 3 when a time budget ran out
+or an exact search outgrew Python's recursion limit.
 If the reader closes stdout first, as ``ordfactor stats x.cxt | head``
 may, the exit code is 1 and no traceback is printed.
 """

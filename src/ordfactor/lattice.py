@@ -1,8 +1,8 @@
 """Concept lattices, cocomparability graphs and transitive orientations.
 
 The concept intents are the full attribute set and every intersection
-of object rows, collected in one pass and sorted in lectic order; the
-object and attribute concepts need only the rows, in the same order.
+of object rows, collected in one pass and put in lectic order by
+:func:`lectic_sorted`, as are the object and attribute intents alone.
 The order on concepts (extent inclusion) is kept as bitmask rows, and a
 conjugate order is found, when one exists, by orienting the
 cocomparability graph transitively: implication classes are forced one
@@ -12,7 +12,6 @@ can never leak out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
 from .bitset import bits, transpose
@@ -44,36 +43,20 @@ def enumerate_concepts(
     the default from :func:`concept_cap`, ``math.inf`` disables the
     limit.  Raises :class:`ConceptBudgetExceeded` past the cap.
     """
-    return _lectic_concepts(ctx, concept_intents(ctx, cap))
-
-
-def irreducible_concepts(ctx: FormalContext) -> list[Concept]:
-    """The object and attribute concepts, in lectic order of intents:
-    the rows, and per attribute the intersection of the rows holding it
-    (all attributes when none does).  Every concept is a join of the
-    former and a meet of the latter.
-    """
-    full = (1 << ctx.n_attributes) - 1
-    meets = (
-        reduce(int.__and__, (row for row in ctx.rows if row >> m & 1), full)
-        for m in range(ctx.n_attributes)
-    )
-    return _lectic_concepts(ctx, {*ctx.rows, *meets})
-
-
-def _lectic_concepts(ctx: FormalContext, intents: Iterable[int]) -> list[Concept]:
-    """The concepts with these intents, sorted as bit-reversed masks:
-    in lectic order the smallest attribute where two intents differ
-    belongs to the later one.  Each extent is the rows holding its intent.
-    """
-    m = ctx.n_attributes
     return [
         Concept(
             frozenset(g for g, row in enumerate(ctx.rows) if row & i == i),
             frozenset(bits(i)),
         )
-        for i in sorted(intents, key=lambda mask: f"{mask:0{m}b}"[::-1])
+        for i in lectic_sorted(concept_intents(ctx, cap), ctx.n_attributes)
     ]
+
+
+def lectic_sorted(intents: Iterable[int], n_attributes: int) -> list[int]:
+    """Intent bitmasks in lectic order, sorted as bit-reversed masks: the
+    smallest attribute where two intents differ belongs to the later one.
+    """
+    return sorted(intents, key=lambda mask: f"{mask:0{n_attributes}b}"[::-1])
 
 
 def concept_intents(

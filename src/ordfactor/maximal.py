@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import random
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -142,8 +143,8 @@ def certify_global_optimality(
     kept = (1 << graph.n) - 1 - sum(removed)
     if any(two_color(graph.adjacency, kept | v)[1] is None for v in removed):
         return False
-    search = _ExactOct(graph.adjacency, deadline)
-    return search.solve(search.active, len(result.removed) - 1) is None
+    exact = _ExactOct(graph.adjacency, deadline)
+    return exact.search(len(result.removed) - 1) is None
 
 
 # -- exact solver ------------------------------------------------------
@@ -174,9 +175,21 @@ class _ExactOct:
         self.memo: dict[int, tuple[int, tuple[int, ...]] | int] = {}
 
     def run(self) -> tuple[int, ...]:
-        result = self.solve(self.active, self.n)
+        result = self.search(self.n)
         assert result is not None
         return result[1]
+
+    def search(self, ub: int) -> tuple[int, tuple[int, ...]] | None:
+        """:meth:`solve` on the whole graph.  Each deletion costs two
+        stack frames, so a transversal past about half the recursion
+        limit ends the search like an exhausted budget."""
+        try:
+            return self.solve(self.active, ub)
+        except RecursionError as exc:
+            raise BudgetExceeded(
+                "exact transversal search outgrew Python's recursion limit "
+                f"of {sys.getrecursionlimit()} frames"
+            ) from exc
 
     def solve(
         self, active: int, ub: int

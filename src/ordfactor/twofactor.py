@@ -10,9 +10,10 @@ of the complement context.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Iterable, NamedTuple
 
-from .bitset import bits, transpose
+from .bitset import transpose
 from .context import FormalContext, IncidencePair, complement, remove_incidences
 from .errors import (
     InvalidFactorization,
@@ -22,8 +23,7 @@ from .errors import (
 )
 from .lattice import (
     cocomparability_graph,
-    concept_order,
-    irreducible_concepts,
+    lectic_sorted,
     transitive_orientation,
 )
 
@@ -111,9 +111,13 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     the incompatibility graph is not bipartite, or equivalently the
     complement's concept lattice has dimension above two (Ganter and
     Glodeanu 2012).  With γg and μm the object and attribute concepts of
-    the complement, (g, m) is not incident iff γg ≤ μm.  When the context
-    factorizes, these concepts alone have dimension at most two, as no
-    subposet has a larger dimension than the lattice (Trotter 1992), so
+    the complement, (g, m) is not incident iff γg ≤ μm.  Their intents
+    are the complement's row g and the meet of its rows holding m (all
+    attributes when none does), and a concept lies below another iff
+    its intent contains the other's, so the order is read off these
+    masks, taken in lectic order.  When the context factorizes, these
+    concepts alone have dimension at most two, as no subposet has a
+    larger dimension than the lattice (Trotter 1992), so
     :func:`transitive_orientation` finds and verifies a transitive
     orientation T of their incomparability graph, or says no.  ≤ ∪ T and
     ≤ ∪ T⁻¹ are then a realizer (Dushnik and Miller 1941): factor 1 takes
@@ -130,19 +134,25 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
       poset order, so μm comes first in both iff μm < γg.
     """
     comp = complement(ctx)
-    concepts = irreducible_concepts(comp)
-    leq = concept_order(concepts).leq
+    full = (1 << comp.n_attributes) - 1
+    meets = [
+        reduce(int.__and__, (row for row in comp.rows if row >> m & 1), full)
+        for m in range(comp.n_attributes)
+    ]
+    intents = lectic_sorted({*comp.rows, *meets}, comp.n_attributes)
+    leq = [
+        sum(1 << j for j, sub in enumerate(intents) if intent & sub == sub)
+        for intent in intents
+    ]
     try:
         conjugate = transitive_orientation(cocomparability_graph(leq))
     except NotTwoDimensional as exc:
         raise NotTwoFactorizable(
             "complement object and attribute concepts have no conjugate order"
         ) from exc
-    by_intent = {c.intent: i for i, c in enumerate(concepts)}
-    by_extent = {c.extent: i for i, c in enumerate(concepts)}
-    gamma = [by_intent[frozenset(bits(row))] for row in comp.rows]
-    columns = transpose(comp.rows, comp.n_attributes)
-    mu = [by_extent[frozenset(bits(column))] for column in columns]
+    index = {intent: i for i, intent in enumerate(intents)}
+    gamma = [index[row] for row in comp.rows]
+    mu = [index[meet] for meet in meets]
     f1, f2 = (
         frozenset(
             p

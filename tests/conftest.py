@@ -5,6 +5,7 @@ import io
 import json
 import random
 import time
+from functools import reduce
 
 import pytest
 
@@ -33,11 +34,11 @@ from ordfactor.incompat import (
     two_color,
 )
 from ordfactor.lattice import (
+    Concept,
     cocomparability_graph,
     concept_cap,
     concept_order,
     enumerate_concepts,
-    irreducible_concepts,
     linear_sequence,
     realizer_sequences,
     transitive_orientation,
@@ -333,6 +334,68 @@ def reference_two_factorize(ctx):
         removed=frozenset(),
         certificate=True,
         rounds=0,
+    )
+    problems = validate_factorization(ctx, result)
+    if problems:
+        raise NotTwoFactorizable("; ".join(v.message for v in problems))
+    return result
+
+
+def irreducible_concepts(ctx):
+    """``lattice.irreducible_concepts`` as it was before ``two_factorize``
+    ordered the intent masks directly: the object and attribute concepts,
+    in lectic order of intents.  Kept verbatim, with its helper, for the
+    references below."""
+    full = (1 << ctx.n_attributes) - 1
+    meets = (
+        reduce(int.__and__, (row for row in ctx.rows if row >> m & 1), full)
+        for m in range(ctx.n_attributes)
+    )
+    return _lectic_concepts(ctx, {*ctx.rows, *meets})
+
+
+def _lectic_concepts(ctx, intents):
+    m = ctx.n_attributes
+    return [
+        Concept(
+            frozenset(g for g, row in enumerate(ctx.rows) if row & i == i),
+            frozenset(bits(i)),
+        )
+        for i in sorted(intents, key=lambda mask: f"{mask:0{m}b}"[::-1])
+    ]
+
+
+def reference_concept_two_factorize(ctx):
+    """``two_factorize`` as it was before it ordered the intent masks
+    directly: it builds a ``Concept`` per object and attribute concept,
+    orders them with ``concept_order`` and finds each row and column
+    again by its frozenset.  Kept verbatim as a reference: the factors,
+    the shared pairs and every message must not change."""
+    comp = complement(ctx)
+    concepts = irreducible_concepts(comp)
+    leq = concept_order(concepts).leq
+    try:
+        conjugate = transitive_orientation(cocomparability_graph(leq))
+    except NotTwoDimensional as exc:
+        raise NotTwoFactorizable(
+            "complement object and attribute concepts have no conjugate order"
+        ) from exc
+    by_intent = {c.intent: i for i, c in enumerate(concepts)}
+    by_extent = {c.extent: i for i, c in enumerate(concepts)}
+    gamma = [by_intent[frozenset(bits(row))] for row in comp.rows]
+    columns = transpose(comp.rows, comp.n_attributes)
+    mu = [by_extent[frozenset(bits(column))] for column in columns]
+    f1, f2 = (
+        frozenset(
+            p
+            for p in ctx.pairs()
+            if (leq[mu[p[1]]] | after[mu[p[1]]]) >> gamma[p[0]] & 1
+        )
+        for after in (conjugate, transpose(conjugate, len(leq)))
+    )
+    f1, f2 = _canonical_labels(f1, f2)
+    result = FactorizationResult(
+        FerrersFactor(f1), FerrersFactor(f2), frozenset(), certificate=True
     )
     problems = validate_factorization(ctx, result)
     if problems:

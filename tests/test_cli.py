@@ -137,6 +137,18 @@ def test_maximal_budget_exhaustion(capsys):
     assert report["error"]["type"] == "BudgetExceeded"
 
 
+def test_maximal_past_the_recursion_limit_exits_3(capsys, tmp_path):
+    """An exact search too deep for Python's stack ends in a JSON report
+    with exit code 3, not a traceback."""
+    path = tmp_path / "random34.cxt"
+    ctx = of.random_context(of.GeneratorSpec(34, 34, 0.5, 0))
+    path.write_text(of.serialize_cxt(ctx), encoding="utf-8")
+    code = run(["maximal", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
+
+
 def test_maximal_certify_shares_the_budget(capsys, tmp_path):
     """The minimality proof runs under what the search left of
     --budget.  Here the heuristic removes 53 incidences in one round,

@@ -13,7 +13,7 @@ from ordfactor.lattice import (
     concept_cap,
     concept_order,
     enumerate_concepts,
-    irreducible_concepts,
+    lectic_sorted,
     linear_sequence,
     realizer_sequences,
     transitive_orientation,
@@ -113,9 +113,10 @@ def test_lectic_order_of_intents(forced_overlap):
     assert keys == sorted(keys)
 
 
-def test_irreducible_concepts_are_the_object_and_attribute_concepts():
-    """Exactly the concepts whose intent is a row or whose extent is a
-    column, in the lectic order of the whole enumeration."""
+def test_lectic_sorted_orders_object_and_attribute_intents_as_next_closure():
+    """The intents ``two_factorize`` orders, those of the object and
+    attribute concepts, come out in the order NextClosure produces them
+    in the whole enumeration."""
     contexts = [
         FormalContext((), ("m", "n"), ()),
         FormalContext(("g", "h"), (), (0, 0)),
@@ -125,16 +126,16 @@ def test_irreducible_concepts_are_the_object_and_attribute_concepts():
         for s in range(60)
     ]
     for ctx in contexts:
-        intents = {frozenset(bits(row)) for row in ctx.rows}
-        extents = {
-            frozenset(g for g, row in enumerate(ctx.rows) if row >> m & 1)
+        columns = {
+            sum(1 << g for g, row in enumerate(ctx.rows) if row >> m & 1)
             for m in range(ctx.n_attributes)
         }
-        assert irreducible_concepts(ctx) == [
-            c
-            for c in enumerate_concepts(ctx, math.inf)
-            if c.intent in intents or c.extent in extents
+        expected = [
+            intent
+            for extent, intent in reference_concept_masks(ctx, math.inf)
+            if intent in ctx.rows or extent in columns
         ]
+        assert lectic_sorted(set(expected), ctx.n_attributes) == expected
 
 
 def test_concept_cap_enforced():

@@ -517,6 +517,25 @@ def test_persistent_fixture_exact_budget_runs_out(persistent_odd_cycle):
         )
 
 
+def test_exact_search_past_the_recursion_limit_runs_out_of_budget():
+    """Each deletion costs the exact search two stack frames, so a
+    transversal of hundreds of incidences outgrows Python's recursion
+    limit; the search ends as an exhausted budget, not a RecursionError."""
+    ctx = random_context(GeneratorSpec(34, 34, 0.5, 0))
+    with pytest.raises(of.BudgetExceeded, match="recursion limit"):
+        of.maximal_two_factorization(ctx, mode="exact")
+
+
+def test_certify_past_the_recursion_limit_runs_out_of_budget():
+    """The minimality proof of a 948-incidence heuristic removal runs
+    into the same limit long before its budget."""
+    ctx = random_context(GeneratorSpec(50, 50, 0.5, 0))
+    result = of.maximal_two_factorization(ctx, mode="heuristic", seed=0)
+    assert (len(result.removed), result.rounds) == (948, 1)
+    with pytest.raises(of.BudgetExceeded, match="recursion limit"):
+        of.certify_global_optimality(ctx, result, budget=10)
+
+
 def test_heuristic_mode_never_certifies(monuments):
     result = of.maximal_two_factorization(monuments, mode="heuristic", seed=0)
     assert not result.certificate

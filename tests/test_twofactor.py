@@ -16,6 +16,7 @@ from ordfactor.twofactor import FactorizationResult, FerrersFactor
 from conftest import (
     random_poset,
     reference_canonical_partition,
+    reference_concept_two_factorize,
     reference_realizer_two_factorize,
     reference_two_factorize,
 )
@@ -337,6 +338,41 @@ def test_two_factorize_builds_no_linear_order(
         got = of.two_factorize(ctx)
         assert (got.f1, got.f2, got.shared) == (want.f1, want.f2, want.shared)
         assert of.validate_factorization(ctx, got) == []
+
+
+def test_two_factorize_matches_the_concept_reference():
+    """Ordering the complement's intent masks directly gives the
+    factors, shared pairs and messages that ordering ``Concept`` objects
+    with ``concept_order`` gave, down to empty contexts."""
+    corpus = [of.load_dataset(name) for name in of.available_datasets()]
+    for s in range(5400):
+        generate = (random_context, random_two_factorizable_context)[s % 2]
+        spec = GeneratorSpec(s % 10, s // 10 % 10, 0.2 + 0.1 * (s % 7), s)
+        corpus.append(generate(spec))
+    verdicts = []
+    for ctx in corpus:
+        got = _exact_outcome(of.two_factorize, ctx)
+        assert got == _exact_outcome(reference_concept_two_factorize, ctx), ctx
+        verdicts.append(isinstance(got, str))
+    assert (len(verdicts), sum(verdicts)) == (5404, 555)
+
+
+def test_two_factorize_builds_no_concept(
+    monkeypatch, forced_overlap, contranominal3
+):
+    """The order is read off the intent masks: no ``Concept`` is built
+    and ``concept_order`` is not called."""
+    fixtures = (forced_overlap, contranominal3)
+    expected = [reference_concept_two_factorize(ctx) for ctx in fixtures]
+
+    def refuse(*args):
+        raise AssertionError("a concept object was built or ordered")
+
+    monkeypatch.setattr("ordfactor.lattice.concept_order", refuse)
+    monkeypatch.setattr("ordfactor.lattice.Concept", refuse)
+    for ctx, want in zip(fixtures, expected):
+        got = of.two_factorize(ctx)
+        assert (got.f1, got.f2, got.shared) == (want.f1, want.f2, want.shared)
 
 
 def _canonical_corpus():
