@@ -48,19 +48,17 @@ class IncompatibilityGraph:
 
 @dataclass(frozen=True)
 class BipartitionWitness:
-    """Either a 2-coloring or an odd cycle, never both.
+    """An odd cycle, or None when the graph is bipartite.
 
-    ``coloring`` maps vertex index to color 1 or 2; ``odd_cycle`` is a
-    vertex index sequence of odd length whose consecutive members (and
-    last-to-first pair) are adjacent.
+    ``odd_cycle`` is a vertex index sequence of odd length whose
+    consecutive members (and last-to-first pair) are adjacent.
     """
 
-    coloring: dict[int, int] | None
     odd_cycle: tuple[int, ...] | None
 
     @property
     def is_bipartite(self) -> bool:
-        return self.coloring is not None
+        return self.odd_cycle is None
 
 
 def build_incompatibility_graph(ctx: FormalContext) -> IncompatibilityGraph:
@@ -94,19 +92,18 @@ def isolated_pairs(graph: IncompatibilityGraph) -> frozenset[IncidencePair]:
 def bipartition(graph: IncompatibilityGraph) -> BipartitionWitness:
     """2-color the graph or extract an odd cycle.
 
-    Color 2 is the odd-layer mask of :func:`two_color`, so the smallest
-    vertex of each component gets color 1 and the witness is
-    deterministic.
+    Either witness is checked: the odd cycle edge by edge, the
+    odd-layer mask of :func:`two_color` against every edge.
     """
     everything = (1 << graph.n) - 1
     ones, cycle = two_color(graph.adjacency, everything)
     if cycle is not None:
         _verify_cycle(graph, cycle)
-        return BipartitionWitness(None, cycle)
+        return BipartitionWitness(cycle)
     for v in range(graph.n):
         if graph.adjacency[v] & (ones if ones >> v & 1 else everything & ~ones):
             raise AssertionError("coloring violates an edge")
-    return BipartitionWitness({v: (ones >> v & 1) + 1 for v in range(graph.n)}, None)
+    return BipartitionWitness(None)
 
 
 def two_color(

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import logging
 import random
-import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Generator, Sequence
 
 from .bitset import bits, transpose
 from .context import FormalContext, IncidencePair, remove_incidences
@@ -149,6 +148,9 @@ def certify_global_optimality(
 
 # -- exact solver ------------------------------------------------------
 
+# a transversal's size and sorted vertices, or None when it exceeds the bound
+_Answer = tuple[int, tuple[int, ...]] | None
+
 
 class _ExactOct:
     """Branch and bound for minimum odd cycle transversals.
@@ -179,22 +181,30 @@ class _ExactOct:
         assert result is not None
         return result[1]
 
-    def search(self, ub: int) -> tuple[int, tuple[int, ...]] | None:
-        """:meth:`solve` on the whole graph.  Each deletion costs two
-        stack frames, so a transversal past about half the recursion
-        limit ends the search like an exhausted budget."""
-        try:
-            return self.solve(self.active, ub)
-        except RecursionError as exc:
-            raise BudgetExceeded(
-                "exact transversal search outgrew Python's recursion limit "
-                f"of {sys.getrecursionlimit()} frames"
-            ) from exc
+    def search(self, ub: int) -> _Answer:
+        """:meth:`solve` on the whole graph.  The subproblems run on a
+        list used as a stack: each answer goes to the generator that
+        asked for it, so the search depth is not bounded by Python's."""
+        stack = [self.solve(self.active, ub)]
+        answer = None
+        while True:
+            try:
+                request = stack[-1].send(answer)
+            except StopIteration as done:
+                stack.pop()
+                answer = done.value
+                if not stack:
+                    return answer
+            else:
+                stack.append(self.solve(*request))
+                answer = None
 
     def solve(
         self, active: int, ub: int
-    ) -> tuple[int, tuple[int, ...]] | None:
-        """Exact lex-smallest minimum transversal if its size <= ub."""
+    ) -> Generator[tuple[int, int], _Answer, _Answer]:
+        """Exact lex-smallest minimum transversal if its size <= ub.
+        Yields each subproblem as ``(active, ub)`` and is sent its
+        answer."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("exact transversal search out of time")
         if ub < 0:
@@ -204,42 +214,34 @@ class _ExactOct:
             return known if known[0] <= ub else None
         if known > ub:
             return None
-        result: tuple[int, tuple[int, ...]] | None
+        # a bipartite subgraph, like the empty one, needs no deletion
+        result: _Answer = (0, ())
         parts = list(sweep(self.adj, active))
-        if len(parts) == 1:
-            result = self._solve_connected(active, parts[0][2], ub)
-        else:
-            result = (0, ())
+        if len(parts) != 1:
             for part, _, _ in parts:
-                sub = self.solve(part, ub - result[0])
+                sub = yield part, ub - result[0]
                 if sub is None:
                     result = None
                     break
                 merged = tuple(sorted(result[1] + sub[1]))
                 result = (result[0] + sub[0], merged)
+        elif parts[0][2] is not None:
+            cycles = pack_odd_cycles(self.adj, active, sum(parts[0][2]))
+            # prune: each packed cycle needs a deletion of its own
+            branch = min(cycles, key=int.bit_count) if len(cycles) <= ub else 0
+            result = None
+            for v in bits(branch):
+                # limit keeps equal-size candidates reachable for the
+                # lexicographic tie-break
+                limit = (result[0] if result is not None else ub) - 1
+                sub = yield active & ~(1 << v), limit
+                if sub is None:
+                    continue
+                candidate = (sub[0] + 1, tuple(sorted(sub[1] + (v,))))
+                if result is None or candidate < result:
+                    result = candidate
         self.memo[active] = ub + 1 if result is None else result
         return result
-
-    def _solve_connected(
-        self, active: int, walk: list[int] | None, ub: int
-    ) -> tuple[int, tuple[int, ...]] | None:
-        if walk is None:
-            return (0, ())
-        cycles = pack_odd_cycles(self.adj, active, sum(walk))
-        if len(cycles) > ub:
-            return None
-        best: tuple[int, tuple[int, ...]] | None = None
-        for v in bits(min(cycles, key=int.bit_count)):
-            # limit keeps equal-size candidates reachable for the
-            # lexicographic tie-break
-            limit = (best[0] if best is not None else ub) - 1
-            sub = self.solve(active & ~(1 << v), limit)
-            if sub is None:
-                continue
-            candidate = (sub[0] + 1, tuple(sorted(sub[1] + (v,))))
-            if best is None or candidate < best:
-                best = candidate
-        return best
 
 
 # -- heuristic solver --------------------------------------------------

@@ -137,16 +137,18 @@ def test_maximal_budget_exhaustion(capsys):
     assert report["error"]["type"] == "BudgetExceeded"
 
 
-def test_maximal_past_the_recursion_limit_exits_3(capsys, tmp_path):
-    """An exact search too deep for Python's stack ends in a JSON report
-    with exit code 3, not a traceback."""
+def test_budget_ends_a_deep_exact_search_with_exit_3(capsys, tmp_path):
+    """An exact search that needs hundreds of deletions runs until
+    --budget ends it in a JSON report with exit code 3."""
     path = tmp_path / "random34.cxt"
     ctx = of.random_context(of.GeneratorSpec(34, 34, 0.5, 0))
     path.write_text(of.serialize_cxt(ctx), encoding="utf-8")
-    code = run(["maximal", str(path)])
+    code = run(["maximal", str(path), "--budget", "1"])
     out, err = capsys.readouterr()
     assert (code, err) == (3, "")
-    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
+    error = json.loads(out)["error"]
+    assert error["type"] == "BudgetExceeded"
+    assert "out of time" in error["message"]
 
 
 def test_maximal_certify_shares_the_budget(capsys, tmp_path):

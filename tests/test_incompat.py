@@ -82,15 +82,16 @@ def test_adjacency_matches_pair_rule(monuments):
 
 def test_bipartition_coloring_is_proper_and_deterministic(contranominal3):
     graph = of.build_incompatibility_graph(contranominal3)
-    first = of.bipartition(graph)
-    second = of.bipartition(graph)
-    assert first.is_bipartite
-    assert first.coloring == second.coloring
+    everything = (1 << graph.n) - 1
+    assert of.bipartition(graph).is_bipartite
+    first, cycle = two_color(graph.adjacency, everything)
+    assert cycle is None
+    assert two_color(graph.adjacency, everything) == (first, None)
     for i, row in enumerate(graph.adjacency):
         for j in bits(row):
-            assert first.coloring[i] != first.coloring[j]
+            assert first >> i & 1 != first >> j & 1
     for comp in of.components(graph):
-        assert first.coloring[min(comp)] == 1
+        assert not first >> min(comp) & 1
 
 
 def test_bipartition_odd_cycle_on_monuments(monuments):

@@ -1,6 +1,8 @@
 """Maximal factorization via odd cycle transversals."""
+import inspect
 import itertools
 import logging
+import sys
 
 import pytest
 
@@ -121,12 +123,9 @@ def test_exact_on_overlapping_odd_cycles(n, edges, expected):
     deleted_idx = {graph.vertex_index(p) for p in solution.deleted}
     assert tuple(sorted(deleted_idx)) == expected
     # the bounded call behind certify_global_optimality
-    everything = (1 << n) - 1
     k = len(expected)
-    assert _ExactOct(graph.adjacency, None).solve(everything, k - 1) is None
-    assert _ExactOct(graph.adjacency, None).solve(everything, k) == (
-        k, expected
-    )
+    assert _ExactOct(graph.adjacency, None).search(k - 1) is None
+    assert _ExactOct(graph.adjacency, None).search(k) == (k, expected)
 
 
 def test_exact_matches_brute_force_on_random_graphs():
@@ -517,23 +516,44 @@ def test_persistent_fixture_exact_budget_runs_out(persistent_odd_cycle):
         )
 
 
-def test_exact_search_past_the_recursion_limit_runs_out_of_budget():
-    """Each deletion costs the exact search two stack frames, so a
-    transversal of hundreds of incidences outgrows Python's recursion
-    limit; the search ends as an exhausted budget, not a RecursionError."""
+def test_budget_ends_an_exact_search_of_hundreds_of_deletions():
+    """A transversal of hundreds of incidences is past what a recursive
+    search could reach on Python's stack; the explicit stack leaves
+    only the budget to end the search."""
     ctx = random_context(GeneratorSpec(34, 34, 0.5, 0))
-    with pytest.raises(of.BudgetExceeded, match="recursion limit"):
-        of.maximal_two_factorization(ctx, mode="exact")
+    with pytest.raises(of.BudgetExceeded, match="out of time"):
+        of.maximal_two_factorization(ctx, mode="exact", budget=1)
 
 
-def test_certify_past_the_recursion_limit_runs_out_of_budget():
+def test_budget_ends_the_proof_of_a_948_incidence_removal():
     """The minimality proof of a 948-incidence heuristic removal runs
-    into the same limit long before its budget."""
+    until its budget ends it."""
     ctx = random_context(GeneratorSpec(50, 50, 0.5, 0))
     result = of.maximal_two_factorization(ctx, mode="heuristic", seed=0)
     assert (len(result.removed), result.rounds) == (948, 1)
-    with pytest.raises(of.BudgetExceeded, match="recursion limit"):
-        of.certify_global_optimality(ctx, result, budget=10)
+    with pytest.raises(of.BudgetExceeded, match="out of time"):
+        of.certify_global_optimality(ctx, result, budget=1)
+
+
+def test_exact_search_depth_is_not_bound_by_the_recursion_limit():
+    """Under a recursion limit only 20 frames above the caller's, the
+    exact search and the minimality proof still give the answers they
+    give at the normal limit: the search keeps its subproblems on a
+    list, not on Python's stack."""
+    ctx = random_context(GeneratorSpec(10, 10, 0.5, 1))
+    adj = of.build_incompatibility_graph(ctx).adjacency
+    expected = _ExactOct(adj, None).run()
+    assert len(expected) == 10
+    result = of.maximal_two_factorization(ctx, mode="heuristic", seed=0)
+    assert len(result.removed) == 10
+    assert of.certify_global_optimality(ctx, result)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 20)
+    try:
+        assert _ExactOct(adj, None).run() == expected
+        assert of.certify_global_optimality(ctx, result)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_heuristic_mode_never_certifies(monuments):
