@@ -125,36 +125,32 @@ def pack_odd_cycles(adj: Sequence[int], active: int, first: int) -> list[int]:
     """Vertex-disjoint odd cycles of the subgraph induced by ``active``
     as vertex masks, packed greedily from ``first``, the mask of the
     first cycle :func:`sweep` closes there; each next one is the first
-    cycle the sweep closes in what is left.  Removing a cycle changes
-    no other component, so the sweep resumes at the smallest vertex
-    not yet found in a bipartite component instead of starting over."""
+    cycle the sweep closes in what is left.  A bipartite component
+    holds no odd cycle and removing a cycle changes no other
+    component, so each bipartite component swept leaves ``active`` and
+    the next sweep starts where this one stopped."""
     cycles = [first]
-    left = active = active & ~first
+    active &= ~first
     while True:
-        for part, _, walk in sweep(adj, active, left, stop=True):
+        for part, _, walk in sweep(adj, active, stop=True):
             if walk is not None:
                 break
-            left &= ~part
+            active &= ~part
         else:
             return cycles
         cycle = sum(walk)
         cycles.append(cycle)
         active &= ~cycle
-        left &= ~cycle
 
 
 def sweep(
-    adj: Sequence[int],
-    active: int,
-    left: int | None = None,
-    stop: bool = False,
+    adj: Sequence[int], active: int, stop: bool = False
 ) -> Iterator[tuple[int, int, list[int] | None]]:
     """Breadth-first sweep of the subgraph induced by ``active``, one
-    component at a time from the smallest vertex of ``left`` (default
-    ``active``) not yet swept, one layer at a time: a layer is a bitmask
-    and the next one holds its members' neighbours not yet seen.  An
-    edge inside a layer (a clash) closes an odd cycle; every other edge
-    joins consecutive layers.
+    component at a time from its smallest vertex not yet swept, one
+    layer at a time: a layer is a bitmask and the next one holds its
+    members' neighbours not yet seen.  An edge inside a layer (a clash)
+    closes an odd cycle; every other edge joins consecutive layers.
 
     Yields ``(mask, odd, walk)`` per component: its vertices, its odd
     layers and, unless it is bipartite, the cycle of its first clash as
@@ -164,7 +160,7 @@ def sweep(
     layer above until they meet.  With ``stop`` the sweep ends at the
     first clash, whose mask then holds only the layers swept so far.
     """
-    left = active if left is None else left
+    left = active
     while left:
         layer = seen = left & -left
         layers = [layer]

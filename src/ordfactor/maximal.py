@@ -94,7 +94,8 @@ def maximal_two_factorization(
     while not bipartition(graph).is_bipartite:
         if rounds >= ctx.incidence_count:
             raise AssertionError("transversal loop failed to terminate")
-        # an exact search out of time raises BudgetExceeded at its first node
+        # an exact search out of time raises BudgetExceeded before its
+        # first subproblem, which every non-bipartite graph needs
         remaining = deadline - time.monotonic() if deadline is not None else None
         solution = max_bipartite_subset(graph, mode, remaining, seed)
         removed |= solution.deleted
@@ -169,22 +170,23 @@ class _ExactOct:
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
         self.adj = adjacency
-        self.n = len(adjacency)
         self.deadline = deadline
         # isolated vertices lie on no odd cycle
-        self.active = sum(1 << v for v in range(self.n) if adjacency[v])
+        self.active = sum(1 << v for v in range(len(adjacency)) if adjacency[v])
         # a solved subgraph's transversal, or a size its transversal exceeds
         self.memo: dict[int, tuple[int, tuple[int, ...]] | int] = {}
 
     def run(self) -> tuple[int, ...]:
-        result = self.search(self.n)
+        result = self.search(len(self.adj))
         assert result is not None
         return result[1]
 
     def search(self, ub: int) -> _Answer:
         """:meth:`solve` on the whole graph.  The subproblems run on a
         list used as a stack: each answer goes to the generator that
-        asked for it, so the search depth is not bounded by Python's."""
+        asked for it, so the search depth is not bounded by Python's.
+        The clock is read before each subproblem is started, never
+        before the root, so every search does its first node."""
         stack = [self.solve(self.active, ub)]
         answer = None
         while True:
@@ -196,6 +198,8 @@ class _ExactOct:
                 if not stack:
                     return answer
             else:
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    raise BudgetExceeded("exact transversal search out of time")
                 stack.append(self.solve(*request))
                 answer = None
 
@@ -205,8 +209,6 @@ class _ExactOct:
         """Exact lex-smallest minimum transversal if its size <= ub.
         Yields each subproblem as ``(active, ub)`` and is sent its
         answer."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("exact transversal search out of time")
         if ub < 0:
             return None
         known = self.memo.get(active, 0)

@@ -70,17 +70,17 @@ def brute_force_min_removal(
     ``k_max`` with :func:`itertools.combinations`, rebuilding the
     incompatibility graph each time.  Raises :class:`NotFound` when no
     subset within the bound works and :class:`BudgetExceeded` when the
-    enumeration outlasts ``budget`` seconds.
+    enumeration outlasts ``budget`` seconds, read after each candidate.
     """
     deadline = time.monotonic() + budget if budget is not None else None
     pairs = ctx.pairs()
     for k in range(min(k_max, len(pairs)) + 1):
         for subset in combinations(range(len(pairs)), k):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded("brute-force removal search out of time")
             candidate = remove_incidences(ctx, [pairs[i] for i in subset])
             if bipartition(build_incompatibility_graph(candidate)).is_bipartite:
                 return k
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded("brute-force removal search out of time")
     raise NotFound(f"no removal of at most {k_max} incidences suffices")
 
 

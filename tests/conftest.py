@@ -126,6 +126,43 @@ def induced_bipartite(graph, deleted):
     return True
 
 
+def planted_context(k, seed):
+    """A k x k union of two staircases, ``random_two_factorizable_context``
+    at density 0.4, with 3 of its non-incidences switched on (chosen by
+    ``random.Random(seed)``).  Removing those 3 gives back a
+    two-factorizable context, so the optimum is at most 3."""
+    ctx = of.random_two_factorizable_context(of.GeneratorSpec(k, k, 0.4, seed))
+    holes = [
+        (g, m)
+        for g in range(k)
+        for m in range(k)
+        if not ctx.rows[g] >> m & 1
+    ]
+    rows = list(ctx.rows)
+    for g, m in random.Random(seed).sample(holes, 3):
+        rows[g] |= 1 << m
+    return FormalContext(ctx.objects, ctx.attributes, tuple(rows))
+
+
+def checked_cycle_bound(ctx, cycles):
+    """How many incidences any valid removal from ``ctx`` must drop, by
+    ``cycles``: each one a sequence of incidence pairs in cycle order.
+    It reads only the context rows, so it trusts no solver code: each
+    cycle must be odd and closed, each consecutive pair (last to first
+    included) incompatible by the pair rule, and no two cycles may share
+    an incidence.  Each such cycle needs a removal of its own."""
+    used = set()
+    for cycle in cycles:
+        assert len(cycle) % 2 == 1 and len(cycle) >= 3, cycle
+        assert len(set(cycle)) == len(cycle), cycle
+        for (g, m), (h, n) in zip(cycle, cycle[1:] + cycle[:1]):
+            assert ctx.rows[g] >> m & 1 and ctx.rows[h] >> n & 1
+            assert not ctx.rows[g] >> n & 1 and not ctx.rows[h] >> m & 1
+        assert used.isdisjoint(cycle), cycle
+        used.update(cycle)
+    return len(cycles)
+
+
 def reference_two_color(adj, active):
     """The queue-based breadth-first 2-coloring that ``incompat.two_color``
     replaced, kept verbatim as a reference: its colorings must match the

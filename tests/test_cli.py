@@ -441,6 +441,23 @@ def test_oracle_budget_runs_out(capsys, monkeypatch):
     assert elapsed < 5
 
 
+@pytest.mark.parametrize(
+    "path, code, payload",
+    [(FORCED, 0, {"k": 0, "kmax": 2}), (PERSISTENT, 3, None)],
+    ids=["forced_overlap", "persistent_odd_cycle"],
+)
+def test_oracle_under_a_zero_budget(capsys, path, code, payload):
+    """--budget 0 still tries the empty removal, which repairs
+    forced_overlap; persistent_odd_cycle needs more and exits 3."""
+    result, report = _run(capsys, ["oracle", path, "--kmax", "2", "--budget", "0"])
+    assert result == code
+    if payload is None:
+        assert report["error"]["type"] == "BudgetExceeded"
+        assert "out of time" in report["error"]["message"]
+    else:
+        assert report["payload"] == payload
+
+
 def test_unknown_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         run(["nonsense"])

@@ -17,7 +17,10 @@ from ordfactor.oracle import (
 )
 
 from conftest import (
+    checked_cycle_bound,
     induced_bipartite,
+    planted_context,
+    reference_disjoint_odd_cycles,
     reference_heuristic_oct,
     reference_packing,
     reference_two_color,
@@ -269,6 +272,24 @@ def _milp_oct(adjacency):
     return {v for v in range(n) if result.x[v] > 0.5}
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "ctx, optimum",
+    [
+        (random_context(GeneratorSpec(12, 12, 0.5, 2)), 20),
+        (of.load_dataset("persistent_odd_cycle"), 12),
+    ],
+    ids=["random-12x12-seed2", "persistent_odd_cycle"],
+)
+def test_milp_proves_the_slow_optima(ctx, optimum):
+    """The MILP oracle's minimum on inputs it needs 30 s to minutes
+    for; the exact search does not finish persistent's within a test."""
+    graph = of.build_incompatibility_graph(ctx)
+    milp = _milp_oct(graph.adjacency)
+    assert induced_bipartite(graph, milp)
+    assert len(milp) == optimum
+
+
 def test_exact_search_matches_a_milp_oracle(monuments):
     """The monuments graph and the first-round graphs of the random
     repair_exact bench inputs; their optima are 2, 7, 5, 11 and 10."""
@@ -418,6 +439,43 @@ def test_certify_global_optimality(monuments, forced_overlap):
     assert of.certify_global_optimality(monuments, exact)
     clean = of.maximal_two_factorization(forced_overlap, mode="exact")
     assert of.certify_global_optimality(forced_overlap, clean)
+
+
+def test_a_spent_budget_still_runs_the_root_node(
+    forced_overlap, persistent_odd_cycle
+):
+    """The clock is read between subproblems, never before the root: a
+    zero budget still answers a graph that needs no subproblem, and
+    runs out of time on one that does."""
+    graph = of.build_incompatibility_graph(forced_overlap)
+    assert max_bipartite_subset(graph, "exact", budget=0).deleted == frozenset()
+    clean = of.two_factorize(forced_overlap)
+    assert of.certify_global_optimality(forced_overlap, clean, budget=0) is True
+    graph = of.build_incompatibility_graph(persistent_odd_cycle)
+    with pytest.raises(of.BudgetExceeded, match="out of time"):
+        max_bipartite_subset(graph, "exact", budget=0)
+
+
+@pytest.mark.parametrize("k", [30, 40])
+def test_exact_meets_the_checked_cycle_bound_on_planted_contexts(k):
+    """On contexts far past brute force, the exact removal is exactly
+    as large as a packing of vertex-disjoint odd cycles, checked on the
+    rows alone, so it is the optimum; the 3 planted incidences bound it
+    from above.  The seed-0 heuristic's excess is printed, not bound."""
+    for seed in range(6):
+        ctx = planted_context(k, seed)
+        graph = of.build_incompatibility_graph(ctx)
+        cycles = reference_disjoint_odd_cycles(graph.adjacency, (1 << graph.n) - 1)
+        bound = checked_cycle_bound(
+            ctx, [[graph.vertices[v] for v in cycle] for cycle in cycles]
+        )
+        result = of.maximal_two_factorization(ctx, mode="exact")
+        assert of.validate_factorization(ctx, result) == []
+        assert len(result.removed) == bound <= 3
+        assert result.rounds == min(bound, 1)
+        heuristic = of.maximal_two_factorization(ctx, mode="heuristic", seed=0)
+        print(f"planted {k}x{k} seed {seed}: optimum {bound}, "
+              f"heuristic excess {len(heuristic.removed) - bound}")
 
 
 def test_certify_refuses_invalid_results(monuments):

@@ -67,6 +67,16 @@ def test_brute_force_monuments_needs_two(monuments):
     assert of.brute_force_min_removal(monuments, k_max=2, budget=60.0) == 2
 
 
+def test_brute_force_tries_its_first_candidate_under_a_spent_budget(
+    forced_overlap, persistent_odd_cycle
+):
+    """The clock is read after each candidate, so a zero budget still
+    answers an input that the empty removal already repairs."""
+    assert of.brute_force_min_removal(forced_overlap, k_max=2, budget=0) == 0
+    with pytest.raises(of.BudgetExceeded, match="out of time"):
+        of.brute_force_min_removal(persistent_odd_cycle, k_max=2, budget=0)
+
+
 def test_brute_force_raises_when_bound_too_small(monuments):
     with pytest.raises(of.NotFound):
         of.brute_force_min_removal(monuments, k_max=1)
