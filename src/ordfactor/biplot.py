@@ -37,10 +37,6 @@ class FactorAxis:
     labels: tuple[str, ...]
     positions: tuple[int, ...]
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.groups)
-
 
 def factor_axis(ctx: FormalContext, pairs: Iterable) -> FactorAxis:
     """Build the axis of one Ferrers factor of ``ctx``.
@@ -168,7 +164,7 @@ def _render_svg(
     for text in (title or "", *axes[0].objects, *axes[0].labels, *axes[1].labels):
         if _NOT_XML.search(text):
             raise MalformedHeader(f"{text!r} holds a character XML forbids")
-    nx, ny = axes[0].n_steps, axes[1].n_steps
+    nx, ny = len(axes[0].groups), len(axes[1].groups)
     width = 2 * _MARGIN + _STEP * max(nx, 1)
     height = 2 * _MARGIN + _STEP * max(ny, 1)
 
@@ -235,7 +231,7 @@ def _render_svg(
 def _render_tikz(
     axes: tuple[FactorAxis, FactorAxis], title: str | None
 ) -> str:
-    nx, ny = max(axes[0].n_steps, 1), max(axes[1].n_steps, 1)
+    nx, ny = max(len(axes[0].groups), 1), max(len(axes[1].groups), 1)
     lines = [
         r"\documentclass[tikz,border=8pt]{standalone}",
         r"\begin{document}",

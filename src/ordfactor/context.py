@@ -128,10 +128,6 @@ class FormalContext:
             "X" if self.rows[g] >> m & 1 else "." for m in range(self.n_attributes)
         )
 
-    def transpose(self) -> "FormalContext":
-        cols = transpose(self.rows, self.n_attributes)
-        return FormalContext(self.attributes, self.objects, tuple(cols), self.title)
-
 
 def derive(ctx: FormalContext, side: str, subset: Iterable[int]) -> frozenset[int]:
     """Derivation operator: common attributes of objects, or dually.

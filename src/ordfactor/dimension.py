@@ -59,9 +59,6 @@ class Poset:
     def pair_count(self) -> int:
         return sum(row.bit_count() for row in self.leq)
 
-    def index(self, name: str) -> int:
-        return self.elements.index(name)
-
     @classmethod
     def from_relations(
         cls, elements: tuple[str, ...] | list[str], relations

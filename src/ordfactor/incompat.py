@@ -11,13 +11,11 @@ from it.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .bitset import bits
 from .context import FormalContext, IncidencePair
-from .errors import IndexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -38,12 +36,6 @@ class IncompatibilityGraph:
     @property
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
-
-    def vertex_index(self, pair: IncidencePair) -> int:
-        i = bisect_left(self.vertices, tuple(pair))
-        if i == len(self.vertices) or self.vertices[i] != tuple(pair):
-            raise IndexOutOfRange(f"{pair} is not a vertex")
-        return i
 
 
 @dataclass(frozen=True)

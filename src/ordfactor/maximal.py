@@ -128,8 +128,9 @@ def certify_global_optimality(
     The result is certified when one bounded exact search proves that
     no transversal of the original graph is smaller than
     ``result.removed``; this holds for heuristic and multi-round
-    results alike.  A removed incidence that the original graph on the
-    kept ones takes back without an odd cycle already gives a smaller
+    results alike.  ``result`` is validated first, so each removed pair
+    is a vertex.  A removed incidence whose return to the kept ones
+    closes no odd cycle of the original graph gives a smaller
     transversal, so that answers False without a search.  Raises
     :class:`InvalidFactorization` on an invalid result and
     :class:`BudgetExceeded` when the search outlasts ``budget`` seconds.
@@ -139,7 +140,9 @@ def certify_global_optimality(
         raise InvalidFactorization("; ".join(v.message for v in problems))
     deadline = time.monotonic() + budget if budget is not None else None
     graph = build_incompatibility_graph(ctx)
-    removed = [1 << graph.vertex_index(pair) for pair in result.removed]
+    removed = [
+        1 << i for i, pair in enumerate(graph.vertices) if pair in result.removed
+    ]
     kept = (1 << graph.n) - 1 - sum(removed)
     if any(two_color(graph.adjacency, kept | v)[1] is None for v in removed):
         return False

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .context import FormalContext, remove_incidences
-from .errors import BudgetExceeded, NotFound
-from .incompat import bipartition, build_incompatibility_graph
+from .errors import BudgetExceeded, NotFound, NotTwoFactorizable
+from .twofactor import two_factorize
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,24 @@ def random_two_factorizable_context(spec: GeneratorSpec) -> FormalContext:
 def brute_force_min_removal(
     ctx: FormalContext, k_max: int, budget: float | None = None
 ) -> int:
-    """Smallest removal count that leaves a bipartite graph.
+    """Smallest removal count that leaves a two-factorizable context.
 
     Tries every subset of the incidence of size 0, 1, ... up to
-    ``k_max`` with :func:`itertools.combinations`, rebuilding the
-    incompatibility graph each time.  Raises :class:`NotFound` when no
-    subset within the bound works and :class:`BudgetExceeded` when the
-    enumeration outlasts ``budget`` seconds, read after each candidate.
+    ``k_max`` with :func:`itertools.combinations` and decides what each
+    leaves with :func:`two_factorize`, so it builds no incompatibility
+    graph.  Raises :class:`NotFound` when no subset within the bound
+    works and :class:`BudgetExceeded` when the enumeration outlasts
+    ``budget`` seconds, read after each candidate.
     """
     deadline = time.monotonic() + budget if budget is not None else None
     pairs = ctx.pairs()
     for k in range(min(k_max, len(pairs)) + 1):
         for subset in combinations(range(len(pairs)), k):
-            candidate = remove_incidences(ctx, [pairs[i] for i in subset])
-            if bipartition(build_incompatibility_graph(candidate)).is_bipartite:
+            try:
+                two_factorize(remove_incidences(ctx, [pairs[i] for i in subset]))
                 return k
+            except NotTwoFactorizable:
+                pass
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceeded("brute-force removal search out of time")
     raise NotFound(f"no removal of at most {k_max} incidences suffices")

@@ -67,10 +67,6 @@ class Violation(NamedTuple):
     message: str
 
 
-def _pair_set(pairs: Iterable[tuple[int, int]]) -> frozenset[IncidencePair]:
-    return frozenset(IncidencePair(g, m) for g, m in pairs)
-
-
 def _ferrers_violation(pairs: frozenset[IncidencePair]) -> tuple | None:
     """A witness ((g, m), (h, n)) with neither (g, n) nor (h, m), or None."""
     rows: dict[int, int] = {}
@@ -95,7 +91,7 @@ def is_ferrers(ctx: FormalContext, pairs: Iterable[tuple[int, int]]) -> bool:
     Raises :class:`PairNotIncident` if some pair is not an incidence of
     the context.
     """
-    pair_set = _pair_set(pairs)
+    pair_set = frozenset(IncidencePair(g, m) for g, m in pairs)
     for g, m in sorted(pair_set):
         if not (0 <= g < ctx.n_objects and 0 <= m < ctx.n_attributes) or (
             not ctx.rows[g] >> m & 1

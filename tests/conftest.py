@@ -6,6 +6,7 @@ import json
 import random
 import time
 from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -20,15 +21,18 @@ from ordfactor.context import (
     remove_incidences,
 )
 from ordfactor.errors import (
+    BudgetExceeded,
     ConceptBudgetExceeded,
     CountMismatch,
     IllegalCharacter,
     InvalidFactorization,
     MalformedHeader,
+    NotFound,
     NotTwoDimensional,
     NotTwoFactorizable,
 )
 from ordfactor.incompat import (
+    bipartition,
     build_incompatibility_graph,
     isolated_pairs,
     two_color,
@@ -161,6 +165,41 @@ def checked_cycle_bound(ctx, cycles):
         assert used.isdisjoint(cycle), cycle
         used.update(cycle)
     return len(cycles)
+
+
+def acceptance_5_corpus():
+    """The 200 random contexts of ACCEPTANCE criterion 5: shapes up to
+    5x5 at densities 0.3-0.5, the first 200 seeds with at most 14
+    incidences."""
+    shapes = ((5, 5), (4, 5), (5, 4), (4, 4), (3, 5))
+    densities = (0.3, 0.4, 0.5)
+    corpus = []
+    seed = 0
+    while len(corpus) < 200:
+        g, m = shapes[seed % len(shapes)]
+        density = densities[seed % len(densities)]
+        ctx = of.random_context(of.GeneratorSpec(g, m, density, seed))
+        seed += 1
+        if ctx.incidence_count <= 14:
+            corpus.append(ctx)
+    return corpus
+
+
+def reference_brute_force_min_removal(
+    ctx: FormalContext, k_max: int, budget: float | None = None
+) -> int:
+    """The graph-side brute-force oracle, before it decided each
+    candidate with ``two_factorize``."""
+    deadline = time.monotonic() + budget if budget is not None else None
+    pairs = ctx.pairs()
+    for k in range(min(k_max, len(pairs)) + 1):
+        for subset in combinations(range(len(pairs)), k):
+            candidate = remove_incidences(ctx, [pairs[i] for i in subset])
+            if bipartition(build_incompatibility_graph(candidate)).is_bipartite:
+                return k
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded("brute-force removal search out of time")
+    raise NotFound(f"no removal of at most {k_max} incidences suffices")
 
 
 def reference_two_color(adj, active):

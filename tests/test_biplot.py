@@ -17,7 +17,7 @@ def test_factor_axis_groups_by_extent():
     assert axis.groups == ((2,), (1,))
     assert axis.labels == ("c", "b")
     assert axis.positions == (0, 2, 1)
-    assert axis.n_steps == 2
+    assert len(axis.groups) == 2
 
 
 def test_factor_axis_merges_equal_extents():
@@ -43,14 +43,14 @@ def test_factor_axis_empty_factor():
     axis = of.factor_axis(_tiny(), [])
     assert axis.groups == ()
     assert axis.positions == (0, 0, 0)
-    assert axis.n_steps == 0
+    assert len(axis.groups) == 0
 
 
 def test_group_support_strictly_shrinks(monuments):
     result = of.maximal_two_factorization(monuments, mode="exact")
     for axis in of.biplot_axes(monuments, result):
         supports = [
-            sum(1 for p in axis.positions if p > i) for i in range(axis.n_steps)
+            sum(1 for p in axis.positions if p > i) for i in range(len(axis.groups))
         ]
         assert all(s > 0 for s in supports)
         assert supports == sorted(supports, reverse=True)

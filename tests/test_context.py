@@ -226,14 +226,6 @@ def test_pairs_lexicographic(forced_overlap):
     assert len(pairs) == forced_overlap.incidence_count
 
 
-def test_transpose(monuments):
-    twice = monuments.transpose().transpose()
-    assert twice == monuments
-    flipped = monuments.transpose()
-    assert flipped.n_objects == 7
-    assert {(m, g) for g, m in monuments.pairs()} == set(flipped.pairs())
-
-
 def test_json_mirror_round_trip(monuments, contranominal3):
     for ctx in (monuments, contranominal3):
         again = of.context_from_json(of.context_to_json(ctx))

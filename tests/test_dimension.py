@@ -30,7 +30,6 @@ def test_poset_basic_accessors():
     chain = _chain(["a", "b", "c"])
     assert chain.n == 3
     assert chain.pair_count == 6
-    assert chain.index("b") == 1
 
 
 def test_poset_rejects_duplicate_names():

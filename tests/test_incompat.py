@@ -4,7 +4,7 @@ import random
 import pytest
 
 import ordfactor as of
-from ordfactor.bitset import bits
+from ordfactor.bitset import bits, transpose
 from ordfactor.context import FormalContext, IncidencePair
 from ordfactor.incompat import pack_odd_cycles, sweep, two_color
 from ordfactor.oracle import GeneratorSpec, random_context
@@ -184,7 +184,10 @@ def test_transposition_preserves_incompatibility():
             GeneratorSpec(objects=4, attributes=5, density=0.45, seed=seed)
         )
         graph = of.build_incompatibility_graph(ctx)
-        flipped = of.build_incompatibility_graph(ctx.transpose())
+        dual = FormalContext(
+            ctx.attributes, ctx.objects, tuple(transpose(ctx.rows, ctx.n_attributes))
+        )
+        flipped = of.build_incompatibility_graph(dual)
         original = {
             frozenset((graph.vertices[i], graph.vertices[j]))
             for i, row in enumerate(graph.adjacency)
@@ -213,7 +216,7 @@ def test_published_transversal_induces_bipartite_subgraph(
     persistent_odd_cycle, published_transversal
 ):
     graph = of.build_incompatibility_graph(persistent_odd_cycle)
-    deleted = {graph.vertex_index(p) for p in published_transversal}
+    deleted = {graph.vertices.index(p) for p in published_transversal}
     assert len(deleted) == 17
     assert induced_bipartite(graph, deleted)
 
@@ -230,14 +233,6 @@ def test_removal_can_create_new_incompatibilities(
     new_edges = _named_edges(after_ctx, after) - _named_edges(ctx, before)
     assert new_edges
     assert not of.bipartition(after).is_bipartite
-
-
-def test_vertex_index_lookup(contranominal3):
-    graph = of.build_incompatibility_graph(contranominal3)
-    for i, pair in enumerate(graph.vertices):
-        assert graph.vertex_index(pair) == i
-    with pytest.raises(of.IndexOutOfRange):
-        graph.vertex_index(IncidencePair(0, 0))
 
 
 def _sweep_inputs(persistent_odd_cycle):

@@ -123,7 +123,7 @@ def test_exact_on_overlapping_odd_cycles(n, edges, expected):
     graph = _graph(n, edges)
     assert _brute_min_oct(graph, len(expected)) == (len(expected), expected)
     solution = max_bipartite_subset(graph, mode="exact")
-    deleted_idx = {graph.vertex_index(p) for p in solution.deleted}
+    deleted_idx = {graph.vertices.index(p) for p in solution.deleted}
     assert tuple(sorted(deleted_idx)) == expected
     # the bounded call behind certify_global_optimality
     k = len(expected)
@@ -146,7 +146,7 @@ def test_exact_matches_brute_force_on_random_graphs():
         if graph.n > 20:
             continue
         solution = max_bipartite_subset(graph, mode="exact")
-        deleted_idx = {graph.vertex_index(p) for p in solution.deleted}
+        deleted_idx = {graph.vertices.index(p) for p in solution.deleted}
         assert induced_bipartite(graph, deleted_idx)
         if len(solution.deleted) <= 3:
             brute = _brute_min_oct(graph, len(solution.deleted))
@@ -315,7 +315,7 @@ def test_heuristic_never_beats_exact():
         graph = of.build_incompatibility_graph(ctx)
         exact = max_bipartite_subset(graph, mode="exact")
         heur = max_bipartite_subset(graph, mode="heuristic", seed=3)
-        deleted_idx = {graph.vertex_index(p) for p in heur.deleted}
+        deleted_idx = {graph.vertices.index(p) for p in heur.deleted}
         assert induced_bipartite(graph, deleted_idx)
         assert len(heur.deleted) >= len(exact.deleted)
 
@@ -371,7 +371,7 @@ def test_heuristic_under_zero_budget(persistent_odd_cycle):
     assert result.rounds == 4
     graph = of.build_incompatibility_graph(persistent_odd_cycle)
     solution = max_bipartite_subset(graph, "heuristic", budget=0.0)
-    deleted_idx = {graph.vertex_index(p) for p in solution.deleted}
+    deleted_idx = {graph.vertices.index(p) for p in solution.deleted}
     assert induced_bipartite(graph, deleted_idx)
 
 
@@ -557,14 +557,43 @@ def test_certify_refutes_the_persistent_heuristic_without_a_search(
     assert claim is False
 
 
+# exact mode needs two rounds here: the lexicographically smallest
+# minimum transversal (4 vertices) leaves an odd cycle behind
+_TWO_ROUNDS = GeneratorSpec(8, 8, 0.6, 249)
+
+
+@pytest.mark.parametrize(
+    "context, mode",
+    [
+        pytest.param(None, "heuristic", id="persistent-heuristic"),
+        pytest.param(_TWO_ROUNDS, "exact", id="seed249-exact"),
+    ],
+)
 def test_persistent_fixture_logs_multi_round_event(
-    persistent_odd_cycle, caplog
+    persistent_odd_cycle, caplog, context, mode
 ):
+    ctx = persistent_odd_cycle if context is None else random_context(context)
     with caplog.at_level(logging.INFO, logger="ordfactor.maximal"):
-        of.maximal_two_factorization(
-            persistent_odd_cycle, mode="heuristic", seed=0
-        )
+        of.maximal_two_factorization(ctx, mode=mode, seed=0)
     assert any("transversal rounds" in message for message in caplog.messages)
+
+
+def test_exact_mode_removes_one_more_than_the_optimum():
+    """Exact mode takes two rounds and removes 5 incidences where 4
+    suffice: another minimum transversal than the one it branches on
+    factorizes, and no 3 removals do, so the optimum is 4."""
+    ctx = random_context(_TWO_ROUNDS)
+    assert ctx.incidence_count == 43
+    result = of.maximal_two_factorization(ctx, mode="exact")
+    assert result.rounds == 2
+    assert result.removed == {(0, 0), (0, 3), (2, 1), (3, 0), (3, 1)}
+    assert result.certificate is False
+    assert of.certify_global_optimality(ctx, result) is False
+    four = [IncidencePair(g, m) for g, m in ((0, 3), (2, 1), (3, 1), (7, 3))]
+    kept = of.remove_incidences(ctx, four)
+    assert of.validate_factorization(kept, of.two_factorize(kept)) == []
+    with pytest.raises(of.NotFound):
+        brute_force_min_removal(ctx, 3)
 
 
 def test_persistent_fixture_exact_budget_runs_out(persistent_odd_cycle):

@@ -5,6 +5,8 @@ import pytest
 import ordfactor as of
 from ordfactor import GeneratorSpec
 
+from conftest import acceptance_5_corpus, reference_brute_force_min_removal
+
 
 def test_random_context_deterministic():
     spec = GeneratorSpec(objects=4, attributes=5, density=0.5, seed=11)
@@ -104,3 +106,56 @@ def test_brute_force_matches_exact_solver():
             result.removed
         )
     assert checked >= 15
+
+
+def _outcome(oracle, ctx, k_max):
+    try:
+        return oracle(ctx, k_max)
+    except of.NotFound:
+        return "NotFound"
+
+
+def test_brute_force_matches_the_graph_side_oracle(
+    monuments, contranominal3, forced_overlap, persistent_odd_cycle
+):
+    """Deciding each candidate with two_factorize gives the same answer
+    as rebuilding its incompatibility graph: one bound below the exact
+    removal size and at it, on the criterion-5 corpus, and at bounds up
+    to 2 on the fixtures (1 on persistent, where the graph-side oracle
+    needs over a minute for 2)."""
+    found = missed = 0
+    for ctx in acceptance_5_corpus():
+        least = len(of.maximal_two_factorization(ctx, mode="exact").removed)
+        for k_max in range(max(least - 1, 0), least + 1):
+            outcome = _outcome(of.brute_force_min_removal, ctx, k_max)
+            assert outcome == _outcome(
+                reference_brute_force_min_removal, ctx, k_max
+            )
+            found += outcome != "NotFound"
+            missed += outcome == "NotFound"
+    for ctx, top in (
+        (monuments, 2),
+        (contranominal3, 2),
+        (forced_overlap, 2),
+        (persistent_odd_cycle, 1),
+    ):
+        for k_max in range(top + 1):
+            assert _outcome(of.brute_force_min_removal, ctx, k_max) == _outcome(
+                reference_brute_force_min_removal, ctx, k_max
+            )
+    assert found >= 200 and missed >= 50
+
+
+def test_brute_force_builds_no_graph(monkeypatch, monuments):
+    """Each candidate is decided by two_factorize, so the oracle shares
+    no code with the graph-side searches it checks."""
+
+    def no_graph(*args):
+        raise AssertionError("incompatibility graph searched")
+
+    for name in ("build_incompatibility_graph", "bipartition", "sweep"):
+        monkeypatch.setattr(f"ordfactor.incompat.{name}", no_graph)
+        monkeypatch.setattr(f"ordfactor.oracle.{name}", no_graph, raising=False)
+    assert of.brute_force_min_removal(monuments, k_max=2) == 2
+    with pytest.raises(of.NotFound):
+        of.brute_force_min_removal(monuments, k_max=1)
