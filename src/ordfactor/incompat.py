@@ -113,16 +113,15 @@ def two_color(
     return ones, None
 
 
-def pack_odd_cycles(adj: Sequence[int], active: int, first: int) -> list[int]:
+def pack_odd_cycles(adj: Sequence[int], active: int) -> list[int]:
     """Vertex-disjoint odd cycles of the subgraph induced by ``active``
-    as vertex masks, packed greedily from ``first``, the mask of the
-    first cycle :func:`sweep` closes there; each next one is the first
-    cycle the sweep closes in what is left.  A bipartite component
-    holds no odd cycle and removing a cycle changes no other
-    component, so each bipartite component swept leaves ``active`` and
-    the next sweep starts where this one stopped."""
-    cycles = [first]
-    active &= ~first
+    as vertex masks, packed greedily: each one is the first cycle
+    :func:`sweep` closes in what is left, and a bipartite subgraph
+    gives ``[]``.  A bipartite component holds no odd cycle and
+    removing a cycle changes no other component, so each bipartite
+    component swept leaves ``active`` and the next sweep starts where
+    this one stopped."""
+    cycles = []
     while True:
         for part, _, walk in sweep(adj, active, stop=True):
             if walk is not None:

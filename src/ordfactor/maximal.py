@@ -5,7 +5,7 @@ exists; the best possible is to drop a minimum set of incidences whose
 removal makes the rebuilt graph bipartite.  Removal can create fresh
 incompatibilities, so the transversal step may have to repeat; a single
 exact round certifies that the number of dropped incidences is globally
-minimum, and one bounded exact search certifies any other result.
+minimum, and the exact search capped below its size certifies any other.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .incompat import (
     bipartition,
     build_incompatibility_graph,
     pack_odd_cycles,
-    sweep,
     two_color,
 )
 from .twofactor import (
@@ -61,7 +60,7 @@ def max_bipartite_subset(
     _check_mode(mode)
     deadline = time.monotonic() + budget if budget is not None else None
     if mode == "exact":
-        deleted = _ExactOct(graph.adjacency, deadline).run()
+        deleted = _ExactOct(graph.adjacency, deadline).run(graph.n)
     else:
         deleted = _heuristic_oct(graph.adjacency, seed, deadline)
     return OctSolution(frozenset(graph.vertices[v] for v in deleted))
@@ -125,9 +124,9 @@ def certify_global_optimality(
 
     Removing incidences only adds edges among the kept ones, so every
     valid removal is an odd cycle transversal of the original graph.
-    The result is certified when one bounded exact search proves that
-    no transversal of the original graph is smaller than
-    ``result.removed``; this holds for heuristic and multi-round
+    The result is certified when the exact search, deepened up to one
+    less than the size of ``result.removed``, finds no transversal of
+    the original graph; this holds for heuristic and multi-round
     results alike.  ``result`` is validated first, so each removed pair
     is a vertex.  A removed incidence whose return to the kept ones
     closes no odd cycle of the original graph gives a smaller
@@ -147,7 +146,7 @@ def certify_global_optimality(
     if any(two_color(graph.adjacency, kept | v)[1] is None for v in removed):
         return False
     exact = _ExactOct(graph.adjacency, deadline)
-    return exact.search(len(result.removed) - 1) is None
+    return exact.run(len(result.removed) - 1) is None
 
 
 # -- exact solver ------------------------------------------------------
@@ -159,16 +158,14 @@ _Answer = tuple[int, tuple[int, ...]] | None
 class _ExactOct:
     """Branch and bound for minimum odd cycle transversals.
 
-    Each search node sweeps its subgraph once.  The parts of a
-    disconnected one are solved in turn and share the allowed size.  A
-    connected one hands the sweep's first odd cycle to
+    Each search node packs the odd cycles of its subgraph with
     :func:`pack_odd_cycles`, prunes when the packing's count (each
     cycle needs a deletion of its own) exceeds the size still allowed,
     and branches on the vertices of the smallest packed cycle.  Solved
-    subgraphs are memoized, and size ties are broken toward the
-    lexicographically smallest deleted set; every transversal meets
-    every odd cycle, so the result does not depend on which cycle is
-    branched on.
+    subgraphs are memoized across bounds, and size ties are broken
+    toward the lexicographically smallest deleted set; every
+    transversal meets every odd cycle, so the result does not depend on
+    which cycle is branched on.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
@@ -176,13 +173,19 @@ class _ExactOct:
         self.deadline = deadline
         # isolated vertices lie on no odd cycle
         self.active = sum(1 << v for v in range(len(adjacency)) if adjacency[v])
-        # a solved subgraph's transversal, or a size its transversal exceeds
+        # a solved subgraph's transversal, or a proven lower bound on its size
         self.memo: dict[int, tuple[int, tuple[int, ...]] | int] = {}
 
-    def run(self) -> tuple[int, ...]:
-        result = self.search(len(self.adj))
-        assert result is not None
-        return result[1]
+    def run(self, ub: int) -> tuple[int, ...] | None:
+        """The lexicographically smallest minimum transversal if its
+        size is at most ``ub``, else None: :meth:`search` deepens its
+        bound from 0, so the first bound that succeeds is the minimum
+        and each one that fails proves a lower bound."""
+        for k in range(ub + 1):
+            answer = self.search(k)
+            if answer is not None:
+                return answer[1]
+        return None
 
     def search(self, ub: int) -> _Answer:
         """:meth:`solve` on the whole graph.  The subproblems run on a
@@ -221,17 +224,8 @@ class _ExactOct:
             return None
         # a bipartite subgraph, like the empty one, needs no deletion
         result: _Answer = (0, ())
-        parts = list(sweep(self.adj, active))
-        if len(parts) != 1:
-            for part, _, _ in parts:
-                sub = yield part, ub - result[0]
-                if sub is None:
-                    result = None
-                    break
-                merged = tuple(sorted(result[1] + sub[1]))
-                result = (result[0] + sub[0], merged)
-        elif parts[0][2] is not None:
-            cycles = pack_odd_cycles(self.adj, active, sum(parts[0][2]))
+        cycles = pack_odd_cycles(self.adj, active)
+        if cycles:
             # prune: each packed cycle needs a deletion of its own
             branch = min(cycles, key=int.bit_count) if len(cycles) <= ub else 0
             result = None

@@ -35,6 +35,8 @@ from ordfactor.incompat import (
     bipartition,
     build_incompatibility_graph,
     isolated_pairs,
+    pack_odd_cycles,
+    sweep,
     two_color,
 )
 from ordfactor.lattice import (
@@ -258,11 +260,11 @@ def reference_disjoint_odd_cycles(adj, active, two_color=two_color):
 
 
 def reference_packing(calls, two_color=two_color):
-    """A drop-in for ``maximal.pack_odd_cycles`` that ignores the cycle
-    it is handed and packs with :func:`reference_disjoint_odd_cycles`;
-    it appends each ``active`` it is called on to ``calls``."""
+    """A drop-in for ``maximal.pack_odd_cycles`` that packs with
+    :func:`reference_disjoint_odd_cycles`; it appends each ``active`` it
+    is called on to ``calls``."""
 
-    def pack(adj, active, first):
+    def pack(adj, active):
         calls.append(active)
         return [
             sum(1 << v for v in cycle)
@@ -270,6 +272,84 @@ def reference_packing(calls, two_color=two_color):
         ]
 
     return pack
+
+
+class reference_exact_oct:
+    """The exact transversal search before it deepened its bound, kept
+    as a reference: it solves a disconnected subgraph part by part (the
+    parts share the allowed size) and :meth:`run` searches once at
+    ``ub = n``.  Its docstrings and annotations are left out, and its
+    call of ``pack_odd_cycles`` no longer passes the first cycle, which
+    that function now finds itself.  Both searches return the
+    lexicographically smallest minimum transversal, so every answer
+    must agree."""
+
+    def __init__(self, adjacency, deadline):
+        self.adj = adjacency
+        self.deadline = deadline
+        # isolated vertices lie on no odd cycle
+        self.active = sum(1 << v for v in range(len(adjacency)) if adjacency[v])
+        # a solved subgraph's transversal, or a size its transversal exceeds
+        self.memo = {}
+
+    def run(self):
+        result = self.search(len(self.adj))
+        assert result is not None
+        return result[1]
+
+    def search(self, ub):
+        stack = [self.solve(self.active, ub)]
+        answer = None
+        while True:
+            try:
+                request = stack[-1].send(answer)
+            except StopIteration as done:
+                stack.pop()
+                answer = done.value
+                if not stack:
+                    return answer
+            else:
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    raise BudgetExceeded("exact transversal search out of time")
+                stack.append(self.solve(*request))
+                answer = None
+
+    def solve(self, active, ub):
+        if ub < 0:
+            return None
+        known = self.memo.get(active, 0)
+        if isinstance(known, tuple):
+            return known if known[0] <= ub else None
+        if known > ub:
+            return None
+        # a bipartite subgraph, like the empty one, needs no deletion
+        result = (0, ())
+        parts = list(sweep(self.adj, active))
+        if len(parts) != 1:
+            for part, _, _ in parts:
+                sub = yield part, ub - result[0]
+                if sub is None:
+                    result = None
+                    break
+                merged = tuple(sorted(result[1] + sub[1]))
+                result = (result[0] + sub[0], merged)
+        elif parts[0][2] is not None:
+            cycles = pack_odd_cycles(self.adj, active)
+            # prune: each packed cycle needs a deletion of its own
+            branch = min(cycles, key=int.bit_count) if len(cycles) <= ub else 0
+            result = None
+            for v in bits(branch):
+                # limit keeps equal-size candidates reachable for the
+                # lexicographic tie-break
+                limit = (result[0] if result is not None else ub) - 1
+                sub = yield active & ~(1 << v), limit
+                if sub is None:
+                    continue
+                candidate = (sub[0] + 1, tuple(sorted(sub[1] + (v,))))
+                if result is None or candidate < result:
+                    result = candidate
+        self.memo[active] = ub + 1 if result is None else result
+        return result
 
 
 def reference_heuristic_oct(adj, seed, deadline):

@@ -259,19 +259,18 @@ def _sweep_inputs(persistent_odd_cycle):
 
 def test_pack_odd_cycles_matches_restarted_reference(persistent_odd_cycle):
     """Resuming the sweep packs the same cycles, in the same order, as
-    restarting ``two_color`` after each one."""
-    packings = 0
+    restarting ``two_color`` after each one; a bipartite subgraph packs
+    none."""
+    packings = empty = 0
     for graph, active in _sweep_inputs(persistent_odd_cycle):
         expected = [
             sum(1 << v for v in cycle)
             for cycle in reference_disjoint_odd_cycles(graph.adjacency, active)
         ]
-        if not expected:
-            continue
-        packed = pack_odd_cycles(graph.adjacency, active, expected[0])
-        assert packed == expected
+        assert pack_odd_cycles(graph.adjacency, active) == expected
         packings += len(expected) > 1
-    assert packings >= 20
+        empty += not expected
+    assert packings >= 20 and empty >= 1
 
 
 def test_sweep_components_match_networkx(persistent_odd_cycle):

@@ -21,6 +21,7 @@ from conftest import (
     induced_bipartite,
     planted_context,
     reference_disjoint_odd_cycles,
+    reference_exact_oct,
     reference_heuristic_oct,
     reference_packing,
     reference_two_color,
@@ -179,13 +180,13 @@ def test_exact_unchanged_by_the_odd_cycles_it_packs(monkeypatch, monuments):
     result."""
     graphs = [of.build_incompatibility_graph(monuments).adjacency]
     graphs += _seeded_graphs(500, 19)
-    expected = [_ExactOct(adj, None).run() for adj in graphs]
+    expected = [_ExactOct(adj, None).run(len(adj)) for adj in graphs]
     calls = []
     monkeypatch.setattr(
         "ordfactor.maximal.pack_odd_cycles",
         reference_packing(calls, reference_two_color),
     )
-    assert [_ExactOct(adj, None).run() for adj in graphs] == expected
+    assert [_ExactOct(adj, None).run(len(adj)) for adj in graphs] == expected
     assert sum(map(bool, expected)) >= 10
     assert len(calls) >= 100
 
@@ -206,7 +207,7 @@ def test_exact_search_visits_the_same_nodes_as_the_restarted_packing(
 
         with monkeypatch.context() as patch:
             patch.setattr(_ExactOct, "solve", counting)
-            results = [_ExactOct(adj, None).run() for adj in graphs]
+            results = [_ExactOct(adj, None).run(len(adj)) for adj in graphs]
         return results, len(calls)
 
     graphs = list(_seeded_graphs(700, 24))
@@ -217,6 +218,29 @@ def test_exact_search_visits_the_same_nodes_as_the_restarted_packing(
     )
     assert counted_runs() == (results, nodes)
     assert packed and nodes > 1000
+
+
+def test_deepening_search_matches_the_part_by_part_reference(
+    monuments, contranominal3, forced_overlap
+):
+    """Deepening the bound from 0 without splitting a subgraph into its
+    parts returns the reference search's transversal, and the capped
+    run behind ``certify_global_optimality`` fails just below each
+    answer's size as the reference's bounded search does."""
+    graphs = [
+        of.build_incompatibility_graph(ctx).adjacency
+        for ctx in (monuments, contranominal3, forced_overlap)
+    ]
+    graphs += _seeded_graphs(1000, 300)
+    sizes = set()
+    for adj in graphs:
+        expected = reference_exact_oct(adj, None).run()
+        assert _ExactOct(adj, None).run(len(adj)) == expected
+        k = len(expected)
+        below = reference_exact_oct(adj, None).search(k - 1) is None
+        assert (_ExactOct(adj, None).run(k - 1) is None) == below
+        sizes.add(k)
+    assert len(sizes) >= 5
 
 
 def test_exact_search_tree_is_pinned(monkeypatch, monuments):
@@ -237,9 +261,10 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
     nodes = []
     for ctx in contexts:
         calls.clear()
-        _ExactOct(of.build_incompatibility_graph(ctx).adjacency, None).run()
+        adj = of.build_incompatibility_graph(ctx).adjacency
+        _ExactOct(adj, None).run(len(adj))
         nodes.append(len(calls))
-    assert nodes == [147, 4540, 1643, 1902, 2530]
+    assert nodes == [16, 496, 29, 655, 193]
 
 
 def _milp_oct(adjacency):
@@ -283,11 +308,12 @@ def _milp_oct(adjacency):
 )
 def test_milp_proves_the_slow_optima(ctx, optimum):
     """The MILP oracle's minimum on inputs it needs 30 s to minutes
-    for; the exact search does not finish persistent's within a test."""
+    for, and the exact search's, which takes 15-30 s on each."""
     graph = of.build_incompatibility_graph(ctx)
     milp = _milp_oct(graph.adjacency)
     assert induced_bipartite(graph, milp)
     assert len(milp) == optimum
+    assert len(max_bipartite_subset(graph, "exact").deleted) == optimum
 
 
 def test_exact_search_matches_a_milp_oracle(monuments):
@@ -301,7 +327,7 @@ def test_exact_search_matches_a_milp_oracle(monuments):
         graph = of.build_incompatibility_graph(ctx)
         milp = _milp_oct(graph.adjacency)
         assert induced_bipartite(graph, milp)
-        exact = _ExactOct(graph.adjacency, None).run()
+        exact = _ExactOct(graph.adjacency, None).run(graph.n)
         assert len(exact) == len(milp)
         sizes.append(len(exact))
     assert sizes == [2, 7, 5, 11, 10]
@@ -629,7 +655,7 @@ def test_exact_search_depth_is_not_bound_by_the_recursion_limit():
     list, not on Python's stack."""
     ctx = random_context(GeneratorSpec(10, 10, 0.5, 1))
     adj = of.build_incompatibility_graph(ctx).adjacency
-    expected = _ExactOct(adj, None).run()
+    expected = _ExactOct(adj, None).run(len(adj))
     assert len(expected) == 10
     result = of.maximal_two_factorization(ctx, mode="heuristic", seed=0)
     assert len(result.removed) == 10
@@ -637,7 +663,7 @@ def test_exact_search_depth_is_not_bound_by_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 20)
     try:
-        assert _ExactOct(adj, None).run() == expected
+        assert _ExactOct(adj, None).run(len(adj)) == expected
         assert of.certify_global_optimality(ctx, result)
     finally:
         sys.setrecursionlimit(limit)
