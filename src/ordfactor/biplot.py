@@ -59,7 +59,7 @@ def factor_axis(ctx: FormalContext, pairs: Iterable) -> FactorAxis:
     ordered = sorted(
         by_extent.items(), key=lambda item: (-item[0].bit_count(), item[1])
     )
-    groups = tuple(tuple(sorted(ms)) for _, ms in ordered)
+    groups = tuple(tuple(ms) for _, ms in ordered)
     labels = tuple(
         ",".join(ctx.attributes[m] for m in group) for group in groups
     )

@@ -162,7 +162,7 @@ class _ExactOct:
     :func:`pack_odd_cycles`, prunes when the packing's count (each
     cycle needs a deletion of its own) exceeds the size still allowed,
     and branches on the vertices of the smallest packed cycle.  Solved
-    subgraphs are memoized across bounds, and size ties are broken
+    subgraphs are memoized within one bound, and size ties are broken
     toward the lexicographically smallest deleted set; every
     transversal meets every odd cycle, so the result does not depend on
     which cycle is branched on.
@@ -173,8 +173,6 @@ class _ExactOct:
         self.deadline = deadline
         # isolated vertices lie on no odd cycle
         self.active = sum(1 << v for v in range(len(adjacency)) if adjacency[v])
-        # a solved subgraph's transversal, or a proven lower bound on its size
-        self.memo: dict[int, tuple[int, tuple[int, ...]] | int] = {}
 
     def run(self, ub: int) -> tuple[int, ...] | None:
         """The lexicographically smallest minimum transversal if its
@@ -193,6 +191,9 @@ class _ExactOct:
         asked for it, so the search depth is not bounded by Python's.
         The clock is read before each subproblem is started, never
         before the root, so every search does its first node."""
+        # a subgraph's bound is ub less the vertices its mask lacks, so
+        # the mask alone keys the memo of one bound
+        self.memo: dict[int, _Answer] = {}
         stack = [self.solve(self.active, ub)]
         answer = None
         while True:
@@ -215,13 +216,8 @@ class _ExactOct:
         """Exact lex-smallest minimum transversal if its size <= ub.
         Yields each subproblem as ``(active, ub)`` and is sent its
         answer."""
-        if ub < 0:
-            return None
-        known = self.memo.get(active, 0)
-        if isinstance(known, tuple):
-            return known if known[0] <= ub else None
-        if known > ub:
-            return None
+        if active in self.memo:
+            return self.memo[active]
         # a bipartite subgraph, like the empty one, needs no deletion
         result: _Answer = (0, ())
         cycles = pack_odd_cycles(self.adj, active)
@@ -230,16 +226,13 @@ class _ExactOct:
             branch = min(cycles, key=int.bit_count) if len(cycles) <= ub else 0
             result = None
             for v in bits(branch):
-                # limit keeps equal-size candidates reachable for the
-                # lexicographic tie-break
-                limit = (result[0] if result is not None else ub) - 1
-                sub = yield active & ~(1 << v), limit
+                sub = yield active & ~(1 << v), ub - 1
                 if sub is None:
                     continue
                 candidate = (sub[0] + 1, tuple(sorted(sub[1] + (v,))))
                 if result is None or candidate < result:
                     result = candidate
-        self.memo[active] = ub + 1 if result is None else result
+        self.memo[active] = result
         return result
 
 
@@ -340,5 +333,4 @@ def _heuristic_oct(
             best = candidate
         if deadline is not None and time.monotonic() > deadline:
             break
-    assert best is not None or n == 0
-    return best[1] if best else ()
+    return best[1]

@@ -219,6 +219,15 @@ def test_remove_incidences(monuments):
         of.remove_incidences(smaller, [(romulus, gb1)])
 
 
+def test_out_of_range_pairs_and_unknown_datasets_rejected(monuments):
+    with pytest.raises(of.IndexOutOfRange):
+        of.remove_incidences(monuments, [(99, 0)])
+    with pytest.raises(of.IndexOutOfRange):
+        monuments.has(-1, 0)
+    with pytest.raises(KeyError, match="unknown dataset"):
+        of.load_dataset("nope")
+
+
 def test_pairs_lexicographic(forced_overlap):
     pairs = forced_overlap.pairs()
     assert pairs == sorted(pairs)

@@ -105,6 +105,30 @@ def test_bipartition_odd_cycle_on_monuments(monuments):
         assert graph.adjacency[a] >> b & 1
 
 
+def _isolated_triangle(graph):
+    return None, tuple(v for v in range(graph.n) if not graph.adjacency[v])[:3]
+
+
+@pytest.mark.parametrize(
+    "name, witness, message",
+    [
+        ("contranominal3", lambda graph: (0, None), "coloring violates an edge"),
+        ("contranominal3", lambda graph: (None, (0, 1)), "not a simple odd cycle"),
+        ("monuments", _isolated_triangle, "cycle edge .* missing"),
+    ],
+)
+def test_bipartition_refuses_a_wrong_witness(monkeypatch, name, witness, message):
+    """Each witness of ``two_color`` is checked before ``bipartition``
+    returns it: a coloring with both ends of an edge on one side, an
+    even cycle, and three isolated vertices as a cycle each raise."""
+    graph = of.build_incompatibility_graph(of.load_dataset(name))
+    monkeypatch.setattr(
+        "ordfactor.incompat.two_color", lambda adj, active: witness(graph)
+    )
+    with pytest.raises(AssertionError, match=message):
+        of.bipartition(graph)
+
+
 def test_two_color_agrees_with_reference_on_vertex_deletions(
     persistent_odd_cycle,
 ):

@@ -309,6 +309,25 @@ def test_five_cycle_is_not_orientable():
         transitive_orientation(tuple(adj))
 
 
+def test_orientation_refuses_an_asymmetric_adjacency():
+    # vertex 0 lists 1 as a neighbour but 1 does not list 0
+    with pytest.raises(of.NotTwoDimensional, match="vertex 1 has unoriented"):
+        transitive_orientation((0b10, 0))
+
+
+@pytest.mark.parametrize(
+    "leq, conjugate, message",
+    [
+        ((1,), (0, 0), "wrong size"),
+        # an irreflexive row: the unions' intersection adds the element
+        ((0,), (0,), "intersection differs at 0"),
+    ],
+)
+def test_realizer_refuses_a_conjugate_that_does_not_fit(leq, conjugate, message):
+    with pytest.raises(of.NotTwoDimensional, match=message):
+        realizer_sequences(of.ConceptOrder(leq), conjugate)
+
+
 def test_orientation_deterministic():
     # the 4-cycle 0-1, 1-3, 3-2, 2-0
     adj = (0b0110, 0b1001, 0b1001, 0b0110)

@@ -267,6 +267,44 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
     assert nodes == [16, 496, 29, 655, 193]
 
 
+def test_each_bound_fixes_its_nodes_and_answers_at_them(
+    monkeypatch, monuments, contranominal3, forced_overlap
+):
+    """Within the search at bound k, the node of a mask has the bound
+    k less the vertices the mask lacks, and every answer found is as
+    large as its node's bound.  So one bound's memo may be keyed by the
+    mask alone, a failure at one bound would never prune at a later
+    one, and every child of a node gets the node's bound less 1."""
+    nodes = []
+    bounds = []
+    search = _ExactOct.search
+    solve = _ExactOct.solve
+
+    def bounded(self, ub):
+        bounds.append(ub)
+        return search(self, ub)
+
+    def recording(self, active, ub):
+        answer = yield from solve(self, active, ub)
+        nodes.append((bounds[-1] - (self.active ^ active).bit_count(), ub, answer))
+        return answer
+
+    monkeypatch.setattr(_ExactOct, "search", bounded)
+    monkeypatch.setattr(_ExactOct, "solve", recording)
+    graphs = [
+        of.build_incompatibility_graph(ctx).adjacency
+        for ctx in (monuments, contranominal3, forced_overlap)
+    ]
+    graphs += _seeded_graphs(1000, 300)
+    for adj in graphs:
+        _ExactOct(adj, None).run(len(adj))
+    for expected, ub, answer in nodes:
+        assert ub == expected
+        assert answer is None or answer[0] == len(answer[1]) == ub
+    assert any(answer is not None and ub > 0 for _, ub, answer in nodes)
+    assert any(answer is None and ub > 0 for _, ub, answer in nodes)
+
+
 def _milp_oct(adjacency):
     """A minimum odd cycle transversal of the graph by scipy's MILP
     solver, as a set of vertex indices; it reads only ``adjacency``.
@@ -449,6 +487,19 @@ def test_monuments_exact_deterministic(monuments):
     first = of.maximal_two_factorization(monuments, mode="exact")
     second = of.maximal_two_factorization(monuments, mode="exact")
     assert first == second
+
+
+def test_a_transversal_loop_that_removes_nothing_is_stopped(
+    monkeypatch, monuments
+):
+    """Each round removes at least one incidence, so the loop ends
+    within as many rounds as there are incidences, or raises."""
+    monkeypatch.setattr(
+        "ordfactor.maximal.max_bipartite_subset",
+        lambda *args: of.OctSolution(frozenset()),
+    )
+    with pytest.raises(AssertionError, match="failed to terminate"):
+        of.maximal_two_factorization(monuments)
 
 
 def test_factorizable_context_passes_through(forced_overlap):

@@ -155,6 +155,33 @@ def test_canonical_partition_rejects_invalid_input(contranominal3):
         of.canonical_partition(contranominal3, bogus)
 
 
+def test_two_factorize_refuses_factors_that_fail_validation(
+    monkeypatch, contranominal3
+):
+    """An orientation that orients nothing gives factors that miss
+    incidences, and the final validation refuses them."""
+    monkeypatch.setattr(
+        "ordfactor.twofactor.transitive_orientation", lambda adj: (0,) * len(adj)
+    )
+    with pytest.raises(of.NotTwoFactorizable, match="do not cover exactly"):
+        of.two_factorize(contranominal3)
+
+
+def test_canonical_partition_refuses_a_core_that_breaks_a_factor(
+    monkeypatch, contranominal3
+):
+    """A core that is the whole incidence of contranominal3, which is
+    no staircase, breaks both factors once it is added to them."""
+    result = of.two_factorize(contranominal3)
+    whole = FerrersFactor(frozenset(contranominal3.pairs()))
+    monkeypatch.setattr(
+        "ordfactor.twofactor.two_factorize",
+        lambda ctx: replace(result, f1=whole, f2=whole),
+    )
+    with pytest.raises(of.InvalidFactorization, match="broke a factor"):
+        of.canonical_partition(contranominal3, result)
+
+
 def test_validator_flags_ferrers_violation(contranominal3):
     result = FactorizationResult(
         f1=FerrersFactor(_pairs([(0, 1), (0, 2), (1, 2)])),
