@@ -151,8 +151,9 @@ def certify_global_optimality(
 
 # -- exact solver ------------------------------------------------------
 
-# a transversal's size and sorted vertices, or None when it exceeds the bound
-_Answer = tuple[int, tuple[int, ...]] | None
+# a transversal's sorted vertices, or None when it exceeds the bound;
+# within one bound every answer at a node is as large as its bound
+_Answer = tuple[int, ...] | None
 
 
 class _ExactOct:
@@ -182,7 +183,7 @@ class _ExactOct:
         for k in range(ub + 1):
             answer = self.search(k)
             if answer is not None:
-                return answer[1]
+                return answer
         return None
 
     def search(self, ub: int) -> _Answer:
@@ -219,7 +220,7 @@ class _ExactOct:
         if active in self.memo:
             return self.memo[active]
         # a bipartite subgraph, like the empty one, needs no deletion
-        result: _Answer = (0, ())
+        result: _Answer = ()
         cycles = pack_odd_cycles(self.adj, active)
         if cycles:
             # prune: each packed cycle needs a deletion of its own
@@ -229,7 +230,7 @@ class _ExactOct:
                 sub = yield active & ~(1 << v), ub - 1
                 if sub is None:
                     continue
-                candidate = (sub[0] + 1, tuple(sorted(sub[1] + (v,))))
+                candidate = tuple(sorted(sub + (v,)))
                 if result is None or candidate < result:
                     result = candidate
         self.memo[active] = result
@@ -237,6 +238,29 @@ class _ExactOct:
 
 
 # -- heuristic solver --------------------------------------------------
+
+# a word's top byte below 128 is one randrange(2) result, its bit 6; from
+# 128 up randrange draws again
+_COIN = bytes.maketrans(bytes(range(128)), b"0" * 64 + b"1" * 64)
+_REDRAW = bytes(range(128, 256))
+
+
+def _coloring(rng: random.Random, n: int) -> int:
+    """The mask of ``n`` ``rng.randrange(2)`` calls, bit v the v-th call,
+    leaving ``rng`` as those calls would.
+
+    In Python 3.10 to 3.13, ``randrange(2)`` is ``getrandbits(2)``, the
+    top two bits of one 32-bit word, drawn again while it is 2 or more, and
+    ``getrandbits(32 * w)`` is the next w words, word i at bit 32 i.  A
+    word gives at most one call's result, so drawing one word per
+    missing result never draws past the n-th.
+    """
+    digits = b""
+    while len(digits) < n:
+        need = n - len(digits)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        digits += words[3::4].translate(_COIN, _REDRAW)
+    return int(digits[::-1], 2) if n else 0
 
 
 def _heuristic_oct(
@@ -247,10 +271,13 @@ def _heuristic_oct(
     recolored when that strictly helps and evicted otherwise; evicted
     vertices that fit again afterwards are re-added.
 
-    The coloring is the bitmask ``ones`` of color-1 vertices.  The
-    conflict counts are bit-sliced: ``planes[j]`` is the mask of the
-    vertices whose count has bit j set, and ``width``, the bit length
-    of the largest degree, is enough for any count.  The pick
+    The coloring is the bitmask ``ones`` of color-1 vertices, drawn in
+    bulk by :func:`_coloring`.  The conflict counts are bit-sliced:
+    ``planes[j]`` is the mask of the vertices whose count has bit j set,
+    and ``width``, the bit length of the largest degree, is enough for
+    any count.  A restart counts every vertex's color-1 and color-0
+    neighbours with ``map(int.bit_count, ...)``, transposes both lists
+    into planes and keeps from each the vertices of that color.  The pick
     intersects the planes from the top down, keeping a plane's
     vertices whenever it has any, which leaves the vertices with the
     most conflicts.  A move then subtracts 1 from all of its
@@ -265,18 +292,14 @@ def _heuristic_oct(
     rng = random.Random(seed)
     best: tuple[int, tuple[int, ...]] | None = None
     for _ in range(HEURISTIC_RESTARTS):
-        ones = 0
-        for v in range(n):
-            if rng.randrange(2):
-                ones |= 1 << v
+        ones = _coloring(rng, n)
         active = everything
-        planes = transpose(
-            [
-                (adj[v] & (ones if ones >> v & 1 else ~ones)).bit_count()
-                for v in range(n)
-            ],
-            width,
+        # a vertex's conflicts are its neighbours of its own color
+        to_ones, to_zeros = (
+            transpose(list(map(int.bit_count, map(side.__and__, adj))), width)
+            for side in (ones, everything ^ ones)
         )
+        planes = [(a & ones) | (b & ~ones) for a, b in zip(to_ones, to_zeros)]
         while True:
             # evicted vertices count 0; the lowest bit of the vertices
             # with the most conflicts breaks the tie

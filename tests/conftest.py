@@ -187,6 +187,16 @@ def acceptance_5_corpus():
     return corpus
 
 
+def reference_transpose(rows, width):
+    """The per-bit loop that ``bitset.transpose`` replaced, kept verbatim
+    as a reference: bit i of result row j is bit j of row i."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            cols[j] |= 1 << i
+    return cols
+
+
 def reference_brute_force_min_removal(
     ctx: FormalContext, k_max: int, budget: float | None = None
 ) -> int:
