@@ -6,6 +6,9 @@ removal makes the rebuilt graph bipartite.  Removal can create fresh
 incompatibilities, so the transversal step may have to repeat; a single
 exact round certifies that the number of dropped incidences is globally
 minimum, and the exact search capped below its size certifies any other.
+Deciding whether a small enough removal exists is NP-complete, so the
+exact search's speed rests on its lower bound: each clique of c >= 4
+vertices needs c - 2 deletions and each odd cycle beside them one.
 """
 from __future__ import annotations
 
@@ -159,14 +162,17 @@ _Answer = tuple[int, ...] | None
 class _ExactOct:
     """Branch and bound for minimum odd cycle transversals.
 
-    Each search node packs the odd cycles of its subgraph with
-    :func:`pack_odd_cycles`, prunes when the packing's count (each
-    cycle needs a deletion of its own) exceeds the size still allowed,
-    and branches on the vertices of the smallest packed cycle.  Solved
+    The vertex-disjoint cliques of :func:`_greedy_cliques` are found
+    once per graph.  Each search node bounds its subgraph with
+    :meth:`bound`, which counts the listed cliques that keep at least 4
+    of its vertices and the odd cycles :func:`pack_odd_cycles` packs in
+    the rest; it prunes when that bound exceeds the size still allowed,
+    and branches on the vertices of the smallest packed cycle, or of a
+    triangle of the first counted clique when no cycle is left.  Solved
     subgraphs are memoized within one bound, and size ties are broken
     toward the lexicographically smallest deleted set; every
     transversal meets every odd cycle, so the result does not depend on
-    which cycle is branched on.
+    the bound or on which cycle is branched on.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
@@ -174,6 +180,7 @@ class _ExactOct:
         self.deadline = deadline
         # isolated vertices lie on no odd cycle
         self.active = sum(1 << v for v in range(len(adjacency)) if adjacency[v])
+        self.cliques = _greedy_cliques(adjacency, self.active)
 
     def run(self, ub: int) -> tuple[int, ...] | None:
         """The lexicographically smallest minimum transversal if its
@@ -207,7 +214,11 @@ class _ExactOct:
                     return answer
             else:
                 if self.deadline is not None and time.monotonic() > self.deadline:
-                    raise BudgetExceeded("exact transversal search out of time")
+                    # run has found no transversal at any smaller bound
+                    raise BudgetExceeded(
+                        "exact transversal search out of time; "
+                        f"no transversal below {ub} vertices"
+                    )
                 stack.append(self.solve(*request))
                 answer = None
 
@@ -219,14 +230,13 @@ class _ExactOct:
         answer."""
         if active in self.memo:
             return self.memo[active]
+        bound, branch = self.bound(active)
         # a bipartite subgraph, like the empty one, needs no deletion
         result: _Answer = ()
-        cycles = pack_odd_cycles(self.adj, active)
-        if cycles:
-            # prune: each packed cycle needs a deletion of its own
-            branch = min(cycles, key=int.bit_count) if len(cycles) <= ub else 0
+        if branch:
             result = None
-            for v in bits(branch):
+            # prune when the bound exceeds the size still allowed
+            for v in bits(branch if bound <= ub else 0):
                 sub = yield active & ~(1 << v), ub - 1
                 if sub is None:
                     continue
@@ -235,6 +245,97 @@ class _ExactOct:
                     result = candidate
         self.memo[active] = result
         return result
+
+    def bound(self, active: int) -> tuple[int, int]:
+        """A lower bound on the transversals of the subgraph induced by
+        ``active``, and an odd cycle of it to branch on as a vertex mask,
+        0 exactly when the subgraph is bipartite.
+
+        A bipartite induced subgraph keeps at most 2 vertices of a
+        clique, so each listed clique with c >= 4 active vertices counts
+        c - 2; each odd cycle packed in what those cliques leave counts
+        1.  The branch is the smallest packed cycle, else the 3 lowest
+        vertices of the first clique counted, a triangle.
+        """
+        bound = 0
+        first = 0
+        rest = active
+        for clique in self.cliques:
+            part = clique & active
+            c = part.bit_count()
+            if c >= 4:
+                bound += c - 2
+                rest ^= part
+                first = first or part
+        cycles = pack_odd_cycles(self.adj, rest)
+        if cycles:
+            return bound + len(cycles), min(cycles, key=int.bit_count)
+        triangle = 0
+        for _ in range(3):
+            low = first & ~triangle
+            triangle |= low & -low
+        return bound, triangle
+
+
+def _greedy_cliques(adj: Sequence[int], active: int) -> list[int]:
+    """Vertex-disjoint cliques of at least 4 vertices of the subgraph
+    induced by ``active``, as vertex masks.  A clique grows from one
+    vertex by the candidate with the most candidate neighbours, the
+    lowest on ties, until no vertex is adjacent to all of its members;
+    the largest such clique over the start vertices (the lowest start on
+    ties) is taken, and the search repeats on the vertices that are
+    left.  :func:`_has_4_clique` goes first each time, so a graph
+    without 4-cliques costs one scan."""
+    cliques = []
+    while _has_4_clique(adj, active):
+        best = 0
+        for v in bits(active):
+            cand = adj[v] & active
+            # a clique from v has at most one vertex more than cand
+            if cand.bit_count() < max(3, best.bit_count()):
+                continue
+            clique = 1 << v
+            while cand:
+                # the lowest candidate with the most candidate neighbours
+                most = -1
+                rest = cand
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    count = (adj[low.bit_length() - 1] & cand).bit_count()
+                    if count > most:
+                        most = count
+                        pick = low
+                clique |= pick
+                cand &= adj[pick.bit_length() - 1]
+            if clique.bit_count() > best.bit_count():
+                best = clique
+        if best.bit_count() < 4:
+            break
+        cliques.append(best)
+        active &= ~best
+    return cliques
+
+
+def _has_4_clique(adj: Sequence[int], active: int) -> bool:
+    """Whether the subgraph induced by ``active`` holds 4 pairwise
+    adjacent vertices: each vertex in turn, then each of its
+    neighbours above it, then each of their common neighbours above
+    that, looks for a common neighbour above all three."""
+    while active:
+        low = active & -active
+        active ^= low
+        up = adj[low.bit_length() - 1] & active
+        while up.bit_count() >= 3:
+            low = up & -up
+            up ^= low
+            common = adj[low.bit_length() - 1] & up
+            while common.bit_count() >= 2:
+                low = common & -common
+                common ^= low
+                if adj[low.bit_length() - 1] & common:
+                    return True
+    return False
 
 
 # -- heuristic solver --------------------------------------------------

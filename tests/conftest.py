@@ -239,6 +239,20 @@ def reference_two_color(adj, active):
     return color, None
 
 
+def brute_min_transversal(adj, active):
+    """The lexicographically smallest minimum odd cycle transversal of
+    the subgraph induced by ``active``, as a sorted vertex tuple: every
+    vertex subset is tried in order of size, each with
+    :func:`reference_two_color`, so it shares no code with the exact
+    search."""
+    vertices = [v for v in range(len(adj)) if active >> v & 1]
+    for size in range(len(vertices) + 1):
+        for combo in combinations(vertices, size):
+            kept = active & ~sum(1 << v for v in combo)
+            if reference_two_color(adj, kept)[1] is None:
+                return combo
+
+
 def _reference_trimmed_cycle(v, w, parent):
     """The odd cycle closed by the edge v-w of one breadth-first layer.
 

@@ -7,14 +7,19 @@ from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
-from conftest import read_biplot_csv, reference_heuristic_oct, three_order_poset
+from conftest import (
+    brute_min_transversal,
+    read_biplot_csv,
+    reference_heuristic_oct,
+    three_order_poset,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import ordfactor as of  # noqa: E402
 from ordfactor.cli import run  # noqa: E402
-from ordfactor.maximal import _heuristic_oct  # noqa: E402
+from ordfactor.maximal import _ExactOct, _heuristic_oct  # noqa: E402
 
 # no example database on disk, and the same examples on every run
 _FUZZ = settings(database=None, derandomize=True, deadline=None, max_examples=150)
@@ -209,13 +214,16 @@ def test_search_subcommands_always_report_in_json(text_and_argv):
 
 
 @st.composite
-def _graphs(draw):
-    """A symmetric adjacency on 0-24 vertices, one bitmask per vertex."""
-    n = draw(st.integers(0, 24))
+def _graphs(draw, max_vertices=24, layers=1):
+    """A symmetric adjacency on 0 to ``max_vertices`` vertices, one
+    bitmask per vertex; with ``layers`` draws ORed per vertex, an edge
+    is there with probability 1 - 2**-layers."""
+    n = draw(st.integers(0, max_vertices))
     adj = [0] * n
     for u in range(n):
-        # u's neighbours above u, as one draw
-        adj[u] |= draw(st.integers(0, (1 << (n - u - 1)) - 1)) << (u + 1)
+        # u's neighbours above u, one draw per layer
+        for _ in range(layers):
+            adj[u] |= draw(st.integers(0, (1 << (n - u - 1)) - 1)) << (u + 1)
         for v in range(u + 1, n):
             adj[v] |= (adj[u] >> v & 1) << u
     return adj
@@ -225,3 +233,15 @@ def _graphs(draw):
 @given(_graphs(), st.integers(0, 1000))
 def test_heuristic_matches_the_reference_on_random_graphs(adj, seed):
     assert _heuristic_oct(adj, seed, None) == reference_heuristic_oct(adj, seed, None)
+
+
+@settings(_FUZZ, max_examples=100)
+@given(st.integers(1, 3).flatmap(lambda layers: _graphs(14, layers)))
+def test_exact_matches_brute_force_on_dense_random_graphs(adj):
+    """Up to 14 vertices at edge densities 1/2, 3/4 and 7/8, where
+    4-cliques are common: the exact search returns the brute-force
+    lexicographically smallest minimum transversal, and its run capped
+    one below that size finds nothing."""
+    expected = brute_min_transversal(adj, (1 << len(adj)) - 1)
+    assert _ExactOct(adj, None).run(len(adj)) == expected
+    assert _ExactOct(adj, None).run(len(expected) - 1) is None

@@ -2,14 +2,22 @@
 import inspect
 import itertools
 import logging
+import random
 import sys
 
 import pytest
 
 import ordfactor as of
+from ordfactor.bitset import bits
 from ordfactor.context import FormalContext, IncidencePair
-from ordfactor.incompat import IncompatibilityGraph
-from ordfactor.maximal import _ExactOct, _heuristic_oct, max_bipartite_subset
+from ordfactor.incompat import IncompatibilityGraph, pack_odd_cycles
+from ordfactor.maximal import (
+    _ExactOct,
+    _greedy_cliques,
+    _has_4_clique,
+    _heuristic_oct,
+    max_bipartite_subset,
+)
 from ordfactor.oracle import (
     GeneratorSpec,
     brute_force_min_removal,
@@ -17,6 +25,7 @@ from ordfactor.oracle import (
 )
 
 from conftest import (
+    brute_min_transversal,
     checked_cycle_bound,
     induced_bipartite,
     planted_context,
@@ -49,17 +58,6 @@ def _covered_core(ctx, result):
     """Isolated pairs of the incompatibility graph left after removal."""
     kept = of.remove_incidences(ctx, result.removed)
     return of.isolated_pairs(of.build_incompatibility_graph(kept))
-
-
-def _brute_min_oct(graph, limit):
-    """Smallest deleted vertex count that leaves a bipartite induced
-    subgraph, trying sizes 0..limit; the lexicographically smallest
-    witness set of that size is returned alongside."""
-    for size in range(limit + 1):
-        for combo in itertools.combinations(range(graph.n), size):
-            if induced_bipartite(graph, set(combo)):
-                return size, combo
-    return None
 
 
 def test_bipartite_graph_needs_no_deletion(contranominal3):
@@ -122,7 +120,7 @@ def test_exact_on_overlapping_odd_cycles(n, edges, expected):
     """Odd cycles that share vertices, and more than one deletion per
     component; the brute-force witness is the lex-smallest minimum."""
     graph = _graph(n, edges)
-    assert _brute_min_oct(graph, len(expected)) == (len(expected), expected)
+    assert brute_min_transversal(graph.adjacency, (1 << n) - 1) == expected
     solution = max_bipartite_subset(graph, mode="exact")
     deleted_idx = {graph.vertices.index(p) for p in solution.deleted}
     assert tuple(sorted(deleted_idx)) == expected
@@ -150,11 +148,9 @@ def test_exact_matches_brute_force_on_random_graphs():
         deleted_idx = {graph.vertices.index(p) for p in solution.deleted}
         assert induced_bipartite(graph, deleted_idx)
         if len(solution.deleted) <= 3:
-            brute = _brute_min_oct(graph, len(solution.deleted))
-            assert brute is not None
-            size, witness = brute
-            assert size == len(solution.deleted)
             # both tie-break lexicographically, so the sets agree
+            everything = (1 << graph.n) - 1
+            witness = brute_min_transversal(graph.adjacency, everything)
             assert tuple(sorted(deleted_idx)) == witness
             checked += 1
     assert checked >= 25
@@ -243,10 +239,130 @@ def test_deepening_search_matches_the_part_by_part_reference(
     assert len(sizes) >= 5
 
 
+def _random_graph(n, density, seed):
+    """A graph on ``n`` vertices whose edges are drawn with probability
+    ``density``."""
+    rng = random.Random(seed)
+    return _graph(n, [e for e in _complete(n) if rng.random() < density]).adjacency
+
+
+def test_greedy_cliques_are_disjoint_cliques_of_4_or_more():
+    """The clique list holds vertex-disjoint cliques of at least 4
+    vertices, and it is empty exactly when no 4 vertices are pairwise
+    adjacent, which is also what the scan in front of it answers."""
+    with_cliques = 0
+    for seed in range(400):
+        n = 5 + seed % 10
+        adj = _random_graph(n, (0.3, 0.5, 0.7, 0.9)[seed % 4], seed)
+        four = any(
+            all(adj[a] >> b & 1 for a, b in itertools.combinations(quad, 2))
+            for quad in itertools.combinations(range(n), 4)
+        )
+        everything = (1 << n) - 1
+        assert _has_4_clique(adj, everything) == four
+        cliques = _greedy_cliques(adj, everything)
+        assert bool(cliques) == four
+        taken = 0
+        for clique in cliques:
+            members = list(bits(clique))
+            assert len(members) >= 4 and not clique & taken
+            assert all(adj[a] >> b & 1 for a, b in itertools.combinations(members, 2))
+            taken |= clique
+        with_cliques += four
+    assert with_cliques >= 150
+
+
+def test_clique_bound_keeps_the_reference_answers(
+    monuments, contranominal3, forced_overlap
+):
+    """Counting cliques in the bound changes no answer: on graphs dense
+    enough for 4-cliques, the search returns the transversal of the
+    reference search, which counts only packed odd cycles, and its
+    capped run fails just below each answer's size as the reference's
+    bounded search does."""
+    graphs = [
+        of.build_incompatibility_graph(ctx).adjacency
+        for ctx in (monuments, contranominal3, forced_overlap)
+    ]
+    graphs += [
+        _random_graph(8 + seed % 5, (0.5, 0.6, 0.7, 0.8)[seed % 4], seed)
+        for seed in range(160)
+    ]
+    graphs += [
+        of.build_incompatibility_graph(
+            random_context(GeneratorSpec(6 + seed % 3, 7, 0.3 + 0.1 * (seed % 3), seed))
+        ).adjacency
+        for seed in range(60)
+    ]
+    counting = 0
+    for adj in graphs:
+        exact = _ExactOct(adj, None)
+        expected = reference_exact_oct(adj, None).run()
+        assert exact.run(len(adj)) == expected
+        k = len(expected)
+        below = reference_exact_oct(adj, None).search(k - 1) is None
+        assert (_ExactOct(adj, None).run(k - 1) is None) == below
+        counting += bool(exact.cliques)
+    assert counting >= 150
+
+
+def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
+    """At every node the search visits, the clique-plus-cycle bound is
+    at most the brute-force minimum transversal of the node's subgraph,
+    and the branch set is a non-bipartite part of that subgraph, empty
+    exactly when the subgraph is bipartite.  The clique term must raise
+    the bound above the packed cycles' count at some of the nodes."""
+    nodes = {}
+    bound = _ExactOct.bound
+
+    def recording(self, active):
+        answer = bound(self, active)
+        nodes[tuple(self.adj), active] = answer
+        return answer
+
+    monkeypatch.setattr(_ExactOct, "bound", recording)
+    graphs = [_graph(n, _complete(n)).adjacency for n in range(3, 9)]
+    graphs.append(
+        _graph(8, _complete(5) + _cycle([4, 5, 6]) + [(6, 7), (0, 7)]).adjacency
+    )
+    graphs += [
+        _random_graph(6 + seed % 4, (0.5, 0.6, 0.7, 0.8)[seed % 4], seed)
+        for seed in range(60)
+    ]
+    for adj in graphs:
+        _ExactOct(adj, None).run(len(adj))
+    raised = 0
+    for (adj, active), (lower, branch) in nodes.items():
+        minimum = len(brute_min_transversal(adj, active))
+        assert lower <= minimum
+        assert branch & ~active == 0
+        assert (branch == 0) == (minimum == 0)
+        if branch:
+            assert reference_two_color(adj, branch)[1] is not None
+        raised += lower > len(pack_odd_cycles(adj, active))
+    assert len(nodes) >= 1500
+    assert raised >= 200
+
+
+def test_exact_search_finds_the_12x12_optimum_within_its_budget():
+    """The minimum the slow MILP test proves on (12, 12, 0.5, 2), found
+    well inside 10 s: the clique term cuts the search from about 475,000
+    nodes to about 9,000."""
+    ctx = random_context(GeneratorSpec(12, 12, 0.5, 2))
+    graph = of.build_incompatibility_graph(ctx)
+    solution = max_bipartite_subset(graph, "exact", budget=10)
+    assert len(solution.deleted) == 20
+    deleted_idx = {graph.vertices.index(p) for p in solution.deleted}
+    assert induced_bipartite(graph, deleted_idx)
+
+
 def test_exact_search_tree_is_pinned(monkeypatch, monuments):
     """How often the exact search calls ``solve`` pins its tree: a
     change of branching order can keep every result and still move
-    these counts."""
+    these counts.  On (10, 10, 0.5, 1) the clique term cuts the tree
+    from 863 nodes to 220; on the 9x9 seeds 2 and 3 a counted clique
+    takes vertices the cycle packing would have used, and the tree
+    grows."""
     calls = []
     solve = _ExactOct.solve
 
@@ -258,13 +374,14 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
     contexts = [monuments] + [
         random_context(GeneratorSpec(9, 9, 0.5, seed)) for seed in range(4)
     ]
+    contexts.append(random_context(GeneratorSpec(10, 10, 0.5, 1)))
     nodes = []
     for ctx in contexts:
         calls.clear()
         adj = of.build_incompatibility_graph(ctx).adjacency
         _ExactOct(adj, None).run(len(adj))
         nodes.append(len(calls))
-    assert nodes == [16, 496, 29, 655, 193]
+    assert nodes == [14, 496, 29, 786, 506, 220]
 
 
 def test_each_bound_fixes_its_nodes_and_answers_at_them(
@@ -346,7 +463,8 @@ def _milp_oct(adjacency):
 )
 def test_milp_proves_the_slow_optima(ctx, optimum):
     """The MILP oracle's minimum on inputs it needs 30 s to minutes
-    for, and the exact search's, which takes 15-30 s on each."""
+    for, and the exact search's, which takes about 0.3 s on the 12x12
+    context and 13-18 s on the fixture, whose graph has no 4-clique."""
     graph = of.build_incompatibility_graph(ctx)
     milp = _milp_oct(graph.adjacency)
     assert induced_bipartite(graph, milp)
@@ -523,13 +641,19 @@ def test_a_spent_budget_still_runs_the_root_node(
 ):
     """The clock is read between subproblems, never before the root: a
     zero budget still answers a graph that needs no subproblem, and
-    runs out of time on one that does."""
+    runs out of time on one that does.  Each bound below the root's
+    lower bound fails at the root, so the message reports that bound as
+    proven."""
     graph = of.build_incompatibility_graph(forced_overlap)
     assert max_bipartite_subset(graph, "exact", budget=0).deleted == frozenset()
     clean = of.two_factorize(forced_overlap)
     assert of.certify_global_optimality(forced_overlap, clean, budget=0) is True
     graph = of.build_incompatibility_graph(persistent_odd_cycle)
-    with pytest.raises(of.BudgetExceeded, match="out of time"):
+    exact = _ExactOct(graph.adjacency, None)
+    root, _ = exact.bound(exact.active)
+    assert root == 9
+    proven = f"out of time; no transversal below {root} vertices"
+    with pytest.raises(of.BudgetExceeded, match=proven):
         max_bipartite_subset(graph, "exact", budget=0)
 
 
