@@ -56,7 +56,8 @@ def max_bipartite_subset(
 
     ``mode`` is ``"exact"`` (branch and bound, may raise
     :class:`BudgetExceeded` past the time budget; ``deleted`` is then the
-    lexicographically smallest minimum odd cycle transversal) or
+    first minimum odd cycle transversal the search reaches, fixed for a
+    given graph) or
     ``"heuristic"`` (randomized coloring with local search, always
     returns).  Both are deterministic for a fixed mode and seed.
     """
@@ -163,16 +164,16 @@ class _ExactOct:
     """Branch and bound for minimum odd cycle transversals.
 
     The vertex-disjoint cliques of :func:`_greedy_cliques` are found
-    once per graph.  Each search node bounds its subgraph with
-    :meth:`bound`, which counts the listed cliques that keep at least 4
-    of its vertices and the odd cycles :func:`pack_odd_cycles` packs in
-    the rest; it prunes when that bound exceeds the size still allowed,
-    and branches on the vertices of the smallest packed cycle, or of a
-    triangle of the first counted clique when no cycle is left.  Solved
-    subgraphs are memoized within one bound, and size ties are broken
-    toward the lexicographically smallest deleted set; every
-    transversal meets every odd cycle, so the result does not depend on
-    the bound or on which cycle is branched on.
+    once per graph, until the deadline passes.  Each search node bounds
+    its subgraph with :meth:`bound`, which counts the listed cliques
+    that keep at least 4 of its vertices and the odd cycles
+    :func:`pack_odd_cycles` packs in the rest; it prunes when that bound
+    exceeds the size still allowed, and branches on the vertices of the
+    smallest packed cycle, or of a triangle of the first counted clique
+    when no cycle is left.  Solved subgraphs are memoized within one
+    bound, and a node returns at its first child that succeeds, so the
+    answer is the first minimum transversal the search reaches, fixed
+    for a given graph.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
@@ -180,14 +181,14 @@ class _ExactOct:
         self.deadline = deadline
         # isolated vertices lie on no odd cycle
         self.active = sum(1 << v for v in range(len(adjacency)) if adjacency[v])
-        self.cliques = _greedy_cliques(adjacency, self.active)
+        self.cliques = _greedy_cliques(adjacency, self.active, deadline)
 
     def run(self, ub: int) -> tuple[int, ...] | None:
-        """The lexicographically smallest minimum transversal if its
-        size is at most ``ub``, else None: :meth:`search` deepens its
-        bound from 0, so the first bound that succeeds is the minimum
-        and each one that fails proves a lower bound."""
-        for k in range(ub + 1):
+        """The first minimum transversal the search reaches if its size
+        is at most ``ub``, else None: :meth:`search` deepens its bound
+        from the root's lower bound, so the first bound that succeeds is
+        the minimum and each one that fails proves a lower bound."""
+        for k in range(self.bound(self.active)[0], ub + 1):
             answer = self.search(k)
             if answer is not None:
                 return answer
@@ -225,9 +226,9 @@ class _ExactOct:
     def solve(
         self, active: int, ub: int
     ) -> Generator[tuple[int, int], _Answer, _Answer]:
-        """Exact lex-smallest minimum transversal if its size <= ub.
-        Yields each subproblem as ``(active, ub)`` and is sent its
-        answer."""
+        """The first transversal of size <= ub that the children reach,
+        tried in ascending order of the branch vertex.  Yields each
+        subproblem as ``(active, ub)`` and is sent its answer."""
         if active in self.memo:
             return self.memo[active]
         bound, branch = self.bound(active)
@@ -238,11 +239,9 @@ class _ExactOct:
             # prune when the bound exceeds the size still allowed
             for v in bits(branch if bound <= ub else 0):
                 sub = yield active & ~(1 << v), ub - 1
-                if sub is None:
-                    continue
-                candidate = tuple(sorted(sub + (v,)))
-                if result is None or candidate < result:
-                    result = candidate
+                if sub is not None:
+                    result = tuple(sorted(sub + (v,)))
+                    break
         self.memo[active] = result
         return result
 
@@ -277,7 +276,9 @@ class _ExactOct:
         return bound, triangle
 
 
-def _greedy_cliques(adj: Sequence[int], active: int) -> list[int]:
+def _greedy_cliques(
+    adj: Sequence[int], active: int, deadline: float | None = None
+) -> list[int]:
     """Vertex-disjoint cliques of at least 4 vertices of the subgraph
     induced by ``active``, as vertex masks.  A clique grows from one
     vertex by the candidate with the most candidate neighbours, the
@@ -285,7 +286,8 @@ def _greedy_cliques(adj: Sequence[int], active: int) -> list[int]:
     the largest such clique over the start vertices (the lowest start on
     ties) is taken, and the search repeats on the vertices that are
     left.  :func:`_has_4_clique` goes first each time, so a graph
-    without 4-cliques costs one scan."""
+    without 4-cliques costs one scan.  The list ends early once the
+    clock passes ``deadline``; any shorter list still bounds."""
     cliques = []
     while _has_4_clique(adj, active):
         best = 0
@@ -314,6 +316,8 @@ def _greedy_cliques(adj: Sequence[int], active: int) -> list[int]:
             break
         cliques.append(best)
         active &= ~best
+        if deadline is not None and time.monotonic() > deadline:
+            break
     return cliques
 
 

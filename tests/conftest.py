@@ -253,6 +253,15 @@ def brute_min_transversal(adj, active):
                 return combo
 
 
+def deletes_to_bipartite(adj, deleted):
+    """Whether deleting the vertices ``deleted`` leaves a subgraph that
+    :func:`reference_two_color` 2-colors."""
+    kept = (1 << len(adj)) - 1
+    for v in deleted:
+        kept &= ~(1 << v)
+    return reference_two_color(adj, kept)[1] is None
+
+
 def _reference_trimmed_cycle(v, w, parent):
     """The odd cycle closed by the edge v-w of one breadth-first layer.
 
@@ -304,9 +313,9 @@ class reference_exact_oct:
     parts share the allowed size) and :meth:`run` searches once at
     ``ub = n``.  Its docstrings and annotations are left out, and its
     call of ``pack_odd_cycles`` no longer passes the first cycle, which
-    that function now finds itself.  Both searches return the
-    lexicographically smallest minimum transversal, so every answer
-    must agree."""
+    that function now finds itself.  It returns the lexicographically
+    smallest minimum transversal; the deepening search returns the first
+    minimum it reaches, so the two agree on each answer's size."""
 
     def __init__(self, adjacency, deadline):
         self.adj = adjacency

@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 from conftest import (
     brute_min_transversal,
+    deletes_to_bipartite,
     read_biplot_csv,
     reference_heuristic_oct,
     three_order_poset,
@@ -239,9 +240,12 @@ def test_heuristic_matches_the_reference_on_random_graphs(adj, seed):
 @given(st.integers(1, 3).flatmap(lambda layers: _graphs(14, layers)))
 def test_exact_matches_brute_force_on_dense_random_graphs(adj):
     """Up to 14 vertices at edge densities 1/2, 3/4 and 7/8, where
-    4-cliques are common: the exact search returns the brute-force
-    lexicographically smallest minimum transversal, and its run capped
-    one below that size finds nothing."""
+    4-cliques are common: the exact search returns a transversal as
+    small as the brute-force minimum, the same one on a second run, and
+    its run capped one below that size finds nothing."""
     expected = brute_min_transversal(adj, (1 << len(adj)) - 1)
-    assert _ExactOct(adj, None).run(len(adj)) == expected
+    answer = _ExactOct(adj, None).run(len(adj))
+    assert len(answer) == len(expected)
+    assert deletes_to_bipartite(adj, answer)
+    assert _ExactOct(adj, None).run(len(adj)) == answer
     assert _ExactOct(adj, None).run(len(expected) - 1) is None

@@ -3,7 +3,9 @@ import inspect
 import itertools
 import logging
 import random
+import re
 import sys
+import time
 
 import pytest
 
@@ -27,6 +29,7 @@ from ordfactor.oracle import (
 from conftest import (
     brute_min_transversal,
     checked_cycle_bound,
+    deletes_to_bipartite,
     induced_bipartite,
     planted_context,
     reference_disjoint_odd_cycles,
@@ -67,6 +70,9 @@ def test_bipartite_graph_needs_no_deletion(contranominal3):
 
 
 def test_triangle_deletes_lexicographically_smallest_vertex():
+    """The search tries the branch vertices in ascending order and
+    returns at the first that succeeds; every vertex of a triangle
+    succeeds, so the first, vertex 0, is deleted."""
     graph = _graph(3, [(0, 1), (1, 2), (0, 2)])
     solution = max_bipartite_subset(graph, mode="exact")
     assert solution.deleted == {IncidencePair(0, 0)}
@@ -118,7 +124,8 @@ def test_two_disjoint_triangles():
 )
 def test_exact_on_overlapping_odd_cycles(n, edges, expected):
     """Odd cycles that share vertices, and more than one deletion per
-    component; the brute-force witness is the lex-smallest minimum."""
+    component; on these graphs the first minimum the search reaches is
+    the brute-force witness, the lex-smallest minimum."""
     graph = _graph(n, edges)
     assert brute_min_transversal(graph.adjacency, (1 << n) - 1) == expected
     solution = max_bipartite_subset(graph, mode="exact")
@@ -148,7 +155,8 @@ def test_exact_matches_brute_force_on_random_graphs():
         deleted_idx = {graph.vertices.index(p) for p in solution.deleted}
         assert induced_bipartite(graph, deleted_idx)
         if len(solution.deleted) <= 3:
-            # both tie-break lexicographically, so the sets agree
+            # on these small graphs the first minimum the search
+            # reaches is the brute-force lex-smallest one
             everything = (1 << graph.n) - 1
             witness = brute_min_transversal(graph.adjacency, everything)
             assert tuple(sorted(deleted_idx)) == witness
@@ -170,10 +178,9 @@ def _seeded_graphs(seed0, count):
 
 
 def test_exact_unchanged_by_the_odd_cycles_it_packs(monkeypatch, monuments):
-    """The exact search returns the lexicographically smallest minimum
-    transversal, so packing the queue BFS's cycles, restarted from
-    scratch after each one, instead of the resumed sweep's changes no
-    result."""
+    """Packing the queue BFS's cycles, restarted from scratch after
+    each one, instead of the resumed sweep's changes no result: both
+    packings give the search the same smallest cycle to branch on."""
     graphs = [of.build_incompatibility_graph(monuments).adjacency]
     graphs += _seeded_graphs(500, 19)
     expected = [_ExactOct(adj, None).run(len(adj)) for adj in graphs]
@@ -206,7 +213,7 @@ def test_exact_search_visits_the_same_nodes_as_the_restarted_packing(
             results = [_ExactOct(adj, None).run(len(adj)) for adj in graphs]
         return results, len(calls)
 
-    graphs = list(_seeded_graphs(700, 24))
+    graphs = list(_seeded_graphs(700, 56))
     results, nodes = counted_runs()
     packed = []
     monkeypatch.setattr(
@@ -216,13 +223,24 @@ def test_exact_search_visits_the_same_nodes_as_the_restarted_packing(
     assert packed and nodes > 1000
 
 
+def _first_minimum(adj, size):
+    """The exact search's transversal of the graph ``adj``, checked to
+    have ``size`` vertices, to leave a bipartite subgraph and to come
+    back unchanged from a second run."""
+    answer = _ExactOct(adj, None).run(len(adj))
+    assert len(answer) == size
+    assert deletes_to_bipartite(adj, answer)
+    assert _ExactOct(adj, None).run(len(adj)) == answer
+    return answer
+
+
 def test_deepening_search_matches_the_part_by_part_reference(
     monuments, contranominal3, forced_overlap
 ):
-    """Deepening the bound from 0 without splitting a subgraph into its
-    parts returns the reference search's transversal, and the capped
-    run behind ``certify_global_optimality`` fails just below each
-    answer's size as the reference's bounded search does."""
+    """Deepening the bound without splitting a subgraph into its parts
+    returns a transversal as small as the reference search's, and the
+    capped run behind ``certify_global_optimality`` fails just below
+    each answer's size as the reference's bounded search does."""
     graphs = [
         of.build_incompatibility_graph(ctx).adjacency
         for ctx in (monuments, contranominal3, forced_overlap)
@@ -231,7 +249,7 @@ def test_deepening_search_matches_the_part_by_part_reference(
     sizes = set()
     for adj in graphs:
         expected = reference_exact_oct(adj, None).run()
-        assert _ExactOct(adj, None).run(len(adj)) == expected
+        _first_minimum(adj, len(expected))
         k = len(expected)
         below = reference_exact_oct(adj, None).search(k - 1) is None
         assert (_ExactOct(adj, None).run(k - 1) is None) == below
@@ -275,11 +293,11 @@ def test_greedy_cliques_are_disjoint_cliques_of_4_or_more():
 def test_clique_bound_keeps_the_reference_answers(
     monuments, contranominal3, forced_overlap
 ):
-    """Counting cliques in the bound changes no answer: on graphs dense
-    enough for 4-cliques, the search returns the transversal of the
-    reference search, which counts only packed odd cycles, and its
-    capped run fails just below each answer's size as the reference's
-    bounded search does."""
+    """Counting cliques in the bound changes no answer's size: on graphs
+    dense enough for 4-cliques, the search returns a transversal as
+    small as the reference search's, which counts only packed odd
+    cycles, and its capped run fails just below each answer's size as
+    the reference's bounded search does."""
     graphs = [
         of.build_incompatibility_graph(ctx).adjacency
         for ctx in (monuments, contranominal3, forced_overlap)
@@ -296,13 +314,12 @@ def test_clique_bound_keeps_the_reference_answers(
     ]
     counting = 0
     for adj in graphs:
-        exact = _ExactOct(adj, None)
         expected = reference_exact_oct(adj, None).run()
-        assert exact.run(len(adj)) == expected
+        _first_minimum(adj, len(expected))
         k = len(expected)
         below = reference_exact_oct(adj, None).search(k - 1) is None
         assert (_ExactOct(adj, None).run(k - 1) is None) == below
-        counting += bool(exact.cliques)
+        counting += bool(_ExactOct(adj, None).cliques)
     assert counting >= 150
 
 
@@ -327,7 +344,7 @@ def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
     )
     graphs += [
         _random_graph(6 + seed % 4, (0.5, 0.6, 0.7, 0.8)[seed % 4], seed)
-        for seed in range(60)
+        for seed in range(160)
     ]
     for adj in graphs:
         _ExactOct(adj, None).run(len(adj))
@@ -358,11 +375,8 @@ def test_exact_search_finds_the_12x12_optimum_within_its_budget():
 
 def test_exact_search_tree_is_pinned(monkeypatch, monuments):
     """How often the exact search calls ``solve`` pins its tree: a
-    change of branching order can keep every result and still move
-    these counts.  On (10, 10, 0.5, 1) the clique term cuts the tree
-    from 863 nodes to 220; on the 9x9 seeds 2 and 3 a counted clique
-    takes vertices the cycle packing would have used, and the tree
-    grows."""
+    change of branching order can keep every result's size and still
+    move these counts."""
     calls = []
     solve = _ExactOct.solve
 
@@ -381,7 +395,7 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
         adj = of.build_incompatibility_graph(ctx).adjacency
         _ExactOct(adj, None).run(len(adj))
         nodes.append(len(calls))
-    assert nodes == [14, 496, 29, 786, 506, 220]
+    assert nodes == [6, 201, 16, 292, 326, 49]
 
 
 def test_each_bound_fixes_its_nodes_and_answers_at_them(
@@ -463,8 +477,8 @@ def _milp_oct(adjacency):
 )
 def test_milp_proves_the_slow_optima(ctx, optimum):
     """The MILP oracle's minimum on inputs it needs 30 s to minutes
-    for, and the exact search's, which takes about 0.3 s on the 12x12
-    context and 13-18 s on the fixture, whose graph has no 4-clique."""
+    for, and the exact search's, which takes about 0.2 s on the 12x12
+    context and about 3 s on the fixture, whose graph has no 4-clique."""
     graph = of.build_incompatibility_graph(ctx)
     milp = _milp_oct(graph.adjacency)
     assert induced_bipartite(graph, milp)
@@ -747,7 +761,7 @@ def test_certify_refutes_the_persistent_heuristic_without_a_search(
 ):
     """A removed incidence that fits back into the original graph on the
     kept ones proves a transversal of 73, so no search is needed; the
-    bounded search alone runs past a minute on this input."""
+    bounded search alone takes about 3 s to find one of 12."""
     result = of.maximal_two_factorization(
         persistent_odd_cycle, mode="heuristic", seed=0
     )
@@ -758,8 +772,8 @@ def test_certify_refutes_the_persistent_heuristic_without_a_search(
     assert claim is False
 
 
-# exact mode needs two rounds here: the lexicographically smallest
-# minimum transversal (4 vertices) leaves an odd cycle behind
+# exact mode needs two rounds here: the minimum transversal it returns
+# (4 vertices) leaves an odd cycle behind
 _TWO_ROUNDS = GeneratorSpec(8, 8, 0.6, 249)
 
 
@@ -797,6 +811,77 @@ def test_exact_mode_removes_one_more_than_the_optimum():
         brute_force_min_removal(ctx, 3)
 
 
+def _quality_spec(seed):
+    """The seed-th context of the removal-quality corpus: squares of 6
+    to 9 at densities 0.4 to 0.6."""
+    size = 6 + seed % 4
+    return GeneratorSpec(size, size, (0.4, 0.5, 0.6)[seed // 4 % 3], seed)
+
+
+# exact mode's removal size on each context of the corpus when every
+# round deleted the lexicographically smallest minimum transversal
+_LEXICOGRAPHIC_REMOVALS = [
+    2, 5, 4, 8, 1, 3, 7, 9, 0, 0, 5, 7, 1, 3, 7, 7, 0, 3, 4, 7, 0, 2, 4,
+    6, 1, 4, 3, 7, 1, 2, 5, 9, 0, 3, 3, 2, 2, 3, 4, 6, 1, 3, 1, 7, 1, 3,
+    2, 3, 2, 4, 6, 6, 0, 0, 5, 8, 0, 1, 5, 6, 0, 4, 6, 8, 0, 2, 2, 6, 1,
+    0, 6, 4, 1, 2, 7, 9, 0, 5, 4, 5, 0, 2, 2, 5, 2, 2, 4, 8, 1, 4, 6, 7,
+    2, 0, 5, 7, 0, 4, 5, 7, 3, 2, 4, 8, 3, 4, 3, 4, 1, 2, 5, 9, 0, 4, 2,
+    8, 0, 1, 7, 7, 2, 3, 5, 7, 2, 2, 4, 8, 1, 4, 1, 8, 1, 2, 4, 7, 2, 4,
+    4, 5, 2, 1, 2, 9, 2, 1, 5, 5, 1, 0, 7, 6, 2, 1, 4, 5, 2, 2, 7, 14,
+    2, 3, 4, 7, 0, 2, 7, 9, 1, 3, 8, 5, 1, 3, 3, 9, 1, 3, 3, 5, 2, 3, 5,
+    8, 1, 5, 2, 9, 3, 2, 2, 4, 4, 4, 3, 7, 1, 2, 5, 5, 0, 2, 3, 7, 0, 2,
+    8, 5, 2, 4, 6, 7, 0, 1, 1, 5, 2, 4, 5, 11, 1, 3, 2, 10, 0, 2, 1, 5,
+    0, 3, 3, 6, 0, 4, 5, 6, 1, 4, 4, 4, 1, 1, 6, 10, 2, 3, 4, 11, 0, 2,
+    1, 6, 1, 3, 5, 8, 1, 2, 5, 5, 3, 5, 4, 5, 1, 6, 7, 6, 1, 3, 2, 6, 4,
+    1, 5, 6, 1, 4, 7, 5, 2, 3, 6, 11, 0, 0, 3, 9, 1, 4, 8, 9, 3, 1, 3,
+    11, 2, 0, 4, 7, 2, 4, 5, 9, 0, 4, 4, 9, 0, 1, 3, 6, 0, 2, 3, 9, 1,
+    2, 2, 6, 0, 2, 5, 4, 0, 3, 5, 5, 2, 2, 8, 7, 1, 0, 3, 7, 1, 1, 5, 2,
+    0, 4, 4, 5, 1, 6, 4, 7, 1, 2, 3, 7, 0, 5, 6, 8, 1, 1, 2, 5, 1, 6, 8,
+    7, 1, 2, 5, 6, 0, 3, 7, 8, 1, 3, 6, 8, 2, 5, 5, 7, 2, 0, 1, 5, 1, 3,
+    7, 9, 1, 2, 5, 8, 2, 1, 6, 5, 1, 1, 5, 9, 3, 5
+]
+
+
+def test_exact_mode_removes_no_more_than_the_lexicographic_choice():
+    """Each round deletes the first minimum transversal the search
+    reaches instead of the lexicographically smallest one; over 402
+    contexts that never removes more incidences in all, and on
+    (9, 9, 0.6, 287) it removes 8 in one certified round instead of 9
+    in two."""
+    for seed, before in enumerate(_LEXICOGRAPHIC_REMOVALS):
+        ctx = random_context(_quality_spec(seed))
+        assert len(of.maximal_two_factorization(ctx).removed) <= before, seed
+    result = of.maximal_two_factorization(random_context(_quality_spec(287)))
+    assert len(result.removed) == 8
+    assert (result.rounds, result.certificate) == (1, True)
+
+
+def _lexicographic_removal(ctx):
+    """The removal of exact mode's loop when each round deletes the
+    lexicographically smallest minimum transversal, which
+    ``conftest.reference_exact_oct`` returns."""
+    removed = set()
+    graph = of.build_incompatibility_graph(ctx)
+    while not of.bipartition(graph).is_bipartite:
+        transversal = reference_exact_oct(graph.adjacency, None).run()
+        deleted = {graph.vertices[v] for v in transversal}
+        removed |= deleted
+        ctx = of.remove_incidences(ctx, deleted)
+        graph = of.build_incompatibility_graph(ctx)
+    return removed
+
+
+@pytest.mark.slow
+def test_the_lexicographic_removals_come_from_the_reference_search():
+    """The pinned sizes of the removal-quality corpus are those of the
+    loop that deletes the reference search's transversal each round."""
+    sizes = [
+        len(_lexicographic_removal(random_context(_quality_spec(seed))))
+        for seed in range(len(_LEXICOGRAPHIC_REMOVALS))
+    ]
+    assert sizes == _LEXICOGRAPHIC_REMOVALS
+
+
 def test_persistent_fixture_exact_budget_runs_out(persistent_odd_cycle):
     with pytest.raises(of.BudgetExceeded):
         of.maximal_two_factorization(
@@ -821,6 +906,65 @@ def test_budget_ends_the_proof_of_a_948_incidence_removal():
     assert (len(result.removed), result.rounds) == (948, 1)
     with pytest.raises(of.BudgetExceeded, match="out of time"):
         of.certify_global_optimality(ctx, result, budget=1)
+
+
+def test_a_1_s_budget_ends_exact_work_on_a_50x50_context_within_6_s():
+    """The clique list reads the deadline after each clique it adds, so
+    a 1 s budget ends exact mode, and the minimality proof of the
+    seed-0 heuristic removal, well within 6 s; listing every clique of
+    this graph takes about 18 s.  The message names the bound proven
+    with the cliques listed in time, which no transversal undercuts."""
+    ctx = random_context(GeneratorSpec(50, 50, 0.5, 0))
+    result = of.maximal_two_factorization(ctx, mode="heuristic", seed=0)
+    assert len(result.removed) == 948
+    for call in (
+        lambda: of.maximal_two_factorization(ctx, mode="exact", budget=1),
+        lambda: of.certify_global_optimality(ctx, result, budget=1),
+    ):
+        start = time.monotonic()
+        with pytest.raises(of.BudgetExceeded) as caught:
+            call()
+        assert time.monotonic() - start < 6
+        proven = re.search(r"below (\d+) vertices", str(caught.value))
+        assert 0 < int(proven[1]) <= 948
+
+
+def test_the_clique_list_stops_at_the_deadline():
+    """Past its deadline the clique list ends after the clique it is
+    adding, and the search raises before its first child, naming the
+    bound of the shorter list.  Two disjoint K4s need 4 deletions; one
+    listed K4 counts 2 and the other packs 1 triangle."""
+    graph = _graph(8, _complete(4) + [(a + 4, b + 4) for a, b in _complete(4)])
+    assert _greedy_cliques(graph.adjacency, 255) == [15, 240]
+    assert _greedy_cliques(graph.adjacency, 255, time.monotonic() - 1) == [15]
+    assert len(max_bipartite_subset(graph, "exact").deleted) == 4
+    with pytest.raises(of.BudgetExceeded, match="no transversal below 3 "):
+        max_bipartite_subset(graph, "exact", budget=0)
+
+
+def test_run_deepens_from_the_root_bound(monkeypatch):
+    """``run`` searches first at the root's lower bound, so no bound
+    below it is searched, and a cap below it returns None without a
+    search."""
+    adj = of.build_incompatibility_graph(
+        random_context(GeneratorSpec(10, 10, 0.5, 1))
+    ).adjacency
+    bounds = []
+    search = _ExactOct.search
+
+    def recording(self, ub):
+        bounds.append(ub)
+        return search(self, ub)
+
+    monkeypatch.setattr(_ExactOct, "search", recording)
+    exact = _ExactOct(adj, None)
+    root, _ = exact.bound(exact.active)
+    answer = exact.run(len(adj))
+    assert root < len(answer) == 10
+    assert bounds == list(range(root, 11))
+    bounds.clear()
+    assert _ExactOct(adj, None).run(root - 1) is None
+    assert bounds == []
 
 
 def test_exact_search_depth_is_not_bound_by_the_recursion_limit():
