@@ -286,10 +286,13 @@ def _greedy_cliques(
     the largest such clique over the start vertices (the lowest start on
     ties) is taken, and the search repeats on the vertices that are
     left.  :func:`_has_4_clique` goes first each time, so a graph
-    without 4-cliques costs one scan.  The list ends early once the
-    clock passes ``deadline``; any shorter list still bounds."""
+    without 4-cliques costs one scan.  The clock is read after each
+    start vertex's clique is grown; once it passes ``deadline`` the list
+    ends with the largest clique of the round so far, if it has at
+    least 4 vertices.  Any shorter list still bounds."""
     cliques = []
-    while _has_4_clique(adj, active):
+    late = False
+    while not late and _has_4_clique(adj, active):
         best = 0
         for v in bits(active):
             cand = adj[v] & active
@@ -312,12 +315,13 @@ def _greedy_cliques(
                 cand &= adj[pick.bit_length() - 1]
             if clique.bit_count() > best.bit_count():
                 best = clique
+            if deadline is not None and time.monotonic() > deadline:
+                late = True
+                break
         if best.bit_count() < 4:
             break
         cliques.append(best)
         active &= ~best
-        if deadline is not None and time.monotonic() > deadline:
-            break
     return cliques
 
 
@@ -380,85 +384,115 @@ def _heuristic_oct(
     bulk by :func:`_coloring`.  The conflict counts are bit-sliced:
     ``planes[j]`` is the mask of the vertices whose count has bit j set,
     and ``width``, the bit length of the largest degree, is enough for
-    any count.  A restart counts every vertex's color-1 and color-0
-    neighbours with ``map(int.bit_count, ...)``, transposes both lists
-    into planes and keeps from each the vertices of that color.  The pick
-    intersects the planes from the top down, keeping a plane's
+    any count.  The degrees are transposed into planes once per call.
+    A restart counts every vertex's color-1 neighbours with one
+    ``map(int.bit_count, ...)`` pass and one transpose; a color-1
+    vertex's conflicts are that count, and a color-0 vertex's are its
+    degree less that count, taken from the degree planes by one borrow
+    ripple.  The pick starts at the highest nonzero plane and
+    intersects the planes below it from the top down, keeping a plane's
     vertices whenever it has any, which leaves the vertices with the
-    most conflicts.  A move then subtracts 1 from all of its
-    same-colored active neighbours with one borrow ripple through the
-    planes, adds 1 to the others with one carry ripple when it is a
-    flip, and XORs the moved vertex's old and new count into the
-    planes (an eviction writes 0).
+    most conflicts; no count rises except on a flip, and a flip lifts
+    the highest nonzero plane by at most one.  A move then subtracts 1
+    from all of its same-colored active neighbours with one borrow
+    ripple through the planes, adds 1 to the others with one carry
+    ripple when it is a flip, and XORs the moved vertex's old and new
+    count into the planes (an eviction writes 0).
     """
     n = len(adj)
     everything = (1 << n) - 1
-    width = max((a.bit_count() for a in adj), default=0).bit_length()
+    degrees = list(map(int.bit_count, adj))
+    width = max(degrees, default=0).bit_length()
+    degree_planes = transpose(degrees, width)
+    up = tuple(range(width))
+    # below[j]: the planes under plane j, from the top down
+    below = [tuple(range(j - 1, -1, -1)) for j in up]
     rng = random.Random(seed)
-    best: tuple[int, tuple[int, ...]] | None = None
+    best_size = n + 1
+    best: tuple[int, ...] = ()
     for _ in range(HEURISTIC_RESTARTS):
         ones = _coloring(rng, n)
         active = everything
-        # a vertex's conflicts are its neighbours of its own color
-        to_ones, to_zeros = (
-            transpose(list(map(int.bit_count, map(side.__and__, adj))), width)
-            for side in (ones, everything ^ ones)
-        )
-        planes = [(a & ones) | (b & ~ones) for a, b in zip(to_ones, to_zeros)]
+        # a vertex's conflicts are its neighbours of its own color; a
+        # color-0 vertex's are its degree less its color-1 neighbours,
+        # subtracted plane by plane with a rippling borrow
+        to_ones = transpose(list(map(int.bit_count, map(ones.__and__, adj))), width)
+        planes = []
+        borrow = 0
+        for deg, one in zip(degree_planes, to_ones):
+            planes.append((one & ones) | ((deg ^ one ^ borrow) & ~ones))
+            borrow = (~deg & (one | borrow)) | (one & borrow)
+        # planes[top:] hold no vertex
+        top = width
         while True:
+            while top and not planes[top - 1]:
+                top -= 1
+            if not top:
+                break
             # evicted vertices count 0; the lowest bit of the vertices
             # with the most conflicts breaks the tie
-            worst = everything
-            worst_c = 0
-            for j in range(width - 1, -1, -1):
-                top = worst & planes[j]
-                if top:
-                    worst = top
+            worst = planes[top - 1]
+            worst_c = 1 << top - 1
+            for j in below[top - 1]:
+                both = worst & planes[j]
+                if both:
+                    worst = both
                     worst_c |= 1 << j
-            if not worst_c:
-                break
             bit = worst & -worst
             nbrs = adj[bit.bit_length() - 1] & active
             mates = nbrs & (ones if ones & bit else ~ones)
             others = nbrs ^ mates
             # every mate conflicts with the moved vertex, so counts >= 1
+            # and mates has worst_c members
             borrow = mates
-            for j in range(width):
-                if not borrow:
-                    break
+            for j in up:
                 plane = planes[j]
                 planes[j] = plane ^ borrow
                 borrow &= ~plane
+                if not borrow:
+                    break
             flipped = others.bit_count()
             if flipped < worst_c:
                 carry = others
-                for j in range(width):
-                    if not carry:
-                        break
-                    plane = planes[j]
-                    planes[j] = plane ^ carry
-                    carry &= plane
+                if carry:
+                    for j in up:
+                        plane = planes[j]
+                        planes[j] = plane ^ carry
+                        carry &= plane
+                        if not carry:
+                            break
+                    if j >= top:
+                        top = j + 1
                 ones ^= bit
             else:
                 flipped = 0  # an evicted vertex counts 0
                 active ^= bit
             change = worst_c ^ flipped
-            for j in range(change.bit_length()):
-                if change >> j & 1:
+            j = 0
+            while change:
+                if change & 1:
                     planes[j] ^= bit
-        for v in bits(everything & ~active):
-            bit = 1 << v
-            nbrs = adj[v] & active
+                change >>= 1
+                j += 1
+        rest = everything ^ active
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            nbrs = adj[bit.bit_length() - 1] & active
             zeros = nbrs & ~ones
             if zeros and nbrs & ones:
                 continue
             # take the color opposite to all active neighbours, else 0
             ones = ones | bit if zeros else ones & ~bit
             active |= bit
-        evicted = tuple(bits(everything & ~active))
-        candidate = (len(evicted), evicted)
-        if best is None or candidate < best:
-            best = candidate
+        evicted = everything ^ active
+        size = evicted.bit_count()
+        # the smallest eviction wins, the lexicographically smallest on ties
+        if size <= best_size:
+            candidate = tuple(bits(evicted))
+            if size < best_size or candidate < best:
+                best_size = size
+                best = candidate
         if deadline is not None and time.monotonic() > deadline:
             break
-    return best[1]
+    return best

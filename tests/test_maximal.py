@@ -6,10 +6,12 @@ import random
 import re
 import sys
 import time
+import types
 
 import pytest
 
 import ordfactor as of
+from ordfactor import maximal
 from ordfactor.bitset import bits
 from ordfactor.context import FormalContext, IncidencePair
 from ordfactor.incompat import IncompatibilityGraph, pack_odd_cycles
@@ -522,7 +524,10 @@ def test_heuristic_matches_rescanning_reference(
     """The bit-sliced conflict counts change no choice of the search:
     the same evicted tuple as a full rescan per step, seed by seed.
     Complete graphs up to K17 and stars up to 16 leaves take counts
-    up to 16, so borrows and carries cross every plane boundary."""
+    up to 16, so borrows and carries cross every plane boundary; an
+    edgeless graph has no planes at all.  The three round graphs of the
+    pinned seed-0 persistent run, on which its 74/3 pin rests, are
+    compared too."""
     contexts = [monuments, contranominal3, forced_overlap]
     for size in (4, 6, 8, 10):
         for density in (0.3, 0.5, 0.7):
@@ -543,6 +548,7 @@ def test_heuristic_matches_rescanning_reference(
         _graph(k + 1, [(0, leaf) for leaf in range(1, k + 1)]).adjacency
         for k in (1, 2, 4, 8, 16)
     ]
+    graphs.append(_graph(6, []).adjacency)
     evicting = 0
     for adj in graphs:
         for seed in (0, 7):
@@ -554,6 +560,16 @@ def test_heuristic_matches_rescanning_reference(
     adj = of.build_incompatibility_graph(persistent_odd_cycle).adjacency
     assert len(adj) == 273
     assert _heuristic_oct(adj, 0, None) == reference_heuristic_oct(adj, 0, None)
+    # its second- and third-round graphs
+    ctx = persistent_odd_cycle
+    graph = of.build_incompatibility_graph(ctx)
+    for size in (230, 207):
+        deleted = max_bipartite_subset(graph, "heuristic").deleted
+        ctx = of.remove_incidences(ctx, deleted)
+        graph = of.build_incompatibility_graph(ctx)
+        assert graph.n == size
+        expected = reference_heuristic_oct(graph.adjacency, 0, None)
+        assert _heuristic_oct(graph.adjacency, 0, None) == expected
 
 
 def test_heuristic_under_zero_budget(persistent_odd_cycle):
@@ -909,8 +925,8 @@ def test_budget_ends_the_proof_of_a_948_incidence_removal():
 
 
 def test_a_1_s_budget_ends_exact_work_on_a_50x50_context_within_6_s():
-    """The clique list reads the deadline after each clique it adds, so
-    a 1 s budget ends exact mode, and the minimality proof of the
+    """The clique list reads the deadline after each clique it grows,
+    so a 1 s budget ends exact mode, and the minimality proof of the
     seed-0 heuristic removal, well within 6 s; listing every clique of
     this graph takes about 18 s.  The message names the bound proven
     with the cliques listed in time, which no transversal undercuts."""
@@ -940,6 +956,30 @@ def test_the_clique_list_stops_at_the_deadline():
     assert len(max_bipartite_subset(graph, "exact").deleted) == 4
     with pytest.raises(of.BudgetExceeded, match="no transversal below 3 "):
         max_bipartite_subset(graph, "exact", budget=0)
+
+
+def test_a_late_clique_list_ends_after_its_first_growth(monkeypatch):
+    """Past its deadline the clique list reads the clock once, after
+    the clique grown from the first start vertex, and returns that one
+    clique; the whole first round on this 1,237-vertex graph grows a
+    clique from every vertex."""
+    graph = of.build_incompatibility_graph(
+        random_context(GeneratorSpec(50, 50, 0.5, 0))
+    )
+    adj = graph.adjacency
+    reads = []
+
+    def counting():
+        reads.append(time.monotonic())
+        return reads[-1]
+
+    clock = types.SimpleNamespace(monotonic=counting)
+    monkeypatch.setattr(maximal, "time", clock)
+    cliques = _greedy_cliques(adj, (1 << graph.n) - 1, time.monotonic() - 1)
+    assert len(reads) == 1
+    [clique] = cliques
+    assert clique & 1 and clique.bit_count() >= 4
+    assert all(clique & ~adj[v] == 1 << v for v in bits(clique))
 
 
 def test_run_deepens_from_the_root_bound(monkeypatch):
