@@ -331,6 +331,8 @@ def run(argv: list[str] | None = None) -> int:
     except (OrdfactorError, OSError) as exc:
         report["status"] = "error"
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, BudgetExceeded):
+            report["error"]["lower_bound"] = exc.lower_bound
         _emit(report, started)
         if isinstance(exc, BudgetExceeded):
             return _EXIT_BUDGET

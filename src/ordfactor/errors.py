@@ -75,4 +75,12 @@ class NotFound(DomainError):
 
 
 class BudgetExceeded(OrdfactorError):
-    """An exact computation ran out of its time budget."""
+    """An exact computation ran out of its time budget.
+
+    ``lower_bound`` is the size below which the computation proved that
+    no answer exists, or None when it proved none.
+    """
+
+    def __init__(self, message: str, lower_bound: int | None = None):
+        super().__init__(message)
+        self.lower_bound = lower_bound

@@ -87,12 +87,15 @@ def maximal_two_factorization(
     graph until it is bipartite, then factorizes what is left.
     ``certificate`` is true when nothing was removed or exactly one
     exact round sufficed, in which case the removal is globally minimum.
+    An exhausted budget raises :class:`BudgetExceeded`, whose
+    ``lower_bound`` holds for every valid removal.
     """
     _check_mode(mode)
     deadline = time.monotonic() + budget if budget is not None else None
     current = ctx
     removed: set[IncidencePair] = set()
     rounds = 0
+    first = 0  # the first round's transversal size, set in that round
     graph = build_incompatibility_graph(current)
     while not bipartition(graph).is_bipartite:
         if rounds >= ctx.incidence_count:
@@ -100,7 +103,16 @@ def maximal_two_factorization(
         # an exact search out of time raises BudgetExceeded before its
         # first subproblem, which every non-bipartite graph needs
         remaining = deadline - time.monotonic() if deadline is not None else None
-        solution = max_bipartite_subset(graph, mode, remaining, seed)
+        try:
+            solution = max_bipartite_subset(graph, mode, remaining, seed)
+        except BudgetExceeded as exc:
+            if not rounds:
+                raise
+            # every valid removal is a transversal of the first round's
+            # graph, so its minimum, not this round's bound, bounds them
+            raise BudgetExceeded(str(exc), lower_bound=first) from None
+        if not rounds:
+            first = len(solution.deleted)
         removed |= solution.deleted
         current = remove_incidences(current, solution.deleted)
         graph = build_incompatibility_graph(current)
@@ -163,25 +175,36 @@ _Answer = tuple[int, ...] | None
 class _ExactOct:
     """Branch and bound for minimum odd cycle transversals.
 
-    The vertex-disjoint cliques of :func:`_greedy_cliques` are found
-    once per graph, until the deadline passes.  Each search node bounds
-    its subgraph with :meth:`bound`, which counts the listed cliques
-    that keep at least 4 of its vertices and the odd cycles
-    :func:`pack_odd_cycles` packs in the rest; it prunes when that bound
+    Every node works on a 2-core (:func:`_peel`): a vertex with fewer
+    than 2 neighbours lies on no cycle, so dropping it changes no
+    transversal.  The vertex-disjoint cliques of :func:`_greedy_cliques`
+    are found once per graph, until the deadline passes.  Each search
+    node bounds its subgraph with :meth:`bound`, first from the odd
+    cycles its parent packed that its deletion left whole, then, when
+    that does not prune, from a fresh packing; it prunes when the bound
     exceeds the size still allowed, and branches on the vertices of the
-    smallest packed cycle, or of a triangle of the first counted clique
-    when no cycle is left.  Solved subgraphs are memoized within one
-    bound, and a node returns at its first child that succeeds, so the
-    answer is the first minimum transversal the search reaches, fixed
-    for a given graph.
+    smallest cycle of the packing that counts more, or of a triangle of
+    the first counted clique when no cycle is left, passing that
+    packing on to its children.  Solved subgraphs are memoized within
+    one bound, and a node returns at its first child that succeeds, so
+    the answer is the first minimum transversal the search reaches,
+    fixed for a given graph.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
         self.adj = adjacency
         self.deadline = deadline
-        # isolated vertices lie on no odd cycle
-        self.active = sum(1 << v for v in range(len(adjacency)) if adjacency[v])
+        everything = (1 << len(adjacency)) - 1
+        self.active = _peel(adjacency, everything, everything)
         self.cliques = _greedy_cliques(adjacency, self.active, deadline)
+        # sparse[j]: the core's vertices with at most j + 1 neighbours in
+        # it, the only ones that can keep fewer than 2 once j are gone
+        degrees = [(adjacency[v] & self.active).bit_count() for v in bits(self.active)]
+        self.sparse = [0] * max(degrees, default=1)
+        for v, degree in zip(bits(self.active), degrees):
+            self.sparse[degree - 1] |= 1 << v
+        for j in range(1, len(self.sparse)):
+            self.sparse[j] |= self.sparse[j - 1]
 
     def run(self, ub: int) -> tuple[int, ...] | None:
         """The first minimum transversal the search reaches if its size
@@ -200,10 +223,10 @@ class _ExactOct:
         asked for it, so the search depth is not bounded by Python's.
         The clock is read before each subproblem is started, never
         before the root, so every search does its first node."""
-        # a subgraph's bound is ub less the vertices its mask lacks, so
-        # the mask alone keys the memo of one bound
-        self.memo: dict[int, _Answer] = {}
-        stack = [self.solve(self.active, ub)]
+        # peeling drops more vertices on some paths than on others, so a
+        # mask can be reached at more than one bound
+        self.memo: dict[tuple[int, int], _Answer] = {}
+        stack = [self.solve(self.active, ub, [])]
         answer = None
         while True:
             try:
@@ -218,62 +241,107 @@ class _ExactOct:
                     # run has found no transversal at any smaller bound
                     raise BudgetExceeded(
                         "exact transversal search out of time; "
-                        f"no transversal below {ub} vertices"
+                        f"no transversal below {ub} vertices",
+                        lower_bound=ub,
                     )
                 stack.append(self.solve(*request))
                 answer = None
 
     def solve(
-        self, active: int, ub: int
-    ) -> Generator[tuple[int, int], _Answer, _Answer]:
+        self, active: int, ub: int, kept: list[int]
+    ) -> Generator[tuple[int, int, list[int]], _Answer, _Answer]:
         """The first transversal of size <= ub that the children reach,
-        tried in ascending order of the branch vertex.  Yields each
-        subproblem as ``(active, ub)`` and is sent its answer."""
-        if active in self.memo:
-            return self.memo[active]
-        bound, branch = self.bound(active)
+        tried in ascending order of the branch vertex.  ``active`` is a
+        2-core and ``kept`` holds vertex-disjoint odd cycles of it.  A
+        child is the 2-core left by the branch vertex, peeled from that
+        vertex's neighbours, with the counted cycles that avoid the
+        vertex.  Yields each subproblem as ``(active, ub, kept)`` and is
+        sent its answer."""
+        key = active, ub
+        if key in self.memo:
+            return self.memo[key]
+        # the inherited cycles may prune without a fresh packing; with
+        # none, the fresh packing is the same one
+        bound, branch, cycles = self.bound(active, kept, ub)
+        if kept and bound <= ub:
+            fresh = self.bound(active, (), ub)
+            if fresh[0] >= bound:
+                bound, branch, cycles = fresh
         # a bipartite subgraph, like the empty one, needs no deletion
-        result: _Answer = ()
-        if branch:
-            result = None
-            # prune when the bound exceeds the size still allowed
-            for v in bits(branch if bound <= ub else 0):
-                sub = yield active & ~(1 << v), ub - 1
-                if sub is not None:
-                    result = tuple(sorted(sub + (v,)))
-                    break
-        self.memo[active] = result
+        result: _Answer = None if branch else ()
+        # prune when the bound exceeds the size still allowed
+        for v in bits(branch if bound <= ub else 0):
+            child = active & ~(1 << v)
+            gone = (self.active ^ child).bit_count()
+            touched = self.adj[v] & self.sparse[min(gone, len(self.sparse) - 1)]
+            sub = yield (
+                _peel(self.adj, child, touched),
+                ub - 1,
+                [cycle for cycle in cycles if not cycle >> v & 1],
+            )
+            if sub is not None:
+                result = tuple(sorted(sub + (v,)))
+                break
+        self.memo[key] = result
         return result
 
-    def bound(self, active: int) -> tuple[int, int]:
+    def bound(
+        self, active: int, kept: Sequence[int] = (), ub: int | None = None
+    ) -> tuple[int, int, list[int]]:
         """A lower bound on the transversals of the subgraph induced by
-        ``active``, and an odd cycle of it to branch on as a vertex mask,
-        0 exactly when the subgraph is bipartite.
+        ``active``, an odd cycle of it to branch on as a vertex mask, 0
+        exactly when the subgraph is bipartite, and the odd cycles
+        counted.
 
-        A bipartite induced subgraph keeps at most 2 vertices of a
-        clique, so each listed clique with c >= 4 active vertices counts
-        c - 2; each odd cycle packed in what those cliques leave counts
-        1.  The branch is the smallest packed cycle, else the 3 lowest
-        vertices of the first clique counted, a triangle.
+        ``kept`` holds vertex-disjoint odd cycles of the subgraph, which
+        count 1 each.  A bipartite induced subgraph keeps at most 2
+        vertices of a clique, so each listed clique with c >= 4 vertices
+        in what they leave counts c - 2; each odd cycle packed in what
+        those cliques leave counts 1.  The packing stops once the bound
+        exceeds ``ub``, which is enough to prune.  The branch is the
+        smallest cycle, else the 3 lowest vertices of the first clique
+        counted, a triangle.
         """
-        bound = 0
-        first = 0
         rest = active
+        for cycle in kept:
+            rest ^= cycle
+        bound = len(kept)
+        first = 0
         for clique in self.cliques:
-            part = clique & active
+            part = clique & rest
             c = part.bit_count()
             if c >= 4:
                 bound += c - 2
                 rest ^= part
                 first = first or part
-        cycles = pack_odd_cycles(self.adj, rest)
+        limit = None if ub is None else max(ub + 1 - bound, 0)
+        packed = pack_odd_cycles(self.adj, rest, limit)
+        bound += len(packed)
+        cycles = [*kept, *packed]
         if cycles:
-            return bound + len(cycles), min(cycles, key=int.bit_count)
+            return bound, min(cycles, key=int.bit_count), cycles
         triangle = 0
         for _ in range(3):
             low = first & ~triangle
             triangle |= low & -low
-        return bound, triangle
+        return bound, triangle, cycles
+
+
+def _peel(adj: Sequence[int], active: int, touched: int) -> int:
+    """The 2-core of the subgraph induced by ``active``: every vertex
+    with fewer than 2 neighbours in it leaves, repeatedly.  Such a
+    vertex lies on no cycle, so the core has the subgraph's odd cycles
+    and transversals.  Only the vertices of ``touched``, and the
+    neighbours of those that leave, are checked."""
+    touched &= active
+    while touched:
+        low = touched & -touched
+        touched ^= low
+        nbrs = adj[low.bit_length() - 1] & active
+        if nbrs.bit_count() < 2:
+            active ^= low
+            touched |= nbrs
+    return active
 
 
 def _greedy_cliques(

@@ -83,7 +83,9 @@ def brute_force_min_removal(
             except NotTwoFactorizable:
                 pass
             if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded("brute-force removal search out of time")
+                raise BudgetExceeded(
+                    "brute-force removal search out of time", lower_bound=k
+                )
     raise NotFound(f"no removal of at most {k_max} incidences suffices")
 
 

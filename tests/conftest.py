@@ -294,15 +294,13 @@ def reference_disjoint_odd_cycles(adj, active, two_color=two_color):
 
 def reference_packing(calls, two_color=two_color):
     """A drop-in for ``maximal.pack_odd_cycles`` that packs with
-    :func:`reference_disjoint_odd_cycles`; it appends each ``active`` it
-    is called on to ``calls``."""
+    :func:`reference_disjoint_odd_cycles` and keeps its first ``limit``
+    cycles; it appends each ``active`` it is called on to ``calls``."""
 
-    def pack(adj, active):
+    def pack(adj, active, limit=None):
         calls.append(active)
-        return [
-            sum(1 << v for v in cycle)
-            for cycle in reference_disjoint_odd_cycles(adj, active, two_color)
-        ]
+        cycles = reference_disjoint_odd_cycles(adj, active, two_color)
+        return [sum(1 << v for v in cycle) for cycle in cycles[:limit]]
 
     return pack
 

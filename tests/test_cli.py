@@ -130,11 +130,26 @@ def test_maximal_deterministic(capsys):
 
 
 def test_maximal_budget_exhaustion(capsys):
+    """Exact mode needs about 0.3 s on persistent_odd_cycle, whose
+    minimum is 12 and whose root bound is 9; 0.05 s runs out between
+    them."""
     code, report = _run(
-        capsys, ["maximal", PERSISTENT, "--budget", "0.2"]
+        capsys, ["maximal", PERSISTENT, "--budget", "0.05"]
     )
     assert code == 3
     assert report["error"]["type"] == "BudgetExceeded"
+    assert 9 <= report["error"]["lower_bound"] < 12
+
+
+def test_an_exhausted_budget_reports_the_proven_lower_bound(capsys):
+    """A spent budget still runs the exact search's root node, whose
+    bound proves 9 on persistent_odd_cycle; the exit-3 report names it
+    as a number beside the message."""
+    code, report = _run(capsys, ["maximal", PERSISTENT, "--budget", "0"])
+    assert code == 3
+    error = report["error"]
+    assert error["lower_bound"] == 9
+    assert "no transversal below 9 vertices" in error["message"]
 
 
 def test_budget_ends_a_deep_exact_search_with_exit_3(capsys, tmp_path):
@@ -169,6 +184,7 @@ def test_maximal_certify_shares_the_budget(capsys, tmp_path):
     assert code == 3
     assert report["status"] == "error"
     assert report["error"]["type"] == "BudgetExceeded"
+    assert 0 < report["error"]["lower_bound"] <= 53
     assert "payload" not in report
     assert report["elapsed_ms"] < 10_000
 

@@ -284,7 +284,7 @@ def _sweep_inputs(persistent_odd_cycle):
 def test_pack_odd_cycles_matches_restarted_reference(persistent_odd_cycle):
     """Resuming the sweep packs the same cycles, in the same order, as
     restarting ``two_color`` after each one; a bipartite subgraph packs
-    none."""
+    none, and a limit keeps the first cycles of the whole packing."""
     packings = empty = 0
     for graph, active in _sweep_inputs(persistent_odd_cycle):
         expected = [
@@ -292,6 +292,9 @@ def test_pack_odd_cycles_matches_restarted_reference(persistent_odd_cycle):
             for cycle in reference_disjoint_odd_cycles(graph.adjacency, active)
         ]
         assert pack_odd_cycles(graph.adjacency, active) == expected
+        for limit in range(len(expected) + 2):
+            packed = pack_odd_cycles(graph.adjacency, active, limit)
+            assert packed == expected[:limit]
         packings += len(expected) > 1
         empty += not expected
     assert packings >= 20 and empty >= 1

@@ -206,16 +206,16 @@ def test_exact_search_visits_the_same_nodes_as_the_restarted_packing(
         calls = []
         solve = _ExactOct.solve
 
-        def counting(self, active, ub):
+        def counting(self, active, ub, kept):
             calls.append(active)
-            return solve(self, active, ub)
+            return solve(self, active, ub, kept)
 
         with monkeypatch.context() as patch:
             patch.setattr(_ExactOct, "solve", counting)
             results = [_ExactOct(adj, None).run(len(adj)) for adj in graphs]
         return results, len(calls)
 
-    graphs = list(_seeded_graphs(700, 56))
+    graphs = list(_seeded_graphs(700, 60))
     results, nodes = counted_runs()
     packed = []
     monkeypatch.setattr(
@@ -326,17 +326,21 @@ def test_clique_bound_keeps_the_reference_answers(
 
 
 def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
-    """At every node the search visits, the clique-plus-cycle bound is
-    at most the brute-force minimum transversal of the node's subgraph,
-    and the branch set is a non-bipartite part of that subgraph, empty
-    exactly when the subgraph is bipartite.  The clique term must raise
-    the bound above the packed cycles' count at some of the nodes."""
+    """At every node the search visits, each bound it takes, from the
+    cycles its parent passed on or from a fresh packing, is at most the
+    brute-force minimum transversal of the node's subgraph.  The counted
+    cycles start with the inherited ones and are vertex-disjoint odd
+    cycles of the subgraph, and the branch set is a non-bipartite part
+    of it, empty exactly when the subgraph is bipartite.  Every node is
+    its own 2-core.  The clique term must raise a fresh bound above the
+    packed cycles' count at some of the nodes, and inherited cycles must
+    be counted at some."""
     nodes = {}
     bound = _ExactOct.bound
 
-    def recording(self, active):
-        answer = bound(self, active)
-        nodes[tuple(self.adj), active] = answer
+    def recording(self, active, kept=(), ub=None):
+        answer = bound(self, active, kept, ub)
+        nodes[tuple(self.adj), active, tuple(kept), ub] = answer
         return answer
 
     monkeypatch.setattr(_ExactOct, "bound", recording)
@@ -348,19 +352,64 @@ def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
         _random_graph(6 + seed % 4, (0.5, 0.6, 0.7, 0.8)[seed % 4], seed)
         for seed in range(160)
     ]
+    # sparser graphs, whose nodes inherit cycles more often
+    graphs += [_random_graph(10 + seed % 3, 0.4, seed) for seed in range(120)]
     for adj in graphs:
         _ExactOct(adj, None).run(len(adj))
-    raised = 0
-    for (adj, active), (lower, branch) in nodes.items():
+    raised = inherited = 0
+    for (adj, active, kept, _), (lower, branch, cycles) in nodes.items():
         minimum = len(brute_min_transversal(adj, active))
         assert lower <= minimum
         assert branch & ~active == 0
         assert (branch == 0) == (minimum == 0)
         if branch:
             assert reference_two_color(adj, branch)[1] is not None
-        raised += lower > len(pack_odd_cycles(adj, active))
+        assert tuple(cycles[: len(kept)]) == kept
+        taken = 0
+        for cycle in cycles:
+            assert cycle & ~active == 0 and not cycle & taken
+            assert reference_two_color(adj, cycle)[1] is not None
+            taken |= cycle
+        assert maximal._peel(adj, active, active) == active
+        inherited += bool(kept)
+        raised += not kept and lower > len(pack_odd_cycles(adj, active))
     assert len(nodes) >= 1500
     assert raised >= 200
+    assert inherited >= 200
+
+
+def test_peeling_keeps_every_odd_cycle_and_the_minimum():
+    """The 2-core of a subgraph, peeled from all of it or, after one
+    deletion, from the deleted vertex's neighbours, leaves every vertex
+    at least 2 neighbours; each vertex it drops lies on no cycle of the
+    subgraph, so on no odd cycle, and the brute-force minimum
+    transversal keeps its size."""
+    peeled = 0
+    for seed in range(320):
+        n = 5 + seed % 7
+        adj = _random_graph(n, (0.2, 0.3, 0.4, 0.55)[seed % 4], seed)
+        active = random.Random(seed).getrandbits(n) | 1
+        core = maximal._peel(adj, active, active)
+        assert core & ~active == 0
+        assert all((adj[v] & core).bit_count() >= 2 for v in bits(core))
+        for v in bits(active & ~core):
+            # no neighbour of v reaches another one around v
+            for u in bits(adj[v] & active):
+                seen = reach = 1 << u
+                while reach:
+                    reach = 0
+                    for w in bits(seen):
+                        reach |= adj[w] & active & ~(1 << v) & ~seen
+                    seen |= reach
+                assert seen & adj[v] == 1 << u
+        expected = len(brute_min_transversal(adj, active))
+        assert len(brute_min_transversal(adj, core)) == expected
+        for v in bits(core):
+            child = core & ~(1 << v)
+            whole = maximal._peel(adj, child, child)
+            assert maximal._peel(adj, child, adj[v]) == whole
+        peeled += core != active
+    assert peeled >= 150
 
 
 def test_exact_search_finds_the_12x12_optimum_within_its_budget():
@@ -382,9 +431,9 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
     calls = []
     solve = _ExactOct.solve
 
-    def counting(self, active, ub):
+    def counting(self, active, ub, kept):
         calls.append(active)
-        return solve(self, active, ub)
+        return solve(self, active, ub, kept)
 
     monkeypatch.setattr(_ExactOct, "solve", counting)
     contexts = [monuments] + [
@@ -397,32 +446,39 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
         adj = of.build_incompatibility_graph(ctx).adjacency
         _ExactOct(adj, None).run(len(adj))
         nodes.append(len(calls))
-    assert nodes == [6, 201, 16, 292, 326, 49]
+    assert nodes == [6, 135, 13, 283, 313, 46]
 
 
-def test_each_bound_fixes_its_nodes_and_answers_at_them(
+def test_the_memo_keys_each_mask_with_its_bound(
     monkeypatch, monuments, contranominal3, forced_overlap
 ):
-    """Within the search at bound k, the node of a mask has the bound
-    k less the vertices the mask lacks, and every answer found is as
-    large as its node's bound.  So one bound's memo may be keyed by the
-    mask alone, a failure at one bound would never prune at a later
-    one, and every child of a node gets the node's bound less 1."""
+    """Peeling drops more vertices on some paths than on others, so a
+    mask no longer fixes its node's bound: in two triangles that share
+    vertex 4, deleting 4 peels the other four, and so does deleting 0
+    and then 2.  Beside a 5-wheel, which needs 2 deletions but packs 1
+    cycle, the search at bound 3 meets the wheel's mask at bound 1,
+    where it fails, and then at bound 2, where it succeeds: two memo
+    entries, where a memo keyed by the mask alone would fail the whole
+    search.  On every graph each answer at a node is a transversal of
+    its subgraph with exactly as many vertices as its bound."""
+    bowtie = _cycle([0, 1, 4]) + _cycle([2, 3, 4])
+    wheel = _cycle([5, 6, 7, 8, 9]) + [(v, 10) for v in range(5, 10)]
+    adj = _graph(11, bowtie + wheel).adjacency
+    exact = _ExactOct(adj, None)
+    assert exact.bound(exact.active)[0] == 2
+    assert exact.search(2) is None
+    assert exact.search(3) == (4, 5, 10)
+    wheel_mask = 0b11111100000  # vertices 5 to 10
+    assert exact.memo[wheel_mask, 1] is None
+    assert exact.memo[wheel_mask, 2] == (5, 10)
     nodes = []
-    bounds = []
-    search = _ExactOct.search
     solve = _ExactOct.solve
 
-    def bounded(self, ub):
-        bounds.append(ub)
-        return search(self, ub)
-
-    def recording(self, active, ub):
-        answer = yield from solve(self, active, ub)
-        nodes.append((bounds[-1] - (self.active ^ active).bit_count(), ub, answer))
+    def recording(self, active, ub, kept):
+        answer = yield from solve(self, active, ub, kept)
+        nodes.append((self.adj, active, ub, answer))
         return answer
 
-    monkeypatch.setattr(_ExactOct, "search", bounded)
     monkeypatch.setattr(_ExactOct, "solve", recording)
     graphs = [
         of.build_incompatibility_graph(ctx).adjacency
@@ -431,11 +487,13 @@ def test_each_bound_fixes_its_nodes_and_answers_at_them(
     graphs += _seeded_graphs(1000, 300)
     for adj in graphs:
         _ExactOct(adj, None).run(len(adj))
-    for expected, ub, answer in nodes:
-        assert ub == expected
-        assert answer is None or len(answer) == ub
-    assert any(answer is not None and ub > 0 for _, ub, answer in nodes)
-    assert any(answer is None and ub > 0 for _, ub, answer in nodes)
+    for adj, active, ub, answer in nodes:
+        if answer is not None:
+            assert len(answer) == ub
+            kept = active & ~sum(1 << v for v in answer)
+            assert reference_two_color(adj, kept)[1] is None
+    assert any(answer is not None and ub > 0 for _, _, ub, answer in nodes)
+    assert any(answer is None and ub > 0 for _, _, ub, answer in nodes)
 
 
 def _milp_oct(adjacency):
@@ -479,8 +537,9 @@ def _milp_oct(adjacency):
 )
 def test_milp_proves_the_slow_optima(ctx, optimum):
     """The MILP oracle's minimum on inputs it needs 30 s to minutes
-    for, and the exact search's, which takes about 0.2 s on the 12x12
-    context and about 3 s on the fixture, whose graph has no 4-clique."""
+    for, and the exact search's, which takes about 0.1 s on the 12x12
+    context and about 0.3 s on the fixture, whose graph has no
+    4-clique."""
     graph = of.build_incompatibility_graph(ctx)
     milp = _milp_oct(graph.adjacency)
     assert induced_bipartite(graph, milp)
@@ -680,11 +739,12 @@ def test_a_spent_budget_still_runs_the_root_node(
     assert of.certify_global_optimality(forced_overlap, clean, budget=0) is True
     graph = of.build_incompatibility_graph(persistent_odd_cycle)
     exact = _ExactOct(graph.adjacency, None)
-    root, _ = exact.bound(exact.active)
+    root = exact.bound(exact.active)[0]
     assert root == 9
     proven = f"out of time; no transversal below {root} vertices"
-    with pytest.raises(of.BudgetExceeded, match=proven):
+    with pytest.raises(of.BudgetExceeded, match=proven) as caught:
         max_bipartite_subset(graph, "exact", budget=0)
+    assert caught.value.lower_bound == root
 
 
 @pytest.mark.parametrize("k", [30, 40])
@@ -777,7 +837,7 @@ def test_certify_refutes_the_persistent_heuristic_without_a_search(
 ):
     """A removed incidence that fits back into the original graph on the
     kept ones proves a transversal of 73, so no search is needed; the
-    bounded search alone takes about 3 s to find one of 12."""
+    bounded search alone takes about 0.3 s to find one of 12."""
     result = of.maximal_two_factorization(
         persistent_odd_cycle, mode="heuristic", seed=0
     )
@@ -825,6 +885,29 @@ def test_exact_mode_removes_one_more_than_the_optimum():
     assert of.validate_factorization(kept, of.two_factorize(kept)) == []
     with pytest.raises(of.NotFound):
         brute_force_min_removal(ctx, 3)
+
+
+def test_a_later_round_out_of_time_reports_the_first_rounds_minimum(
+    monkeypatch,
+):
+    """Every valid removal is a transversal of the first round's graph,
+    so when the budget ends the second exact round on (8, 8, 0.6, 249),
+    the bound reported for the removal is the first round's minimum, 4,
+    not what the second round's search proved."""
+    calls = []
+    subset = maximal.max_bipartite_subset
+
+    def second_out_of_time(graph, mode, budget, seed):
+        calls.append(graph)
+        if len(calls) == 2:
+            raise of.BudgetExceeded("out of time", lower_bound=1)
+        return subset(graph, mode, budget, seed)
+
+    monkeypatch.setattr(maximal, "max_bipartite_subset", second_out_of_time)
+    with pytest.raises(of.BudgetExceeded, match="out of time") as caught:
+        of.maximal_two_factorization(random_context(_TWO_ROUNDS), mode="exact")
+    assert len(calls) == 2
+    assert caught.value.lower_bound == 4
 
 
 def _quality_spec(seed):
@@ -898,11 +981,16 @@ def test_the_lexicographic_removals_come_from_the_reference_search():
     assert sizes == _LEXICOGRAPHIC_REMOVALS
 
 
-def test_persistent_fixture_exact_budget_runs_out(persistent_odd_cycle):
-    with pytest.raises(of.BudgetExceeded):
-        of.maximal_two_factorization(
-            persistent_odd_cycle, mode="exact", budget=0.3
-        )
+def test_exact_budget_runs_out_on_a_14x14_context():
+    """Exact mode needs about 0.3 s on persistent_odd_cycle, so a
+    0.3 s budget needs a harder input: on (14, 14, 0.5, 1) the root
+    bound is 23 and the minimum is at least 30, which 120 s of search
+    prove.  The bound the exhausted search reports is at least the
+    root's."""
+    ctx = random_context(GeneratorSpec(14, 14, 0.5, 1))
+    with pytest.raises(of.BudgetExceeded) as caught:
+        of.maximal_two_factorization(ctx, mode="exact", budget=0.3)
+    assert caught.value.lower_bound >= 23
 
 
 def test_budget_ends_an_exact_search_of_hundreds_of_deletions():
@@ -943,6 +1031,7 @@ def test_a_1_s_budget_ends_exact_work_on_a_50x50_context_within_6_s():
         assert time.monotonic() - start < 6
         proven = re.search(r"below (\d+) vertices", str(caught.value))
         assert 0 < int(proven[1]) <= 948
+        assert caught.value.lower_bound == int(proven[1])
 
 
 def test_the_clique_list_stops_at_the_deadline():
@@ -998,7 +1087,7 @@ def test_run_deepens_from_the_root_bound(monkeypatch):
 
     monkeypatch.setattr(_ExactOct, "search", recording)
     exact = _ExactOct(adj, None)
-    root, _ = exact.bound(exact.active)
+    root = exact.bound(exact.active)[0]
     answer = exact.run(len(adj))
     assert root < len(answer) == 10
     assert bounds == list(range(root, 11))
