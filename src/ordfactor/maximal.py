@@ -185,10 +185,13 @@ class _ExactOct:
     exceeds the size still allowed, and branches on the vertices of the
     smallest cycle of the packing that counts more, or of a triangle of
     the first counted clique when no cycle is left, passing that
-    packing on to its children.  Solved subgraphs are memoized within
-    one bound, and a node returns at its first child that succeeds, so
-    the answer is the first minimum transversal the search reaches,
-    fixed for a given graph.
+    packing on to its children.  The children partition the node's
+    transversals: each may not delete the branch vertices its earlier
+    siblings deleted, so no transversal is searched twice.  A node
+    returns at its first child that succeeds, so the answer is the
+    first minimum transversal the search reaches, fixed for a given
+    graph.  Solved subgraphs are memoized within one bound, keyed by
+    what they may not delete as well.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
@@ -224,9 +227,10 @@ class _ExactOct:
         The clock is read before each subproblem is started, never
         before the root, so every search does its first node."""
         # peeling drops more vertices on some paths than on others, so a
-        # mask can be reached at more than one bound
-        self.memo: dict[tuple[int, int], _Answer] = {}
-        stack = [self.solve(self.active, ub, [])]
+        # mask can be reached at more than one bound, and with more than
+        # one set of vertices it may not delete
+        self.memo: dict[tuple[int, int, int], _Answer] = {}
+        stack = [self.solve(self.active, ub, [], 0)]
         answer = None
         while True:
             try:
@@ -248,16 +252,23 @@ class _ExactOct:
                 answer = None
 
     def solve(
-        self, active: int, ub: int, kept: list[int]
-    ) -> Generator[tuple[int, int, list[int]], _Answer, _Answer]:
-        """The first transversal of size <= ub that the children reach,
-        tried in ascending order of the branch vertex.  ``active`` is a
-        2-core and ``kept`` holds vertex-disjoint odd cycles of it.  A
-        child is the 2-core left by the branch vertex, peeled from that
-        vertex's neighbours, with the counted cycles that avoid the
-        vertex.  Yields each subproblem as ``(active, ub, kept)`` and is
-        sent its answer."""
-        key = active, ub
+        self, active: int, ub: int, kept: list[int], forbidden: int
+    ) -> Generator[tuple[int, int, list[int], int], _Answer, _Answer]:
+        """The first transversal of size <= ub without a vertex of
+        ``forbidden`` that the children reach, tried in ascending order
+        of the branch vertex.  ``active`` is a 2-core and ``kept`` holds
+        vertex-disjoint odd cycles of it.  A child is the 2-core left by
+        the branch vertex, peeled from that vertex's neighbours, with the
+        counted cycles that avoid the vertex, and it may not delete the
+        branch vertices its earlier siblings deleted: a transversal of
+        it holding one of them would, without that vertex, have been
+        found by that sibling.  A node whose branch vertices are all
+        forbidden fails.  The memo key holds the node's forbidden
+        vertices, so each entry answers the problem it was solved for.
+        Yields each subproblem as ``(active, ub, kept, forbidden)`` and
+        is sent its answer."""
+        forbidden &= active
+        key = active, ub, forbidden
         if key in self.memo:
             return self.memo[key]
         # the inherited cycles may prune without a fresh packing; with
@@ -270,7 +281,7 @@ class _ExactOct:
         # a bipartite subgraph, like the empty one, needs no deletion
         result: _Answer = None if branch else ()
         # prune when the bound exceeds the size still allowed
-        for v in bits(branch if bound <= ub else 0):
+        for v in bits(branch & ~forbidden if bound <= ub else 0):
             child = active & ~(1 << v)
             gone = (self.active ^ child).bit_count()
             touched = self.adj[v] & self.sparse[min(gone, len(self.sparse) - 1)]
@@ -278,10 +289,12 @@ class _ExactOct:
                 _peel(self.adj, child, touched),
                 ub - 1,
                 [cycle for cycle in cycles if not cycle >> v & 1],
+                forbidden,
             )
             if sub is not None:
                 result = tuple(sorted(sub + (v,)))
                 break
+            forbidden |= 1 << v
         self.memo[key] = result
         return result
 

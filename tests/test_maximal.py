@@ -206,9 +206,9 @@ def test_exact_search_visits_the_same_nodes_as_the_restarted_packing(
         calls = []
         solve = _ExactOct.solve
 
-        def counting(self, active, ub, kept):
+        def counting(self, active, ub, kept, forbidden):
             calls.append(active)
-            return solve(self, active, ub, kept)
+            return solve(self, active, ub, kept, forbidden)
 
         with monkeypatch.context() as patch:
             patch.setattr(_ExactOct, "solve", counting)
@@ -431,9 +431,9 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
     calls = []
     solve = _ExactOct.solve
 
-    def counting(self, active, ub, kept):
+    def counting(self, active, ub, kept, forbidden):
         calls.append(active)
-        return solve(self, active, ub, kept)
+        return solve(self, active, ub, kept, forbidden)
 
     monkeypatch.setattr(_ExactOct, "solve", counting)
     contexts = [monuments] + [
@@ -446,7 +446,7 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
         adj = of.build_incompatibility_graph(ctx).adjacency
         _ExactOct(adj, None).run(len(adj))
         nodes.append(len(calls))
-    assert nodes == [6, 135, 13, 283, 313, 46]
+    assert nodes == [5, 96, 11, 163, 225, 38]
 
 
 def test_the_memo_keys_each_mask_with_its_bound(
@@ -459,8 +459,11 @@ def test_the_memo_keys_each_mask_with_its_bound(
     cycle, the search at bound 3 meets the wheel's mask at bound 1,
     where it fails, and then at bound 2, where it succeeds: two memo
     entries, where a memo keyed by the mask alone would fail the whole
-    search.  On every graph each answer at a node is a transversal of
-    its subgraph with exactly as many vertices as its bound."""
+    search.  Neither node may delete anything, so both keys end in 0.
+    On every graph each answer at a node is a transversal of its
+    subgraph with exactly as many vertices as its bound, memoized under
+    its mask, its bound and the vertices of its mask it may not
+    delete."""
     bowtie = _cycle([0, 1, 4]) + _cycle([2, 3, 4])
     wheel = _cycle([5, 6, 7, 8, 9]) + [(v, 10) for v in range(5, 10)]
     adj = _graph(11, bowtie + wheel).adjacency
@@ -469,14 +472,15 @@ def test_the_memo_keys_each_mask_with_its_bound(
     assert exact.search(2) is None
     assert exact.search(3) == (4, 5, 10)
     wheel_mask = 0b11111100000  # vertices 5 to 10
-    assert exact.memo[wheel_mask, 1] is None
-    assert exact.memo[wheel_mask, 2] == (5, 10)
+    assert exact.memo[wheel_mask, 1, 0] is None
+    assert exact.memo[wheel_mask, 2, 0] == (5, 10)
     nodes = []
     solve = _ExactOct.solve
 
-    def recording(self, active, ub, kept):
-        answer = yield from solve(self, active, ub, kept)
+    def recording(self, active, ub, kept, forbidden):
+        answer = yield from solve(self, active, ub, kept, forbidden)
         nodes.append((self.adj, active, ub, answer))
+        assert self.memo[active, ub, forbidden & active] == answer
         return answer
 
     monkeypatch.setattr(_ExactOct, "solve", recording)
@@ -494,6 +498,111 @@ def test_the_memo_keys_each_mask_with_its_bound(
             assert reference_two_color(adj, kept)[1] is None
     assert any(answer is not None and ub > 0 for _, _, ub, answer in nodes)
     assert any(answer is None and ub > 0 for _, _, ub, answer in nodes)
+
+
+def test_the_children_partition_their_parents_transversals(
+    monkeypatch, monuments, contranominal3, forced_overlap
+):
+    """Each child of a node is sent the node's forbidden vertices plus
+    the branch vertex of every earlier sibling, one more vertex per
+    sibling, whose deletion leaves that sibling's subgraph; a node that
+    succeeds adds its last child's branch vertex, which is allowed, to
+    that child's answer.  No answer holds a vertex its node may not
+    delete, and the answer sizes and the capped run below each one
+    still agree with the reference search."""
+    nodes = []
+    solve = _ExactOct.solve
+
+    def recording(self, active, ub, kept, forbidden):
+        inner = solve(self, active, ub, kept, forbidden)
+        children = []
+        answer = None
+        while True:
+            try:
+                request = inner.send(answer)
+            except StopIteration as done:
+                nodes.append((self.adj, active, ub, forbidden, children, done.value))
+                return done.value
+            answer = yield request
+            children.append((request, answer))
+
+    def deleting(adj, active, v):
+        rest = active & ~(1 << v)
+        return maximal._peel(adj, rest, rest)
+
+    monkeypatch.setattr(_ExactOct, "solve", recording)
+    graphs = [
+        of.build_incompatibility_graph(ctx).adjacency
+        for ctx in (monuments, contranominal3, forced_overlap)
+    ]
+    graphs += _seeded_graphs(2000, 150)
+    graphs += [_random_graph(9 + seed % 4, 0.45, seed) for seed in range(60)]
+    for adj in graphs:
+        expected = reference_exact_oct(adj, None).run()
+        _first_minimum(adj, len(expected))
+        k = len(expected)
+        below = reference_exact_oct(adj, None).search(k - 1) is None
+        assert (_ExactOct(adj, None).run(k - 1) is None) == below
+    later = 0
+    for adj, active, ub, forbidden, children, answer in nodes:
+        if answer is not None:
+            assert sum(1 << v for v in answer) & forbidden == 0
+        for (request, _), (following, _) in zip(children, children[1:]):
+            added = following[3] ^ request[3]
+            assert added.bit_count() == 1 and following[3] & added
+            v = added.bit_length() - 1
+            assert active >> v & 1
+            assert deleting(adj, active, v) == request[0]
+            later += 1
+        if children:
+            assert children[0][0][3] & active == forbidden & active
+            assert all(request[1] == ub - 1 for request, _ in children)
+            assert all(sub is None for _, sub in children[:-1])
+        if children and answer is not None:
+            (request, sub) = children[-1]
+            (v,) = set(answer) - set(sub)
+            assert len(answer) == len(sub) + 1
+            assert not request[3] >> v & 1
+            assert deleting(adj, active, v) == request[0]
+    assert later >= 4000
+    assert any(forbidden and answer is not None for *_, forbidden, _, answer in nodes)
+
+
+def test_the_partition_changes_no_answer(monkeypatch, persistent_odd_cycle):
+    """Forbidding the earlier siblings' branch vertices prunes only
+    children that fail, so every answer and every capped run is the
+    one the search gives when no node forbids anything, on fewer
+    nodes."""
+
+    def answers():
+        calls.clear()
+        results = []
+        for adj in graphs:
+            exact = _ExactOct(adj, None)
+            answer = exact.run(len(adj))
+            results.append((answer, exact.run(len(answer) - 1)))
+        return results, len(calls)
+
+    calls = []
+    solve = _ExactOct.solve
+
+    def counting(self, active, ub, kept, forbidden):
+        calls.append(active)
+        return solve(self, active, ub, kept, forbidden)
+
+    def unforbidden(self, active, ub, kept, forbidden):
+        calls.append(active)
+        return solve(self, active, ub, kept, 0)
+
+    graphs = [of.build_incompatibility_graph(persistent_odd_cycle).adjacency]
+    graphs += _seeded_graphs(3000, 300)
+    graphs += [_random_graph(10 + seed % 5, 0.4, seed) for seed in range(100)]
+    monkeypatch.setattr(_ExactOct, "solve", counting)
+    partitioned, fewer = answers()
+    monkeypatch.setattr(_ExactOct, "solve", unforbidden)
+    whole, more = answers()
+    assert partitioned == whole
+    assert fewer < 0.8 * more
 
 
 def _milp_oct(adjacency):
