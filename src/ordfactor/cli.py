@@ -332,7 +332,12 @@ def run(argv: list[str] | None = None) -> int:
         report["status"] = "error"
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, BudgetExceeded):
-            report["error"]["lower_bound"] = exc.lower_bound
+            known, bound = exc.best_known, exc.lower_bound
+            report["error"].update(
+                lower_bound=bound,
+                best_known=known,
+                gap=None if known is None or bound is None else known - bound,
+            )
         _emit(report, started)
         if isinstance(exc, BudgetExceeded):
             return _EXIT_BUDGET

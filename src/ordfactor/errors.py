@@ -78,9 +78,16 @@ class BudgetExceeded(OrdfactorError):
     """An exact computation ran out of its time budget.
 
     ``lower_bound`` is the size below which the computation proved that
-    no answer exists, or None when it proved none.
+    no answer exists, or None when it proved none.  ``best_known`` is
+    the size of an answer the caller already holds, or None.
     """
 
-    def __init__(self, message: str, lower_bound: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        lower_bound: int | None = None,
+        best_known: int | None = None,
+    ):
         super().__init__(message)
         self.lower_bound = lower_bound
+        self.best_known = best_known

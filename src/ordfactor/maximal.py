@@ -148,7 +148,8 @@ def certify_global_optimality(
     closes no odd cycle of the original graph gives a smaller
     transversal, so that answers False without a search.  Raises
     :class:`InvalidFactorization` on an invalid result and
-    :class:`BudgetExceeded` when the search outlasts ``budget`` seconds.
+    :class:`BudgetExceeded`, with ``best_known`` the size of
+    ``result.removed``, when the search outlasts ``budget`` seconds.
     """
     problems = validate_factorization(ctx, result)
     if problems:
@@ -162,7 +163,11 @@ def certify_global_optimality(
     if any(two_color(graph.adjacency, kept | v)[1] is None for v in removed):
         return False
     exact = _ExactOct(graph.adjacency, deadline)
-    return exact.run(len(result.removed) - 1) is None
+    try:
+        return exact.run(len(result.removed) - 1) is None
+    except BudgetExceeded as exc:
+        exc.best_known = len(result.removed)
+        raise
 
 
 # -- exact solver ------------------------------------------------------
@@ -190,8 +195,8 @@ class _ExactOct:
     siblings deleted, so no transversal is searched twice.  A node
     returns at its first child that succeeds, so the answer is the
     first minimum transversal the search reaches, fixed for a given
-    graph.  Solved subgraphs are memoized within one bound, keyed by
-    what they may not delete as well.
+    graph.  No answer is kept between nodes: with the children
+    partitioning, a subgraph is almost never solved twice at one bound.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
@@ -200,14 +205,6 @@ class _ExactOct:
         everything = (1 << len(adjacency)) - 1
         self.active = _peel(adjacency, everything, everything)
         self.cliques = _greedy_cliques(adjacency, self.active, deadline)
-        # sparse[j]: the core's vertices with at most j + 1 neighbours in
-        # it, the only ones that can keep fewer than 2 once j are gone
-        degrees = [(adjacency[v] & self.active).bit_count() for v in bits(self.active)]
-        self.sparse = [0] * max(degrees, default=1)
-        for v, degree in zip(bits(self.active), degrees):
-            self.sparse[degree - 1] |= 1 << v
-        for j in range(1, len(self.sparse)):
-            self.sparse[j] |= self.sparse[j - 1]
 
     def run(self, ub: int) -> tuple[int, ...] | None:
         """The first minimum transversal the search reaches if its size
@@ -226,10 +223,6 @@ class _ExactOct:
         asked for it, so the search depth is not bounded by Python's.
         The clock is read before each subproblem is started, never
         before the root, so every search does its first node."""
-        # peeling drops more vertices on some paths than on others, so a
-        # mask can be reached at more than one bound, and with more than
-        # one set of vertices it may not delete
-        self.memo: dict[tuple[int, int, int], _Answer] = {}
         stack = [self.solve(self.active, ub, [], 0)]
         answer = None
         while True:
@@ -263,14 +256,8 @@ class _ExactOct:
         branch vertices its earlier siblings deleted: a transversal of
         it holding one of them would, without that vertex, have been
         found by that sibling.  A node whose branch vertices are all
-        forbidden fails.  The memo key holds the node's forbidden
-        vertices, so each entry answers the problem it was solved for.
-        Yields each subproblem as ``(active, ub, kept, forbidden)`` and
-        is sent its answer."""
-        forbidden &= active
-        key = active, ub, forbidden
-        if key in self.memo:
-            return self.memo[key]
+        forbidden fails.  Yields each subproblem as
+        ``(active, ub, kept, forbidden)`` and is sent its answer."""
         # the inherited cycles may prune without a fresh packing; with
         # none, the fresh packing is the same one
         bound, branch, cycles = self.bound(active, kept, ub)
@@ -279,24 +266,20 @@ class _ExactOct:
             if fresh[0] >= bound:
                 bound, branch, cycles = fresh
         # a bipartite subgraph, like the empty one, needs no deletion
-        result: _Answer = None if branch else ()
+        if not branch:
+            return ()
         # prune when the bound exceeds the size still allowed
         for v in bits(branch & ~forbidden if bound <= ub else 0):
-            child = active & ~(1 << v)
-            gone = (self.active ^ child).bit_count()
-            touched = self.adj[v] & self.sparse[min(gone, len(self.sparse) - 1)]
             sub = yield (
-                _peel(self.adj, child, touched),
+                _peel(self.adj, active & ~(1 << v), self.adj[v]),
                 ub - 1,
                 [cycle for cycle in cycles if not cycle >> v & 1],
                 forbidden,
             )
             if sub is not None:
-                result = tuple(sorted(sub + (v,)))
-                break
+                return tuple(sorted(sub + (v,)))
             forbidden |= 1 << v
-        self.memo[key] = result
-        return result
+        return None
 
     def bound(
         self, active: int, kept: Sequence[int] = (), ub: int | None = None

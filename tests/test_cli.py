@@ -144,11 +144,13 @@ def test_maximal_budget_exhaustion(capsys):
 def test_an_exhausted_budget_reports_the_proven_lower_bound(capsys):
     """A spent budget still runs the exact search's root node, whose
     bound proves 9 on persistent_odd_cycle; the exit-3 report names it
-    as a number beside the message."""
+    as a number beside the message.  Exact mode holds no removal yet,
+    so the best known size and the gap are null."""
     code, report = _run(capsys, ["maximal", PERSISTENT, "--budget", "0"])
     assert code == 3
     error = report["error"]
     assert error["lower_bound"] == 9
+    assert error["best_known"] is None and error["gap"] is None
     assert "no transversal below 9 vertices" in error["message"]
 
 
@@ -170,7 +172,8 @@ def test_maximal_certify_shares_the_budget(capsys, tmp_path):
     """The minimality proof runs under what the search left of
     --budget.  Here the heuristic removes 53 incidences in one round,
     none of which fits back, and the proof runs past 20 s without a
-    budget."""
+    budget; the exit-3 report gives those 53 as the best known size
+    and their distance from the proven bound as the gap."""
     path = tmp_path / "random16.cxt"
     ctx = of.random_context(of.GeneratorSpec(16, 16, 0.5, 0))
     path.write_text(of.serialize_cxt(ctx), encoding="utf-8")
@@ -184,7 +187,10 @@ def test_maximal_certify_shares_the_budget(capsys, tmp_path):
     assert code == 3
     assert report["status"] == "error"
     assert report["error"]["type"] == "BudgetExceeded"
-    assert 0 < report["error"]["lower_bound"] <= 53
+    error = report["error"]
+    assert 0 < error["lower_bound"] <= 53
+    assert error["best_known"] == 53
+    assert error["gap"] == 53 - error["lower_bound"]
     assert "payload" not in report
     assert report["elapsed_ms"] < 10_000
 
@@ -470,6 +476,8 @@ def test_oracle_under_a_zero_budget(capsys, path, code, payload):
     if payload is None:
         assert report["error"]["type"] == "BudgetExceeded"
         assert "out of time" in report["error"]["message"]
+        assert report["error"]["best_known"] is None
+        assert report["error"]["gap"] is None
     else:
         assert report["payload"] == payload
 

@@ -449,41 +449,44 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
     assert nodes == [5, 96, 11, 163, 225, 38]
 
 
-def test_the_memo_keys_each_mask_with_its_bound(
+def test_a_mask_reached_at_two_bounds_is_solved_at_each(
     monkeypatch, monuments, contranominal3, forced_overlap
 ):
     """Peeling drops more vertices on some paths than on others, so a
-    mask no longer fixes its node's bound: in two triangles that share
+    mask does not fix its node's bound: in two triangles that share
     vertex 4, deleting 4 peels the other four, and so does deleting 0
     and then 2.  Beside a 5-wheel, which needs 2 deletions but packs 1
-    cycle, the search at bound 3 meets the wheel's mask at bound 1,
-    where it fails, and then at bound 2, where it succeeds: two memo
-    entries, where a memo keyed by the mask alone would fail the whole
-    search.  Neither node may delete anything, so both keys end in 0.
-    On every graph each answer at a node is a transversal of its
-    subgraph with exactly as many vertices as its bound, memoized under
-    its mask, its bound and the vertices of its mask it may not
-    delete."""
+    cycle, the search at bound 3 solves the wheel's mask at bound 1,
+    where it fails, and then at bound 2, where it succeeds; an answer
+    stored by the mask alone would fail the whole search.  Neither
+    node may delete a wheel vertex.  On every graph each answer at a
+    node is a transversal of its subgraph with exactly as many
+    vertices as its bound."""
+    nodes = []
+    solve = _ExactOct.solve
+
+    def recording(self, active, ub, kept, forbidden):
+        answer = yield from solve(self, active, ub, kept, forbidden)
+        nodes.append((self.adj, active, ub, forbidden, answer))
+        return answer
+
+    monkeypatch.setattr(_ExactOct, "solve", recording)
     bowtie = _cycle([0, 1, 4]) + _cycle([2, 3, 4])
     wheel = _cycle([5, 6, 7, 8, 9]) + [(v, 10) for v in range(5, 10)]
     adj = _graph(11, bowtie + wheel).adjacency
     exact = _ExactOct(adj, None)
     assert exact.bound(exact.active)[0] == 2
     assert exact.search(2) is None
+    nodes.clear()
     assert exact.search(3) == (4, 5, 10)
     wheel_mask = 0b11111100000  # vertices 5 to 10
-    assert exact.memo[wheel_mask, 1, 0] is None
-    assert exact.memo[wheel_mask, 2, 0] == (5, 10)
-    nodes = []
-    solve = _ExactOct.solve
-
-    def recording(self, active, ub, kept, forbidden):
-        answer = yield from solve(self, active, ub, kept, forbidden)
-        nodes.append((self.adj, active, ub, answer))
-        assert self.memo[active, ub, forbidden & active] == answer
-        return answer
-
-    monkeypatch.setattr(_ExactOct, "solve", recording)
+    at_wheel = {
+        (ub, answer)
+        for _, active, ub, forbidden, answer in nodes
+        if active == wheel_mask and not forbidden & wheel_mask
+    }
+    assert at_wheel == {(1, None), (2, (5, 10))}
+    nodes.clear()
     graphs = [
         of.build_incompatibility_graph(ctx).adjacency
         for ctx in (monuments, contranominal3, forced_overlap)
@@ -491,13 +494,39 @@ def test_the_memo_keys_each_mask_with_its_bound(
     graphs += _seeded_graphs(1000, 300)
     for adj in graphs:
         _ExactOct(adj, None).run(len(adj))
-    for adj, active, ub, answer in nodes:
+    for adj, active, ub, _, answer in nodes:
         if answer is not None:
             assert len(answer) == ub
             kept = active & ~sum(1 << v for v in answer)
             assert reference_two_color(adj, kept)[1] is None
-    assert any(answer is not None and ub > 0 for _, _, ub, answer in nodes)
-    assert any(answer is None and ub > 0 for _, _, ub, answer in nodes)
+    assert any(answer is not None and ub > 0 for _, _, ub, _, answer in nodes)
+    assert any(answer is None and ub > 0 for _, _, ub, _, answer in nodes)
+
+
+def test_the_graph_that_met_a_subgraph_twice_keeps_its_search(monkeypatch):
+    """``random_context(GeneratorSpec(11, 11, 0.5, 7))`` is one of the
+    few graphs whose search solves a subgraph twice at one bound with
+    the same vertices forbidden.  Each repeat makes no child call, so
+    solving it again keeps the answer, the capped run below it and the
+    number of ``solve`` calls that a search storing its answers made."""
+    calls = []
+    solve = _ExactOct.solve
+
+    def counting(self, active, ub, kept, forbidden):
+        calls.append(active)
+        return solve(self, active, ub, kept, forbidden)
+
+    monkeypatch.setattr(_ExactOct, "solve", counting)
+    ctx = random_context(GeneratorSpec(11, 11, 0.5, 7))
+    adj = of.build_incompatibility_graph(ctx).adjacency
+    answer = _ExactOct(adj, None).run(len(adj))
+    assert answer == (
+        10, 13, 18, 24, 25, 28, 29, 30, 31, 34, 35, 39, 51, 62, 63
+    )
+    assert len(calls) == 12_849
+    calls.clear()
+    assert _ExactOct(adj, None).run(len(answer) - 1) is None
+    assert len(calls) == 3_460
 
 
 def test_the_children_partition_their_parents_transversals(
@@ -1017,6 +1046,7 @@ def test_a_later_round_out_of_time_reports_the_first_rounds_minimum(
         of.maximal_two_factorization(random_context(_TWO_ROUNDS), mode="exact")
     assert len(calls) == 2
     assert caught.value.lower_bound == 4
+    assert caught.value.best_known is None
 
 
 def _quality_spec(seed):
@@ -1117,8 +1147,9 @@ def test_budget_ends_the_proof_of_a_948_incidence_removal():
     ctx = random_context(GeneratorSpec(50, 50, 0.5, 0))
     result = of.maximal_two_factorization(ctx, mode="heuristic", seed=0)
     assert (len(result.removed), result.rounds) == (948, 1)
-    with pytest.raises(of.BudgetExceeded, match="out of time"):
+    with pytest.raises(of.BudgetExceeded, match="out of time") as caught:
         of.certify_global_optimality(ctx, result, budget=1)
+    assert caught.value.best_known == 948
 
 
 def test_a_1_s_budget_ends_exact_work_on_a_50x50_context_within_6_s():
