@@ -113,19 +113,17 @@ def two_color(
     return ones, None
 
 
-def pack_odd_cycles(
-    adj: Sequence[int], active: int, limit: int | None = None
-) -> list[int]:
-    """Vertex-disjoint odd cycles of the subgraph induced by ``active``
-    as vertex masks, packed greedily: each one is the first cycle
-    :func:`sweep` closes in what is left, and a bipartite subgraph
-    gives ``[]``.  A bipartite component holds no odd cycle and
-    removing a cycle changes no other component, so each bipartite
-    component swept leaves ``active`` and the next sweep starts where
-    this one stopped.  With ``limit`` the packing stops once it holds
-    that many cycles."""
+def pack_odd_cycles(adj: Sequence[int], active: int, limit: int) -> list[int]:
+    """At most ``limit`` vertex-disjoint odd cycles of the subgraph
+    induced by ``active`` as vertex masks, packed greedily: each one is
+    the first cycle :func:`sweep` closes in what is left, and a
+    bipartite subgraph gives ``[]``.  A bipartite component holds no
+    odd cycle and removing a cycle changes no other component, so each
+    bipartite component swept leaves ``active`` and the next sweep
+    starts where this one stopped.  A caller that wants every cycle
+    passes a ``limit`` of at least ``active``'s size over 3."""
     cycles: list[int] = []
-    while limit is None or len(cycles) < limit:
+    while len(cycles) < limit:
         for part, _, walk in sweep(adj, active, stop=True):
             if walk is not None:
                 break

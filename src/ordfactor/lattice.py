@@ -142,10 +142,11 @@ def transitive_orientation(adjacency: Sequence[int]) -> tuple[int, ...]:
         out[a] |= 1 << b
         return True
 
+    # rows below i are empty and oriented edges leave remaining with
+    # their class, so row i's lowest bit is its next unoriented edge
     for i in range(n):
-        for j in bits(remaining[i]):
-            if j < i or out[i] >> j & 1 or out[j] >> i & 1:
-                continue
+        while remaining[i]:
+            j = (remaining[i] & -remaining[i]).bit_length() - 1
             orient(i, j)
             # the class grows while it is read, first in first out
             klass = [(i, j)]

@@ -211,7 +211,7 @@ class _ExactOct:
         is at most ``ub``, else None: :meth:`search` deepens its bound
         from the root's lower bound, so the first bound that succeeds is
         the minimum and each one that fails proves a lower bound."""
-        for k in range(self.bound(self.active)[0], ub + 1):
+        for k in range(self.bound(self.active, (), ub)[0], ub + 1):
             answer = self.search(k)
             if answer is not None:
                 return answer
@@ -282,7 +282,7 @@ class _ExactOct:
         return None
 
     def bound(
-        self, active: int, kept: Sequence[int] = (), ub: int | None = None
+        self, active: int, kept: Sequence[int], ub: int
     ) -> tuple[int, int, list[int]]:
         """A lower bound on the transversals of the subgraph induced by
         ``active``, an odd cycle of it to branch on as a vertex mask, 0
@@ -294,9 +294,9 @@ class _ExactOct:
         vertices of a clique, so each listed clique with c >= 4 vertices
         in what they leave counts c - 2; each odd cycle packed in what
         those cliques leave counts 1.  The packing stops once the bound
-        exceeds ``ub``, which is enough to prune.  The branch is the
-        smallest cycle, else the 3 lowest vertices of the first clique
-        counted, a triangle.
+        exceeds ``ub``: a bound of at most ``ub`` is the whole packing's,
+        and a larger one prunes.  The branch is the smallest cycle, else
+        the 3 lowest vertices of the first clique counted, a triangle.
         """
         rest = active
         for cycle in kept:
@@ -310,8 +310,7 @@ class _ExactOct:
                 bound += c - 2
                 rest ^= part
                 first = first or part
-        limit = None if ub is None else max(ub + 1 - bound, 0)
-        packed = pack_odd_cycles(self.adj, rest, limit)
+        packed = pack_odd_cycles(self.adj, rest, max(ub + 1 - bound, 0))
         bound += len(packed)
         cycles = [*kept, *packed]
         if cycles:
@@ -341,7 +340,7 @@ def _peel(adj: Sequence[int], active: int, touched: int) -> int:
 
 
 def _greedy_cliques(
-    adj: Sequence[int], active: int, deadline: float | None = None
+    adj: Sequence[int], active: int, deadline: float | None
 ) -> list[int]:
     """Vertex-disjoint cliques of at least 4 vertices of the subgraph
     induced by ``active``, as vertex masks.  A clique grows from one

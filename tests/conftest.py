@@ -297,7 +297,7 @@ def reference_packing(calls, two_color=two_color):
     :func:`reference_disjoint_odd_cycles` and keeps its first ``limit``
     cycles; it appends each ``active`` it is called on to ``calls``."""
 
-    def pack(adj, active, limit=None):
+    def pack(adj, active, limit):
         calls.append(active)
         cycles = reference_disjoint_odd_cycles(adj, active, two_color)
         return [sum(1 << v for v in cycle) for cycle in cycles[:limit]]
@@ -365,7 +365,7 @@ class reference_exact_oct:
                 merged = tuple(sorted(result[1] + sub[1]))
                 result = (result[0] + sub[0], merged)
         elif parts[0][2] is not None:
-            cycles = pack_odd_cycles(self.adj, active)
+            cycles = pack_odd_cycles(self.adj, active, active.bit_count())
             # prune: each packed cycle needs a deletion of its own
             branch = min(cycles, key=int.bit_count) if len(cycles) <= ub else 0
             result = None

@@ -291,7 +291,7 @@ def test_pack_odd_cycles_matches_restarted_reference(persistent_odd_cycle):
             sum(1 << v for v in cycle)
             for cycle in reference_disjoint_odd_cycles(graph.adjacency, active)
         ]
-        assert pack_odd_cycles(graph.adjacency, active) == expected
+        assert pack_odd_cycles(graph.adjacency, active, graph.n) == expected
         for limit in range(len(expected) + 2):
             packed = pack_odd_cycles(graph.adjacency, active, limit)
             assert packed == expected[:limit]

@@ -280,7 +280,7 @@ def test_greedy_cliques_are_disjoint_cliques_of_4_or_more():
         )
         everything = (1 << n) - 1
         assert _has_4_clique(adj, everything) == four
-        cliques = _greedy_cliques(adj, everything)
+        cliques = _greedy_cliques(adj, everything, None)
         assert bool(cliques) == four
         taken = 0
         for clique in cliques:
@@ -338,7 +338,7 @@ def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
     nodes = {}
     bound = _ExactOct.bound
 
-    def recording(self, active, kept=(), ub=None):
+    def recording(self, active, kept, ub):
         answer = bound(self, active, kept, ub)
         nodes[tuple(self.adj), active, tuple(kept), ub] = answer
         return answer
@@ -372,7 +372,7 @@ def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
             taken |= cycle
         assert maximal._peel(adj, active, active) == active
         inherited += bool(kept)
-        raised += not kept and lower > len(pack_odd_cycles(adj, active))
+        raised += not kept and lower > len(pack_odd_cycles(adj, active, len(adj)))
     assert len(nodes) >= 1500
     assert raised >= 200
     assert inherited >= 200
@@ -475,7 +475,7 @@ def test_a_mask_reached_at_two_bounds_is_solved_at_each(
     wheel = _cycle([5, 6, 7, 8, 9]) + [(v, 10) for v in range(5, 10)]
     adj = _graph(11, bowtie + wheel).adjacency
     exact = _ExactOct(adj, None)
-    assert exact.bound(exact.active)[0] == 2
+    assert exact.bound(exact.active, (), 11)[0] == 2
     assert exact.search(2) is None
     nodes.clear()
     assert exact.search(3) == (4, 5, 10)
@@ -501,6 +501,37 @@ def test_a_mask_reached_at_two_bounds_is_solved_at_each(
             assert reference_two_color(adj, kept)[1] is None
     assert any(answer is not None and ub > 0 for _, _, ub, _, answer in nodes)
     assert any(answer is None and ub > 0 for _, _, ub, _, answer in nodes)
+
+
+def test_a_bound_capped_at_ub_keeps_every_bound_up_to_ub(
+    monuments, contranominal3, forced_overlap
+):
+    """The root bound capped at any ``ub`` from -1 to n equals the
+    uncapped bound when that is at most ``ub``, and exceeds ``ub``
+    otherwise, so ``run(ub)`` starts at the same k and a node prunes
+    exactly when the uncapped bound would prune it."""
+    graphs = [
+        of.build_incompatibility_graph(ctx).adjacency
+        for ctx in (monuments, contranominal3, forced_overlap)
+    ]
+    graphs += _seeded_graphs(4000, 100)
+    graphs += [
+        _random_graph(8 + seed % 5, (0.4, 0.6, 0.8)[seed % 3], seed)
+        for seed in range(100)
+    ]
+    capped = 0
+    for adj in graphs:
+        n = len(adj)
+        exact = _ExactOct(adj, None)
+        whole = exact.bound(exact.active, (), n)[0]
+        for ub in range(-1, n + 1):
+            lower = exact.bound(exact.active, (), ub)[0]
+            if whole <= ub:
+                assert lower == whole
+            else:
+                assert ub < lower <= whole
+                capped += lower < whole
+    assert capped >= 100
 
 
 def test_the_graph_that_met_a_subgraph_twice_keeps_its_search(monkeypatch):
@@ -877,7 +908,7 @@ def test_a_spent_budget_still_runs_the_root_node(
     assert of.certify_global_optimality(forced_overlap, clean, budget=0) is True
     graph = of.build_incompatibility_graph(persistent_odd_cycle)
     exact = _ExactOct(graph.adjacency, None)
-    root = exact.bound(exact.active)[0]
+    root = exact.bound(exact.active, (), graph.n)[0]
     assert root == 9
     proven = f"out of time; no transversal below {root} vertices"
     with pytest.raises(of.BudgetExceeded, match=proven) as caught:
@@ -1180,7 +1211,7 @@ def test_the_clique_list_stops_at_the_deadline():
     bound of the shorter list.  Two disjoint K4s need 4 deletions; one
     listed K4 counts 2 and the other packs 1 triangle."""
     graph = _graph(8, _complete(4) + [(a + 4, b + 4) for a, b in _complete(4)])
-    assert _greedy_cliques(graph.adjacency, 255) == [15, 240]
+    assert _greedy_cliques(graph.adjacency, 255, None) == [15, 240]
     assert _greedy_cliques(graph.adjacency, 255, time.monotonic() - 1) == [15]
     assert len(max_bipartite_subset(graph, "exact").deleted) == 4
     with pytest.raises(of.BudgetExceeded, match="no transversal below 3 "):
@@ -1227,7 +1258,7 @@ def test_run_deepens_from_the_root_bound(monkeypatch):
 
     monkeypatch.setattr(_ExactOct, "search", recording)
     exact = _ExactOct(adj, None)
-    root = exact.bound(exact.active)[0]
+    root = exact.bound(exact.active, (), len(adj))[0]
     answer = exact.run(len(adj))
     assert root < len(answer) == 10
     assert bounds == list(range(root, 11))
