@@ -180,30 +180,30 @@ _Answer = tuple[int, ...] | None
 class _ExactOct:
     """Branch and bound for minimum odd cycle transversals.
 
-    Every node works on a 2-core (:func:`_peel`): a vertex with fewer
-    than 2 neighbours lies on no cycle, so dropping it changes no
-    transversal.  The vertex-disjoint cliques of :func:`_greedy_cliques`
-    are found once per graph, until the deadline passes.  Each search
-    node bounds its subgraph with :meth:`bound`, first from the odd
-    cycles its parent packed that its deletion left whole, then, when
-    that does not prune, from a fresh packing; it prunes when the bound
-    exceeds the size still allowed, and branches on the vertices of the
-    smallest cycle of the packing that counts more, or of a triangle of
-    the first counted clique when no cycle is left, passing that
-    packing on to its children.  The children partition the node's
-    transversals: each may not delete the branch vertices its earlier
-    siblings deleted, so no transversal is searched twice.  A node
-    returns at its first child that succeeds, so the answer is the
-    first minimum transversal the search reaches, fixed for a given
-    graph.  No answer is kept between nodes: with the children
-    partitioning, a subgraph is almost never solved twice at one bound.
+    The root is a 2-core (:func:`_peel`): a vertex with fewer than 2
+    neighbours lies on no cycle, so dropping it changes no transversal.
+    A node is the root less the vertices its path deleted.  The
+    vertex-disjoint cliques of :func:`_greedy_cliques` are found once
+    per graph, until the deadline passes.  Each search node bounds its
+    subgraph with :meth:`bound`, first from the odd cycles its parent
+    packed that its deletion left whole, then, when that does not prune,
+    from a fresh packing; it prunes when the bound exceeds the size
+    still allowed, and branches on the vertices of the smallest cycle of
+    the packing that counts more, or of a triangle of the first counted
+    clique when no cycle is left, passing that packing on to its
+    children.  The children partition the node's transversals: each may
+    not delete the branch vertices its earlier siblings deleted, so no
+    transversal is searched twice.  A node returns at its first child
+    that succeeds, so the answer is the first minimum transversal the
+    search reaches, fixed for a given graph.  No answer is kept between
+    nodes: with the children partitioning, no two paths delete the same
+    vertices, so no mask is solved twice at one bound.
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
         self.adj = adjacency
         self.deadline = deadline
-        everything = (1 << len(adjacency)) - 1
-        self.active = _peel(adjacency, everything, everything)
+        self.active = _peel(adjacency, (1 << len(adjacency)) - 1)
         self.cliques = _greedy_cliques(adjacency, self.active, deadline)
 
     def run(self, ub: int) -> tuple[int, ...] | None:
@@ -249,14 +249,14 @@ class _ExactOct:
     ) -> Generator[tuple[int, int, list[int], int], _Answer, _Answer]:
         """The first transversal of size <= ub without a vertex of
         ``forbidden`` that the children reach, tried in ascending order
-        of the branch vertex.  ``active`` is a 2-core and ``kept`` holds
-        vertex-disjoint odd cycles of it.  A child is the 2-core left by
-        the branch vertex, peeled from that vertex's neighbours, with the
-        counted cycles that avoid the vertex, and it may not delete the
-        branch vertices its earlier siblings deleted: a transversal of
-        it holding one of them would, without that vertex, have been
-        found by that sibling.  A node whose branch vertices are all
-        forbidden fails.  Yields each subproblem as
+        of the branch vertex.  ``active`` is the root's 2-core less the
+        vertices the path deleted and ``kept`` holds vertex-disjoint odd
+        cycles of it.  A child is ``active`` less the branch vertex,
+        with the counted cycles that avoid the vertex, and it may not
+        delete the branch vertices its earlier siblings deleted: a
+        transversal of it holding one of them would, without that
+        vertex, have been found by that sibling.  A node whose branch
+        vertices are all forbidden fails.  Yields each subproblem as
         ``(active, ub, kept, forbidden)`` and is sent its answer."""
         # the inherited cycles may prune without a fresh packing; with
         # none, the fresh packing is the same one
@@ -271,7 +271,7 @@ class _ExactOct:
         # prune when the bound exceeds the size still allowed
         for v in bits(branch & ~forbidden if bound <= ub else 0):
             sub = yield (
-                _peel(self.adj, active & ~(1 << v), self.adj[v]),
+                active & ~(1 << v),
                 ub - 1,
                 [cycle for cycle in cycles if not cycle >> v & 1],
                 forbidden,
@@ -322,20 +322,20 @@ class _ExactOct:
         return bound, triangle, cycles
 
 
-def _peel(adj: Sequence[int], active: int, touched: int) -> int:
+def _peel(adj: Sequence[int], active: int) -> int:
     """The 2-core of the subgraph induced by ``active``: every vertex
     with fewer than 2 neighbours in it leaves, repeatedly.  Such a
     vertex lies on no cycle, so the core has the subgraph's odd cycles
-    and transversals.  Only the vertices of ``touched``, and the
-    neighbours of those that leave, are checked."""
-    touched &= active
-    while touched:
-        low = touched & -touched
-        touched ^= low
+    and transversals.  Each vertex is checked once, and again when a
+    neighbour leaves."""
+    check = active
+    while check:
+        low = check & -check
+        check ^= low
         nbrs = adj[low.bit_length() - 1] & active
         if nbrs.bit_count() < 2:
             active ^= low
-            touched |= nbrs
+            check |= nbrs
     return active
 
 

@@ -331,11 +331,12 @@ def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
     brute-force minimum transversal of the node's subgraph.  The counted
     cycles start with the inherited ones and are vertex-disjoint odd
     cycles of the subgraph, and the branch set is a non-bipartite part
-    of it, empty exactly when the subgraph is bipartite.  Every node is
-    its own 2-core.  The clique term must raise a fresh bound above the
-    packed cycles' count at some of the nodes, and inherited cycles must
-    be counted at some."""
+    of it, empty exactly when the subgraph is bipartite.  The root is a
+    2-core and every node lies inside it.  The clique term must raise a
+    fresh bound above the packed cycles' count at some of the nodes, and
+    inherited cycles must be counted at some."""
     nodes = {}
+    roots = {}
     bound = _ExactOct.bound
 
     def recording(self, active, kept, ub):
@@ -355,7 +356,10 @@ def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
     # sparser graphs, whose nodes inherit cycles more often
     graphs += [_random_graph(10 + seed % 3, 0.4, seed) for seed in range(120)]
     for adj in graphs:
-        _ExactOct(adj, None).run(len(adj))
+        exact = _ExactOct(adj, None)
+        root = roots[tuple(adj)] = exact.active
+        assert all((adj[v] & root).bit_count() >= 2 for v in bits(root))
+        exact.run(len(adj))
     raised = inherited = 0
     for (adj, active, kept, _), (lower, branch, cycles) in nodes.items():
         minimum = len(brute_min_transversal(adj, active))
@@ -370,7 +374,7 @@ def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
             assert cycle & ~active == 0 and not cycle & taken
             assert reference_two_color(adj, cycle)[1] is not None
             taken |= cycle
-        assert maximal._peel(adj, active, active) == active
+        assert active & ~roots[adj] == 0
         inherited += bool(kept)
         raised += not kept and lower > len(pack_odd_cycles(adj, active, len(adj)))
     assert len(nodes) >= 1500
@@ -379,17 +383,16 @@ def test_every_node_bound_is_at_most_its_minimum(monkeypatch):
 
 
 def test_peeling_keeps_every_odd_cycle_and_the_minimum():
-    """The 2-core of a subgraph, peeled from all of it or, after one
-    deletion, from the deleted vertex's neighbours, leaves every vertex
-    at least 2 neighbours; each vertex it drops lies on no cycle of the
-    subgraph, so on no odd cycle, and the brute-force minimum
-    transversal keeps its size."""
+    """The 2-core of a subgraph leaves every vertex at least 2
+    neighbours; each vertex it drops lies on no cycle of the subgraph,
+    so on no odd cycle, and the brute-force minimum transversal keeps
+    its size."""
     peeled = 0
     for seed in range(320):
         n = 5 + seed % 7
         adj = _random_graph(n, (0.2, 0.3, 0.4, 0.55)[seed % 4], seed)
         active = random.Random(seed).getrandbits(n) | 1
-        core = maximal._peel(adj, active, active)
+        core = maximal._peel(adj, active)
         assert core & ~active == 0
         assert all((adj[v] & core).bit_count() >= 2 for v in bits(core))
         for v in bits(active & ~core):
@@ -404,10 +407,6 @@ def test_peeling_keeps_every_odd_cycle_and_the_minimum():
                 assert seen & adj[v] == 1 << u
         expected = len(brute_min_transversal(adj, active))
         assert len(brute_min_transversal(adj, core)) == expected
-        for v in bits(core):
-            child = core & ~(1 << v)
-            whole = maximal._peel(adj, child, child)
-            assert maximal._peel(adj, child, adj[v]) == whole
         peeled += core != active
     assert peeled >= 150
 
@@ -446,47 +445,68 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
         adj = of.build_incompatibility_graph(ctx).adjacency
         _ExactOct(adj, None).run(len(adj))
         nodes.append(len(calls))
-    assert nodes == [5, 96, 11, 163, 225, 38]
+    assert nodes == [5, 98, 11, 163, 225, 38]
 
 
-def test_a_mask_reached_at_two_bounds_is_solved_at_each(
+def test_each_node_is_the_root_core_less_its_path_deletions(
     monkeypatch, monuments, contranominal3, forced_overlap
 ):
-    """Peeling drops more vertices on some paths than on others, so a
-    mask does not fix its node's bound: in two triangles that share
-    vertex 4, deleting 4 peels the other four, and so does deleting 0
-    and then 2.  Beside a 5-wheel, which needs 2 deletions but packs 1
-    cycle, the search at bound 3 solves the wheel's mask at bound 1,
-    where it fails, and then at bound 2, where it succeeds; an answer
-    stored by the mask alone would fail the whole search.  Neither
-    node may delete a wheel vertex.  On every graph each answer at a
-    node is a transversal of its subgraph with exactly as many
-    vertices as its bound."""
-    nodes = []
+    """In every ``search(k)``, each node's subgraph is the root's 2-core
+    less the branch vertices its path deleted, and its bound is k less
+    their number, so no mask is solved twice in one search.  In two
+    triangles that share vertex 4 beside a 5-wheel, deleting 4 leaves
+    four vertices of degree 1 that no node peels.  Each answer at a node
+    is a transversal of its subgraph with exactly as many vertices as
+    its bound."""
+    searches = []
+    handoff = []
+    branches = []
+    search = _ExactOct.search
     solve = _ExactOct.solve
+    bound = _ExactOct.bound
 
-    def recording(self, active, ub, kept, forbidden):
-        answer = yield from solve(self, active, ub, kept, forbidden)
-        nodes.append((self.adj, active, ub, forbidden, answer))
+    def searching(self, ub):
+        searches.append((self.adj, self.active, ub, []))
+        return search(self, ub)
+
+    def bounding(self, active, kept, ub):
+        answer = bound(self, active, kept, ub)
+        branches.append(answer[1])
         return answer
 
+    def recording(self, active, ub, kept, forbidden):
+        # search starts each child as soon as its parent yields it
+        deleted = handoff.pop() if handoff else 0
+        node = [active, ub, deleted, None]
+        searches[-1][3].append(node)
+        branches.clear()
+        inner = solve(self, active, ub, kept, forbidden)
+        answer = branch = None
+        while True:
+            try:
+                request = inner.send(answer)
+            except StopIteration as done:
+                node[3] = done.value
+                return done.value
+            if branch is None:
+                # the node's own bounds, all taken before its first child
+                branch = 0
+                for mask in branches:
+                    branch |= mask
+            handoff.append(deleted | (active & ~request[0] & branch))
+            answer = yield request
+
+    monkeypatch.setattr(_ExactOct, "search", searching)
+    monkeypatch.setattr(_ExactOct, "bound", bounding)
     monkeypatch.setattr(_ExactOct, "solve", recording)
     bowtie = _cycle([0, 1, 4]) + _cycle([2, 3, 4])
     wheel = _cycle([5, 6, 7, 8, 9]) + [(v, 10) for v in range(5, 10)]
     adj = _graph(11, bowtie + wheel).adjacency
     exact = _ExactOct(adj, None)
-    assert exact.bound(exact.active, (), 11)[0] == 2
-    assert exact.search(2) is None
-    nodes.clear()
-    assert exact.search(3) == (4, 5, 10)
-    wheel_mask = 0b11111100000  # vertices 5 to 10
-    at_wheel = {
-        (ub, answer)
-        for _, active, ub, forbidden, answer in nodes
-        if active == wheel_mask and not forbidden & wheel_mask
-    }
-    assert at_wheel == {(1, None), (2, (5, 10))}
-    nodes.clear()
+    assert exact.active == (1 << 11) - 1
+    assert exact.run(11) == (4, 5, 10)
+    assert [k for _, _, k, _ in searches] == [2, 3]
+    assert any(maximal._peel(adj, n[0]) != n[0] for n in searches[-1][3])
     graphs = [
         of.build_incompatibility_graph(ctx).adjacency
         for ctx in (monuments, contranominal3, forced_overlap)
@@ -494,13 +514,21 @@ def test_a_mask_reached_at_two_bounds_is_solved_at_each(
     graphs += _seeded_graphs(1000, 300)
     for adj in graphs:
         _ExactOct(adj, None).run(len(adj))
-    for adj, active, ub, _, answer in nodes:
-        if answer is not None:
-            assert len(answer) == ub
-            kept = active & ~sum(1 << v for v in answer)
-            assert reference_two_color(adj, kept)[1] is None
-    assert any(answer is not None and ub > 0 for _, _, ub, _, answer in nodes)
-    assert any(answer is None and ub > 0 for _, _, ub, _, answer in nodes)
+    count = 0
+    for adj, root, k, nodes in searches:
+        for active, ub, deleted, answer in nodes:
+            assert active == root & ~deleted
+            assert ub == k - deleted.bit_count()
+            if answer is not None:
+                assert len(answer) == ub
+                kept = active & ~sum(1 << v for v in answer)
+                assert reference_two_color(adj, kept)[1] is None
+        assert len({active for active, *_ in nodes}) == len(nodes)
+        count += len(nodes)
+    assert count >= 5000
+    answers = [(ub, answer) for *_, nodes in searches for _, ub, _, answer in nodes]
+    assert any(answer is not None and ub > 0 for ub, answer in answers)
+    assert any(answer is None and ub > 0 for ub, answer in answers)
 
 
 def test_a_bound_capped_at_ub_keeps_every_bound_up_to_ub(
@@ -534,12 +562,10 @@ def test_a_bound_capped_at_ub_keeps_every_bound_up_to_ub(
     assert capped >= 100
 
 
-def test_the_graph_that_met_a_subgraph_twice_keeps_its_search(monkeypatch):
-    """``random_context(GeneratorSpec(11, 11, 0.5, 7))`` is one of the
-    few graphs whose search solves a subgraph twice at one bound with
-    the same vertices forbidden.  Each repeat makes no child call, so
-    solving it again keeps the answer, the capped run below it and the
-    number of ``solve`` calls that a search storing its answers made."""
+def test_the_11x11_seed_7_search_is_pinned(monkeypatch):
+    """``random_context(GeneratorSpec(11, 11, 0.5, 7))`` pins a larger
+    tree than :func:`test_exact_search_tree_is_pinned`: its answer, the
+    capped run below it and the number of ``solve`` calls each makes."""
     calls = []
     solve = _ExactOct.solve
 
@@ -554,10 +580,10 @@ def test_the_graph_that_met_a_subgraph_twice_keeps_its_search(monkeypatch):
     assert answer == (
         10, 13, 18, 24, 25, 28, 29, 30, 31, 34, 35, 39, 51, 62, 63
     )
-    assert len(calls) == 12_849
+    assert len(calls) == 12_166
     calls.clear()
     assert _ExactOct(adj, None).run(len(answer) - 1) is None
-    assert len(calls) == 3_460
+    assert len(calls) == 3_350
 
 
 def test_the_children_partition_their_parents_transversals(
@@ -587,8 +613,7 @@ def test_the_children_partition_their_parents_transversals(
             children.append((request, answer))
 
     def deleting(adj, active, v):
-        rest = active & ~(1 << v)
-        return maximal._peel(adj, rest, rest)
+        return active & ~(1 << v)
 
     monkeypatch.setattr(_ExactOct, "solve", recording)
     graphs = [
@@ -1054,6 +1079,19 @@ def test_exact_mode_removes_one_more_than_the_optimum():
     assert of.validate_factorization(kept, of.two_factorize(kept)) == []
     with pytest.raises(of.NotFound):
         brute_force_min_removal(ctx, 3)
+
+
+def test_the_root_core_moves_the_first_minimum_of_seed_472():
+    """With the 2-core peeled only at the root, the search reaches
+    another first minimum on (8, 8, 0.5, 472) than when each child was
+    peeled again: exact mode removes these 4 incidences, not (5, 3),
+    (5, 6), (5, 7) and (7, 7), still in one certified round, and the
+    brute-force oracle agrees that 4 is the minimum."""
+    ctx = random_context(GeneratorSpec(8, 8, 0.5, 472))
+    result = of.maximal_two_factorization(ctx, mode="exact")
+    assert result.removed == {(0, 3), (2, 2), (6, 2), (7, 7)}
+    assert (result.rounds, result.certificate) == (1, True)
+    assert brute_force_min_removal(ctx, 4) == 4
 
 
 def test_a_later_round_out_of_time_reports_the_first_rounds_minimum(
