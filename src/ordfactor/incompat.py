@@ -54,7 +54,10 @@ class BipartitionWitness:
 
 
 def build_incompatibility_graph(ctx: FormalContext) -> IncompatibilityGraph:
-    """Construct the graph by the quadratic pairwise rule."""
+    """Construct the graph by the quadratic pairwise rule.
+
+    This is the builder behind the ``check`` and ``stats`` commands and
+    the reference that :func:`product_graph` is tested against."""
     vertices = tuple(ctx.pairs())
     adjacency = [0] * len(vertices)
     for i in range(len(vertices)):
@@ -65,6 +68,37 @@ def build_incompatibility_graph(ctx: FormalContext) -> IncompatibilityGraph:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     return IncompatibilityGraph(vertices, tuple(adjacency))
+
+
+def product_graph(ctx: FormalContext) -> IncompatibilityGraph:
+    """The graph of :func:`build_incompatibility_graph`, built as a
+    masked product: (g, m) and (h, n) clash iff h lacks m and g lacks
+    n, so the row of (g, m) is ``lacking[m] & missing[g]``.  Here
+    ``lacking[m]`` holds the vertices of the objects without m and
+    ``missing[g]`` those of the attributes that g lacks.  That takes
+    O(|G|·|M|) big-int sums of disjoint masks, not |I|²/2 pair tests."""
+    vertices = tuple(ctx.pairs())
+    # each object's vertices are a run of consecutive indices
+    by_object = []
+    by_attribute = [0] * ctx.n_attributes
+    i = 0
+    for row in ctx.rows:
+        start = i
+        for m in bits(row):
+            by_attribute[m] |= 1 << i
+            i += 1
+        by_object.append((1 << i) - (1 << start))
+    lacking = [
+        sum(run for run, row in zip(by_object, ctx.rows) if not row >> m & 1)
+        for m in range(ctx.n_attributes)
+    ]
+    missing = [
+        sum(col for n, col in enumerate(by_attribute) if not row >> n & 1)
+        for row in ctx.rows
+    ]
+    return IncompatibilityGraph(
+        vertices, tuple(lacking[m] & missing[g] for g, m in vertices)
+    )
 
 
 def components(graph: IncompatibilityGraph) -> list[tuple[int, ...]]:

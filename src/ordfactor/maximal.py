@@ -24,8 +24,8 @@ from .errors import BudgetExceeded, InvalidFactorization
 from .incompat import (
     IncompatibilityGraph,
     bipartition,
-    build_incompatibility_graph,
     pack_odd_cycles,
+    product_graph,
     two_color,
 )
 from .twofactor import (
@@ -96,7 +96,7 @@ def maximal_two_factorization(
     removed: set[IncidencePair] = set()
     rounds = 0
     first = 0  # the first round's transversal size, set in that round
-    graph = build_incompatibility_graph(current)
+    graph = product_graph(current)
     while not bipartition(graph).is_bipartite:
         if rounds >= ctx.incidence_count:
             raise AssertionError("transversal loop failed to terminate")
@@ -115,7 +115,7 @@ def maximal_two_factorization(
             first = len(solution.deleted)
         removed |= solution.deleted
         current = remove_incidences(current, solution.deleted)
-        graph = build_incompatibility_graph(current)
+        graph = product_graph(current)
         rounds += 1
     if rounds >= 2:
         logger.info(
@@ -155,7 +155,7 @@ def certify_global_optimality(
     if problems:
         raise InvalidFactorization("; ".join(v.message for v in problems))
     deadline = time.monotonic() + budget if budget is not None else None
-    graph = build_incompatibility_graph(ctx)
+    graph = product_graph(ctx)
     removed = [
         1 << i for i, pair in enumerate(graph.vertices) if pair in result.removed
     ]

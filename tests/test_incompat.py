@@ -6,7 +6,7 @@ import pytest
 import ordfactor as of
 from ordfactor.bitset import bits, transpose
 from ordfactor.context import FormalContext, IncidencePair
-from ordfactor.incompat import pack_odd_cycles, sweep, two_color
+from ordfactor.incompat import pack_odd_cycles, product_graph, sweep, two_color
 from ordfactor.oracle import GeneratorSpec, random_context
 
 from conftest import (
@@ -65,19 +65,40 @@ def test_vertices_are_incidences_in_lexicographic_order(monuments):
     assert list(graph.vertices) == sorted(graph.vertices)
 
 
-def test_adjacency_matches_pair_rule(monuments):
-    contexts = [monuments] + [
+def test_adjacency_matches_pair_rule(
+    monuments, contranominal3, forced_overlap, persistent_odd_cycle
+):
+    """Both builders give the pair rule's graph: the pair loop and the
+    masked product, on the fixtures, random squares, non-square shapes
+    at densities 0.1-0.9, a context with an empty row and an empty
+    column, a full incidence and the empty context."""
+    contexts = [monuments, contranominal3, forced_overlap, persistent_odd_cycle]
+    contexts += [
         random_context(
             GeneratorSpec(objects=6, attributes=7, density=0.5, seed=seed)
         )
         for seed in range(5)
     ]
+    contexts += [
+        random_context(GeneratorSpec(objects, attributes, tenths / 10, seed))
+        for objects, attributes in ((3, 9), (9, 3), (1, 8), (8, 1))
+        for tenths in range(1, 10, 2)
+        for seed in range(2)
+    ]
+    contexts += [
+        FormalContext.from_strings("abc", "xyz", ["X.X", "...", "X.X"]),
+        FormalContext.from_strings("ab", "xyz", ["XXX", "XXX"]),
+        FormalContext((), (), ()),
+    ]
     for ctx in contexts:
-        graph = of.build_incompatibility_graph(ctx)
-        for i, (g, m) in enumerate(graph.vertices):
-            for j, (h, n) in enumerate(graph.vertices):
-                clash = not ctx.has(g, n) and not ctx.has(h, m)
-                assert bool(graph.adjacency[i] >> j & 1) == clash
+        graphs = (of.build_incompatibility_graph(ctx), product_graph(ctx))
+        assert graphs[0] == graphs[1]
+        for graph in graphs:
+            assert graph.vertices == tuple(ctx.pairs())
+            for i, (g, m) in enumerate(graph.vertices):
+                for j, (h, n) in enumerate(graph.vertices):
+                    clash = not ctx.has(g, n) and not ctx.has(h, m)
+                    assert bool(graph.adjacency[i] >> j & 1) == clash
 
 
 def test_bipartition_coloring_is_proper_and_deterministic(contranominal3):

@@ -14,7 +14,11 @@ import ordfactor as of
 from ordfactor import maximal
 from ordfactor.bitset import bits
 from ordfactor.context import FormalContext, IncidencePair
-from ordfactor.incompat import IncompatibilityGraph, pack_odd_cycles
+from ordfactor.incompat import (
+    IncompatibilityGraph,
+    pack_odd_cycles,
+    product_graph,
+)
 from ordfactor.maximal import (
     _ExactOct,
     _greedy_cliques,
@@ -1024,6 +1028,28 @@ def test_persistent_fixture_heuristic_pinned(persistent_odd_cycle):
     assert len(result.removed) == 74
     assert result.rounds == 3
     assert not result.certificate
+
+
+def test_each_round_rebuilds_the_pair_loops_graph(
+    monkeypatch, persistent_odd_cycle
+):
+    """The repair loop builds its graphs by the masked product; in the
+    pinned seed-0 persistent run, the graph it builds after each round's
+    removal equals the pair loop's on the same context."""
+    built = []
+
+    def checked(ctx):
+        graph = product_graph(ctx)
+        assert graph == of.build_incompatibility_graph(ctx)
+        built.append(graph.n)
+        return graph
+
+    monkeypatch.setattr(maximal, "product_graph", checked)
+    result = of.maximal_two_factorization(
+        persistent_odd_cycle, mode="heuristic", seed=0
+    )
+    assert (len(result.removed), result.rounds) == (74, 3)
+    assert built == [273, 230, 207, 273 - 74]
 
 
 def test_certify_refutes_the_persistent_heuristic_without_a_search(

@@ -153,7 +153,8 @@ def test_brute_force_builds_no_graph(monkeypatch, monuments):
     def no_graph(*args):
         raise AssertionError("incompatibility graph searched")
 
-    for name in ("build_incompatibility_graph", "bipartition", "sweep"):
+    builders = ("build_incompatibility_graph", "product_graph")
+    for name in builders + ("bipartition", "sweep"):
         monkeypatch.setattr(f"ordfactor.incompat.{name}", no_graph)
         monkeypatch.setattr(f"ordfactor.oracle.{name}", no_graph, raising=False)
     assert of.brute_force_min_removal(monuments, k_max=2) == 2

@@ -459,14 +459,11 @@ def test_canonical_partition_builds_no_graph(
         raise AssertionError("incompatibility graph built")
 
     repaired = of.maximal_two_factorization(monuments, mode="exact")
-    monkeypatch.setattr(
-        "ordfactor.incompat.build_incompatibility_graph", no_graph
-    )
-    monkeypatch.setattr(
-        "ordfactor.twofactor.build_incompatibility_graph",
-        no_graph,
-        raising=False,
-    )
+    for name in ("build_incompatibility_graph", "product_graph"):
+        monkeypatch.setattr(f"ordfactor.incompat.{name}", no_graph)
+        monkeypatch.setattr(
+            f"ordfactor.twofactor.{name}", no_graph, raising=False
+        )
     clean = of.two_factorize(forced_overlap)
     canonical = of.canonical_partition(forced_overlap, clean)
     assert _named(forced_overlap, canonical.shared) == {("6", "f")}
