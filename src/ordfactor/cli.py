@@ -32,12 +32,7 @@ from .errors import (
     FormatError,
     OrdfactorError,
 )
-from .incompat import (
-    bipartition,
-    build_incompatibility_graph,
-    components,
-    isolated_pairs,
-)
+from .incompat import bipartition, components, isolated_pairs, product_graph
 from .lattice import concept_intents
 from .maximal import certify_global_optimality, maximal_two_factorization
 from .oracle import brute_force_min_removal
@@ -109,7 +104,7 @@ def _nonnegative(convert: type, wording: str):
 
 def _cmd_check(args: argparse.Namespace, text: str) -> dict:
     ctx = _load_context(text)
-    graph = build_incompatibility_graph(ctx)
+    graph = product_graph(ctx)
     witness = bipartition(graph)
     return {
         "bipartite": witness.is_bipartite,
@@ -214,7 +209,7 @@ def _cmd_oracle(args: argparse.Namespace, text: str) -> dict:
 
 def _cmd_stats(args: argparse.Namespace, text: str) -> dict:
     ctx = _load_context(text)
-    graph = build_incompatibility_graph(ctx)
+    graph = product_graph(ctx)
     cells = ctx.n_objects * ctx.n_attributes
     return {
         "title": ctx.title,

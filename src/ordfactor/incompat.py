@@ -56,8 +56,8 @@ class BipartitionWitness:
 def build_incompatibility_graph(ctx: FormalContext) -> IncompatibilityGraph:
     """Construct the graph by the quadratic pairwise rule.
 
-    This is the builder behind the ``check`` and ``stats`` commands and
-    the reference that :func:`product_graph` is tested against."""
+    The pair-rule reference that :func:`product_graph` is tested
+    against, and the builder the benchmark's recognize workloads call."""
     vertices = tuple(ctx.pairs())
     adjacency = [0] * len(vertices)
     for i in range(len(vertices)):
@@ -72,10 +72,11 @@ def build_incompatibility_graph(ctx: FormalContext) -> IncompatibilityGraph:
 
 def product_graph(ctx: FormalContext) -> IncompatibilityGraph:
     """The graph of :func:`build_incompatibility_graph`, built as a
-    masked product: (g, m) and (h, n) clash iff h lacks m and g lacks
-    n, so the row of (g, m) is ``lacking[m] & missing[g]``.  Here
-    ``lacking[m]`` holds the vertices of the objects without m and
-    ``missing[g]`` those of the attributes that g lacks.  That takes
+    masked product for every command: ``check``, ``stats``, and the
+    repair engine behind ``maximal``, ``biplot`` and ``dim2ext``.
+    (g, m) and (h, n) clash iff h lacks m and g lacks n, so the row of
+    (g, m) is ``lacking[m] & missing[g]``: the vertices of the objects
+    without m, masked by those of the attributes that g lacks.  That is
     O(|G|·|M|) big-int sums of disjoint masks, not |I|²/2 pair tests."""
     vertices = tuple(ctx.pairs())
     # each object's vertices are a run of consecutive indices

@@ -365,6 +365,59 @@ def test_stats_stops_past_the_concept_cap(capsys, tmp_path):
     assert report["error"]["type"] == "ConceptBudgetExceeded"
 
 
+def test_check_and_stats_build_no_pair_loop(capsys, monkeypatch, tmp_path):
+    """Both commands build with the masked product, and report the
+    graph that the pair rule gives."""
+    paths = [MONUMENTS, CONTRANOMINAL, FORCED, PERSISTENT]
+    for spec in ((7, 12, 0.5, 0), (13, 5, 0.6, 1)):
+        path = tmp_path / f"random{spec[0]}x{spec[1]}.cxt"
+        ctx = of.random_context(of.GeneratorSpec(*spec))
+        path.write_text(of.serialize_cxt(ctx), encoding="utf-8")
+        paths.append(str(path))
+    expected = []
+    for path in paths:
+        ctx = of.parse_cxt(Path(path).read_text(encoding="utf-8"))
+        graph = of.build_incompatibility_graph(ctx)
+        cycle = of.bipartition(graph).odd_cycle
+        expected.append({
+            "bipartite": cycle is None,
+            "vertices": graph.n,
+            "edges": graph.edge_count,
+            "components": len(of.components(graph)),
+            "isolated": [
+                [ctx.objects[g], ctx.attributes[m]]
+                for g, m in sorted(of.isolated_pairs(graph))
+            ],
+            "odd_cycle": None if cycle is None else [
+                [ctx.objects[g], ctx.attributes[m]]
+                for g, m in (graph.vertices[i] for i in cycle)
+            ],
+        })
+
+    def no_pair_loop(ctx):
+        raise AssertionError("pair loop built")
+
+    monkeypatch.setattr(
+        "ordfactor.incompat.build_incompatibility_graph", no_pair_loop
+    )
+    monkeypatch.setattr(
+        "ordfactor.cli.build_incompatibility_graph", no_pair_loop,
+        raising=False,
+    )
+    for path, fields in zip(paths, expected):
+        code, report = _run(capsys, ["check", path])
+        assert code == 0
+        assert report["payload"] == fields
+        code, report = _run(capsys, ["stats", path])
+        assert code == 0
+        assert report["payload"]["graph"] == {
+            "bipartite": fields["bipartite"],
+            "edges": fields["edges"],
+            "components": fields["components"],
+            "isolated": len(fields["isolated"]),
+        }
+
+
 def test_closed_stdout_exits_1_without_traceback():
     """A reader that leaves early, like ``| head -5``: the report cannot
     be written, and the command says nothing more about it."""
