@@ -22,6 +22,13 @@ from .errors import (
 )
 
 
+# A row string is its mask's base-2 numeral reversed, so that cell j is
+# bit j; these tables map its cells to digits and back in one translate.
+_NOT_CELLS = str.maketrans("", "", "Xx.")
+_DIGIT_OF_CELL = str.maketrans("Xx.", "110")
+_CELL_OF_DIGIT = str.maketrans("10", "X.")
+
+
 class IncidencePair(NamedTuple):
     """A single cell of the incidence relation, by 0-based indices."""
 
@@ -80,22 +87,28 @@ class FormalContext:
         rows: Iterable[str],
         title: str | None = None,
     ) -> "FormalContext":
-        """Build from rows written in the 'X./x' cell notation."""
+        """Build from rows written as strings in the 'X./x' cell notation.
+
+        Cell j of a row string is attribute j: ``X`` or ``x`` for an
+        incidence, ``.`` for none.  Rows are checked in order: a row of
+        the wrong length raises :class:`CountMismatch`, and a row holding
+        any other character raises :class:`IllegalCharacter` naming the
+        first such cell in it.
+        """
         objects = tuple(objects)
         attributes = tuple(attributes)
         masks = []
         for text in rows:
-            mask = 0
             if len(text) != len(attributes):
                 raise CountMismatch(
                     f"row {text!r} has {len(text)} cells, expected {len(attributes)}"
                 )
-            for j, cell in enumerate(text):
-                if cell in "Xx":
-                    mask |= 1 << j
-                elif cell != ".":
-                    raise IllegalCharacter(f"illegal cell character {cell!r}")
-            masks.append(mask)
+            # checked first, since int() also reads "_", spaces and
+            # Unicode digits such as "٣"
+            illegal = text.translate(_NOT_CELLS)
+            if illegal:
+                raise IllegalCharacter(f"illegal cell character {illegal[0]!r}")
+            masks.append(int(text[::-1].translate(_DIGIT_OF_CELL), 2) if text else 0)
         return cls(objects, attributes, tuple(masks), title)
 
     @property
@@ -124,9 +137,11 @@ class FormalContext:
         ]
 
     def row_string(self, g: int) -> str:
-        return "".join(
-            "X" if self.rows[g] >> m & 1 else "." for m in range(self.n_attributes)
-        )
+        """Row g in the 'X.' cell notation, cell j for attribute j."""
+        if not self.attributes:
+            return ""
+        numeral = format(self.rows[g], f"0{self.n_attributes}b")
+        return numeral[::-1].translate(_CELL_OF_DIGIT)
 
 
 def derive(ctx: FormalContext, side: str, subset: Iterable[int]) -> frozenset[int]:

@@ -28,7 +28,12 @@ class GeneratorSpec:
 
 
 def random_context(spec: GeneratorSpec) -> FormalContext:
-    """Independent Bernoulli cells at the requested density."""
+    """Independent Bernoulli cells at the requested density.
+
+    Draw order: one ``rng.random()`` per cell, object by object and,
+    within an object, attribute by attribute; the cell is an incidence
+    when its draw is below ``spec.density``.  A test pins the rows.
+    """
     rng = random.Random(spec.seed)
     rows = []
     for _ in range(spec.objects):
@@ -46,18 +51,25 @@ def random_two_factorizable_context(spec: GeneratorSpec) -> FormalContext:
     Each staircase fixes a random attribute order and gives every
     object a random-length prefix of it, so its rows are nested by
     construction; the incidence is the union of the two.
+
+    Draw order, per staircase in turn: one ``rng.shuffle`` of the
+    attributes, then for each object one ``rng.random()`` per attribute;
+    the prefix length is the number of draws below ``spec.density``.
+    A test pins the rows.
     """
     rng = random.Random(spec.seed)
+    draw, density = rng.random, spec.density
     rows = [0] * spec.objects
     for _ in range(2):
         order = list(range(spec.attributes))
         rng.shuffle(order)
+        # prefix[k] is the mask of the first k attributes of the order
+        prefix = [0]
+        for m in order:
+            prefix.append(prefix[-1] | 1 << m)
         for g in range(spec.objects):
-            length = sum(
-                1 for _ in range(spec.attributes) if rng.random() < spec.density
-            )
-            for m in order[:length]:
-                rows[g] |= 1 << m
+            length = sum(1 for _ in range(spec.attributes) if draw() < density)
+            rows[g] |= prefix[length]
     return FormalContext(_names("g", spec.objects), _names("m", spec.attributes), tuple(rows))
 
 

@@ -1,6 +1,7 @@
 """Context model, .cxt parsing and serialization, derivation operators."""
 import json
 import random
+import re
 
 import pytest
 
@@ -147,6 +148,89 @@ def test_row_count_and_width_validated():
         FormalContext(("g", "h"), ("m",), (0,))
     with pytest.raises(of.CountMismatch):
         FormalContext(("g",), ("m",), (2,))
+
+
+@pytest.mark.parametrize(
+    "objects, attributes, rows",
+    [((), (), ()), (("g", "h"), (), (0, 0)), ((), ("m", "n"), ())],
+)
+def test_zero_objects_or_attributes_write_and_read_back(objects, attributes, rows):
+    ctx = FormalContext(objects, attributes, rows)
+    assert [ctx.row_string(g) for g in range(ctx.n_objects)] == [""] * len(objects)
+    text = of.serialize_cxt(ctx)
+    assert text == "\n".join(
+        ["B", str(len(objects)), str(len(attributes)), "", *objects, *attributes]
+    ) + "\n"
+    assert of.parse_cxt(text) == ctx
+    payload = json.loads(of.context_to_json(ctx))
+    assert payload["rows"] == [""] * len(objects)
+    assert of.context_from_json(of.context_to_json(ctx)) == ctx
+    assert FormalContext.from_strings(objects, attributes, [""] * len(objects)) == ctx
+
+
+def test_a_row_reports_its_first_illegal_cell():
+    with pytest.raises(of.IllegalCharacter, match="illegal cell character '\\?'"):
+        FormalContext.from_strings("g", "abcde", ["X?_!."])
+    with pytest.raises(of.IllegalCharacter, match="illegal cell character '\\?'"):
+        of.parse_cxt("B\n1\n5\n\ng\na\nb\nc\nd\ne\nX?_!.\n")
+    # rows are checked in order, each first for its length
+    with pytest.raises(of.IllegalCharacter, match="'!'"):
+        FormalContext.from_strings("gh", "ab", ["!?", "X"])
+    with pytest.raises(of.CountMismatch):
+        FormalContext.from_strings("gh", "ab", ["X", "!?"])
+
+
+@pytest.mark.parametrize("cell", ["_", " ", "\t", "²", "٣", "0", "1", "-", "+"])
+def test_cells_that_int_would_read_are_illegal(cell):
+    row = "X" + cell + "."
+    message = re.escape(f"illegal cell character {cell!r}")
+    with pytest.raises(of.IllegalCharacter, match=message):
+        FormalContext.from_strings("g", "abc", [row])
+    with pytest.raises(of.IllegalCharacter):
+        of.context_from_json(
+            json.dumps({"objects": ["g"], "attributes": list("abc"), "rows": [row]})
+        )
+
+
+def test_a_row_past_the_digit_limit_parses():
+    # base 2 is exempt from the 4,300-digit limit of int()
+    width = 5000
+    row = "".join("X.x"[j % 3] for j in range(width))
+    attributes = [f"m{j}" for j in range(width)]
+    ctx = FormalContext.from_strings(["g"], attributes, [row])
+    assert ctx.rows == (sum(1 << j for j in range(width) if j % 3 != 1),)
+    assert ctx.row_string(0) == row.upper()
+    assert of.parse_cxt(of.serialize_cxt(ctx)) == ctx
+
+
+def _cell_loop(text):
+    """The row reader as it was: one cell at a time."""
+    mask = 0
+    for j, cell in enumerate(text):
+        if cell in "Xx":
+            mask |= 1 << j
+        elif cell != ".":
+            return f"illegal cell character {cell!r}"
+    return mask
+
+
+def test_rows_match_the_cell_loop_on_seeded_strings():
+    rng = random.Random(35)
+    for _ in range(500):
+        width = rng.randrange(70)
+        text = "".join(rng.choice("X.x" * 20 + "?_ ²01") for _ in range(width))
+        expected = _cell_loop(text)
+        attributes = [f"m{j}" for j in range(width)]
+        if isinstance(expected, str):
+            with pytest.raises(of.IllegalCharacter) as info:
+                FormalContext.from_strings(["g"], attributes, [text])
+            assert str(info.value) == expected
+            continue
+        ctx = FormalContext.from_strings(["g"], attributes, [text])
+        assert ctx.rows == (expected,)
+        assert ctx.row_string(0) == "".join(
+            "X" if expected >> m & 1 else "." for m in range(width)
+        )
 
 
 def test_derive_monuments_examples(monuments):

@@ -1,5 +1,7 @@
 """Brute-force oracle and generator tests."""
 
+import hashlib
+
 import pytest
 
 import ordfactor as of
@@ -43,6 +45,25 @@ def test_staircase_union_density_extremes():
     assert empty.incidence_count == 0
     full = of.random_two_factorizable_context(GeneratorSpec(4, 4, 1.0, seed=9))
     assert full.incidence_count == 16
+
+
+def test_generator_rows_are_pinned():
+    """One digest over both generators' rows on a fixed grid of specs.
+
+    Every bench input and most test corpora come from these generators,
+    so a change to their draws or to how the draws become rows moves it.
+    """
+    digest = hashlib.sha256()
+    for generate in (of.random_context, of.random_two_factorizable_context):
+        for objects in range(26):
+            for attributes in range(26):
+                for density in (0, 1, 0.3, 0.5, 0.999, -0.5, 1.5, True):
+                    for seed in (0, 1, 35):
+                        spec = GeneratorSpec(objects, attributes, density, seed)
+                        digest.update(repr(generate(spec).rows).encode() + b";")
+    assert digest.hexdigest() == (
+        "5742620f99b572d206cfe74a61e94805a7e9cf7b4479329b6db1ebba79a6d31f"
+    )
 
 
 def test_staircase_union_always_two_factorizable():
