@@ -198,6 +198,20 @@ class _ExactOct:
     search reaches, fixed for a given graph.  No answer is kept between
     nodes: with the children partitioning, no two paths delete the same
     vertices, so no mask is solved twice at one bound.
+
+    Dominated vertices follow their dominators.  If N(u) is a subset of
+    N(v) in the root, u != v, every minimum transversal that holds u
+    holds v: otherwise u could come back with v's colour, since all its
+    neighbours have the other one, leaving a smaller transversal.
+    Induced subgraphs only shrink neighbourhoods, so this holds at every
+    node where both are left.  A child that deletes branch vertex v
+    therefore also deletes D(v), the vertices still active that
+    dominate v (:meth:`dominators`), and a branch vertex whose D(v)
+    holds a forbidden vertex, or which with D(v) exceeds the size still
+    allowed, is forbidden without a child.  Every minimum transversal
+    of the root is closed under D, so the children still reach one
+    whenever one fits the bound, and the search stays exact (Hüffner
+    2009 uses reduction rules of this kind for graph bipartization).
     """
 
     def __init__(self, adjacency: Sequence[int], deadline: float | None):
@@ -205,6 +219,7 @@ class _ExactOct:
         self.deadline = deadline
         self.active = _peel(adjacency, (1 << len(adjacency)) - 1)
         self.cliques = _greedy_cliques(adjacency, self.active, deadline)
+        self.known_dominators: dict[int, int] = {}
 
     def run(self, ub: int) -> tuple[int, ...] | None:
         """The first minimum transversal the search reaches if its size
@@ -251,13 +266,18 @@ class _ExactOct:
         ``forbidden`` that the children reach, tried in ascending order
         of the branch vertex.  ``active`` is the root's 2-core less the
         vertices the path deleted and ``kept`` holds vertex-disjoint odd
-        cycles of it.  A child is ``active`` less the branch vertex,
-        with the counted cycles that avoid the vertex, and it may not
+        cycles of it.  A child is ``active`` less the branch vertex v
+        and its active dominators D(v), with ``ub`` less their number
+        and the counted cycles that avoid them all, and it may not
         delete the branch vertices its earlier siblings deleted: a
         transversal of it holding one of them would, without that
-        vertex, have been found by that sibling.  A node whose branch
-        vertices are all forbidden fails.  Yields each subproblem as
-        ``(active, ub, kept, forbidden)`` and is sent its answer."""
+        vertex, have been found by that sibling.  A branch vertex whose
+        D(v) meets ``forbidden``, or whose deletion with D(v) exceeds
+        ``ub``, gets no child and is forbidden to the later ones: no
+        minimum transversal below the node holds it.  A node whose
+        branch vertices are all forbidden fails.  Yields each
+        subproblem as ``(active, ub, kept, forbidden)`` and is sent its
+        answer."""
         # the inherited cycles may prune without a fresh packing; with
         # none, the fresh packing is the same one
         bound, branch, cycles = self.bound(active, kept, ub)
@@ -270,16 +290,37 @@ class _ExactOct:
             return ()
         # prune when the bound exceeds the size still allowed
         for v in bits(branch & ~forbidden if bound <= ub else 0):
-            sub = yield (
-                active & ~(1 << v),
-                ub - 1,
-                [cycle for cycle in cycles if not cycle >> v & 1],
-                forbidden,
-            )
-            if sub is not None:
-                return tuple(sorted(sub + (v,)))
+            gone = 1 << v | self.dominators(v) & active
+            size = gone.bit_count()
+            if size <= ub and not gone & forbidden:
+                sub = yield (
+                    active & ~gone,
+                    ub - size,
+                    [cycle for cycle in cycles if not cycle & gone],
+                    forbidden,
+                )
+                if sub is not None:
+                    return tuple(sorted(sub + tuple(bits(gone))))
             forbidden |= 1 << v
         return None
+
+    def dominators(self, v: int) -> int:
+        """The vertices w != v of the root's 2-core whose neighbours
+        there include all of v's, as a mask.  They are found the first
+        time v branches and cached; an all-pairs table at the root costs
+        more than the search on large sparse cores."""
+        known = self.known_dominators.get(v)
+        if known is None:
+            nbrs = self.adj[v] & self.active
+            # a dominator is adjacent to every neighbour of v, so to
+            # the lowest one
+            low = nbrs & -nbrs
+            known = 0
+            for w in bits(self.adj[low.bit_length() - 1] & self.active & ~(1 << v)):
+                if not nbrs & ~self.adj[w]:
+                    known |= 1 << w
+            self.known_dominators[v] = known
+        return known
 
     def bound(
         self, active: int, kept: Sequence[int], ub: int

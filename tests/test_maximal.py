@@ -170,6 +170,13 @@ def test_exact_matches_brute_force_on_random_graphs():
     assert checked >= 25
 
 
+def _dominators(adj, core, v):
+    """The vertices w != v of ``core`` whose neighbours there include
+    all of v's, by brute force, as a mask."""
+    nbrs = adj[v] & core
+    return sum(1 << w for w in bits(core) if w != v and not nbrs & ~adj[w])
+
+
 def _seeded_graphs(seed0, count):
     for seed in range(count):
         ctx = random_context(
@@ -429,8 +436,9 @@ def test_exact_search_finds_the_12x12_optimum_within_its_budget():
 
 def test_exact_search_tree_is_pinned(monkeypatch, monuments):
     """How often the exact search calls ``solve`` pins its tree: a
-    change of branching order can keep every result's size and still
-    move these counts."""
+    change of branching order, or of what a child deletes with its
+    branch vertex, can keep every result's size and still move these
+    counts."""
     calls = []
     solve = _ExactOct.solve
 
@@ -449,15 +457,18 @@ def test_exact_search_tree_is_pinned(monkeypatch, monuments):
         adj = of.build_incompatibility_graph(ctx).adjacency
         _ExactOct(adj, None).run(len(adj))
         nodes.append(len(calls))
-    assert nodes == [5, 98, 11, 163, 225, 38]
+    assert nodes == [4, 30, 8, 111, 86, 20]
 
 
 def test_each_node_is_the_root_core_less_its_path_deletions(
     monkeypatch, monuments, contranominal3, forced_overlap
 ):
     """In every ``search(k)``, each node's subgraph is the root's 2-core
-    less the branch vertices its path deleted, and its bound is k less
-    their number, so no mask is solved twice in one search.  In two
+    less what its path deleted: at each step one branch vertex v and
+    D(v), the vertices still active that dominate v in the root core
+    (found by brute force).  Its bound is k less the number of deleted
+    vertices, and no mask is solved twice in one search.  Hundreds of
+    children delete dominators beside their branch vertex.  In two
     triangles that share vertex 4 beside a 5-wheel, deleting 4 leaves
     four vertices of degree 1 that no node peels.  Each answer at a node
     is a transversal of its subgraph with exactly as many vertices as
@@ -465,6 +476,7 @@ def test_each_node_is_the_root_core_less_its_path_deletions(
     searches = []
     handoff = []
     branches = []
+    followers = []
     search = _ExactOct.search
     solve = _ExactOct.solve
     bound = _ExactOct.bound
@@ -497,7 +509,13 @@ def test_each_node_is_the_root_core_less_its_path_deletions(
                 branch = 0
                 for mask in branches:
                     branch |= mask
-            handoff.append(deleted | (active & ~request[0] & branch))
+            gone = active & ~request[0]
+            assert any(
+                gone == 1 << v | _dominators(self.adj, self.active, v) & active
+                for v in bits(gone & branch)
+            )
+            handoff.append(deleted | gone)
+            followers.append(gone.bit_count() - 1)
             answer = yield request
 
     monkeypatch.setattr(_ExactOct, "search", searching)
@@ -515,7 +533,7 @@ def test_each_node_is_the_root_core_less_its_path_deletions(
         of.build_incompatibility_graph(ctx).adjacency
         for ctx in (monuments, contranominal3, forced_overlap)
     ]
-    graphs += _seeded_graphs(1000, 300)
+    graphs += _seeded_graphs(1000, 400)
     for adj in graphs:
         _ExactOct(adj, None).run(len(adj))
     count = 0
@@ -530,6 +548,8 @@ def test_each_node_is_the_root_core_less_its_path_deletions(
         assert len({active for active, *_ in nodes}) == len(nodes)
         count += len(nodes)
     assert count >= 5000
+    # children that deleted dominators beside their branch vertex
+    assert sum(map(bool, followers)) >= 500
     answers = [(ub, answer) for *_, nodes in searches for _, ub, _, answer in nodes]
     assert any(answer is not None and ub > 0 for ub, answer in answers)
     assert any(answer is None and ub > 0 for ub, answer in answers)
@@ -584,22 +604,48 @@ def test_the_11x11_seed_7_search_is_pinned(monkeypatch):
     assert answer == (
         10, 13, 18, 24, 25, 28, 29, 30, 31, 34, 35, 39, 51, 62, 63
     )
-    assert len(calls) == 12_166
+    assert len(calls) == 3_389
     calls.clear()
     assert _ExactOct(adj, None).run(len(answer) - 1) is None
-    assert len(calls) == 3_350
+    assert len(calls) == 1_063
+
+
+def test_the_persistent_search_is_pinned(monkeypatch, persistent_odd_cycle):
+    """The search on ``persistent_odd_cycle``, the benchmark's budget
+    probe: its 12-vertex answer and the ``solve`` calls of that run and
+    of the capped run below it."""
+    calls = []
+    solve = _ExactOct.solve
+
+    def counting(self, active, ub, kept, forbidden):
+        calls.append(active)
+        return solve(self, active, ub, kept, forbidden)
+
+    monkeypatch.setattr(_ExactOct, "solve", counting)
+    adj = product_graph(persistent_odd_cycle).adjacency
+    answer = _ExactOct(adj, None).run(len(adj))
+    assert len(answer) == 12 and deletes_to_bipartite(adj, answer)
+    assert len(calls) == 768
+    calls.clear()
+    assert _ExactOct(adj, None).run(11) is None
+    assert len(calls) == 725
 
 
 def test_the_children_partition_their_parents_transversals(
     monkeypatch, monuments, contranominal3, forced_overlap
 ):
-    """Each child of a node is sent the node's forbidden vertices plus
-    the branch vertex of every earlier sibling, one more vertex per
-    sibling, whose deletion leaves that sibling's subgraph; a node that
-    succeeds adds its last child's branch vertex, which is allowed, to
-    that child's answer.  No answer holds a vertex its node may not
-    delete, and the answer sizes and the capped run below each one
-    still agree with the reference search."""
+    """A child of a node deletes one branch vertex v with D(v), the
+    vertices still active that dominate v in the root core (found by
+    brute force), and its bound is the node's less their number.  The
+    node's forbidden vertices only grow, by one vertex per earlier
+    sibling or skipped branch vertex, in ascending order: after a
+    child fails its v is forbidden, and a vertex is skipped, forbidden
+    without a child, only when its D(v) meets the forbidden vertices or
+    it and D(v) exceed the bound.  A child deletes no forbidden vertex,
+    and a node that succeeds adds what its last child deleted to that
+    child's answer.  No answer holds a vertex its node may not delete,
+    and the answer sizes and the capped run below each one still agree
+    with the reference search."""
     nodes = []
     solve = _ExactOct.solve
 
@@ -611,20 +657,18 @@ def test_the_children_partition_their_parents_transversals(
             try:
                 request = inner.send(answer)
             except StopIteration as done:
-                nodes.append((self.adj, active, ub, forbidden, children, done.value))
+                node = (active, ub, forbidden, children, done.value)
+                nodes.append((self.adj, self.active, *node))
                 return done.value
             answer = yield request
             children.append((request, answer))
-
-    def deleting(adj, active, v):
-        return active & ~(1 << v)
 
     monkeypatch.setattr(_ExactOct, "solve", recording)
     graphs = [
         of.build_incompatibility_graph(ctx).adjacency
         for ctx in (monuments, contranominal3, forced_overlap)
     ]
-    graphs += _seeded_graphs(2000, 150)
+    graphs += _seeded_graphs(2000, 200)
     graphs += [_random_graph(9 + seed % 4, 0.45, seed) for seed in range(60)]
     for adj in graphs:
         expected = reference_exact_oct(adj, None).run()
@@ -632,29 +676,88 @@ def test_the_children_partition_their_parents_transversals(
         k = len(expected)
         below = reference_exact_oct(adj, None).search(k - 1) is None
         assert (_ExactOct(adj, None).run(k - 1) is None) == below
-    later = 0
-    for adj, active, ub, forbidden, children, answer in nodes:
+    later = skipped = 0
+    for adj, core, active, ub, forbidden, children, answer in nodes:
+        assert forbidden & ~active == 0
         if answer is not None:
             assert sum(1 << v for v in answer) & forbidden == 0
-        for (request, _), (following, _) in zip(children, children[1:]):
-            added = following[3] ^ request[3]
-            assert added.bit_count() == 1 and following[3] & added
-            v = added.bit_length() - 1
-            assert active >> v & 1
-            assert deleting(adj, active, v) == request[0]
-            later += 1
-        if children:
-            assert children[0][0][3] & active == forbidden & active
-            assert all(request[1] == ub - 1 for request, _ in children)
-            assert all(sub is None for _, sub in children[:-1])
+        before = forbidden
+        last = -1
+        for i, (request, sub) in enumerate(children):
+            gone = active & ~request[0]
+            assert request[1] == ub - gone.bit_count()
+            assert request[3] & before == before and not request[3] & gone
+            # the branch vertices skipped since the previous child
+            for u in bits(request[3] & ~before):
+                lost = 1 << u | _dominators(adj, core, u) & active
+                assert u > last
+                assert lost & before or lost.bit_count() > ub
+                before |= 1 << u
+                last = u
+                skipped += 1
+            candidates = [
+                v
+                for v in bits(gone)
+                if v > last and gone == 1 << v | _dominators(adj, core, v) & active
+            ]
+            if i + 1 < len(children):
+                assert sub is None
+                grown = children[i + 1][0][3] & ~request[3]
+                v = (grown & -grown).bit_length() - 1
+                assert v in candidates
+                before |= 1 << v
+                last = v
+                later += 1
+            else:
+                assert candidates
         if children and answer is not None:
             (request, sub) = children[-1]
-            (v,) = set(answer) - set(sub)
-            assert len(answer) == len(sub) + 1
-            assert not request[3] >> v & 1
-            assert deleting(adj, active, v) == request[0]
+            gone = active & ~request[0]
+            assert len(answer) == len(sub) + gone.bit_count()
+            assert set(answer) - set(sub) == set(bits(gone))
     assert later >= 4000
+    assert skipped >= 300
     assert any(forbidden and answer is not None for *_, forbidden, _, answer in nodes)
+
+
+def test_the_cached_dominators_are_the_brute_force_ones():
+    """The dominators the search finds for a branch vertex v, from the
+    neighbours of one neighbour of v, and caches are the vertices
+    w != v of the root core with N(v) <= N(w) there, found by brute
+    force; so are those it finds for every other vertex of the core."""
+    cached = dominated = 0
+    for adj in _seeded_graphs(1000, 300):
+        exact = _ExactOct(adj, None)
+        exact.run(len(adj))
+        core = exact.active
+        for v, mask in exact.known_dominators.items():
+            assert core >> v & 1 and mask == _dominators(adj, core, v)
+            cached += 1
+        for v in bits(core):
+            assert exact.dominators(v) == _dominators(adj, core, v)
+            dominated += bool(exact.dominators(v))
+    assert cached >= 1500
+    assert dominated >= 3000
+
+
+def test_every_reference_minimum_is_closed_under_domination():
+    """The lemma behind the search's rule, checked on a search that
+    shares no code with it: when N(u) <= N(w) in the root core, every
+    minimum transversal that holds u holds w, so each lexicographically
+    smallest minimum of :class:`reference_exact_oct` that holds a
+    dominated vertex holds all of its dominators."""
+    pairs = constrained = 0
+    for adj in _seeded_graphs(1000, 300):
+        answer = set(reference_exact_oct(adj, None).run())
+        core = maximal._peel(adj, (1 << len(adj)) - 1)
+        for u in bits(core):
+            for w in bits(_dominators(adj, core, u)):
+                pairs += 1
+                if u in answer:
+                    assert w in answer
+                    constrained += 1
+    assert pairs >= 8000
+    assert constrained >= 150
 
 
 def test_the_partition_changes_no_answer(monkeypatch, persistent_odd_cycle):

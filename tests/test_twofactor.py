@@ -1,11 +1,13 @@
 """Exact two-factorization, Ferrers checks, canonical partition."""
 from dataclasses import replace
+import itertools
 import random
 
 import pytest
 
 import ordfactor as of
 from ordfactor.context import FormalContext, IncidencePair
+from ordfactor.incompat import components, two_color
 from ordfactor.oracle import (
     GeneratorSpec,
     random_context,
@@ -124,6 +126,48 @@ def test_canonical_partition_forced_overlap(forced_overlap):
         frozenset(class_one), frozenset(class_two),
     }
     assert of.validate_factorization(forced_overlap, canonical) == []
+
+
+def _disjoint_colorings(ctx):
+    """For each proper 2-coloring of the incompatibility graph, whether
+    its two classes are both Ferrers: each component, an isolated vertex
+    too, takes either orientation of its :func:`two_color` coloring.  A
+    disjoint two-factorization is exactly such a coloring."""
+    graph = of.build_incompatibility_graph(ctx)
+    sides = []
+    for part in components(graph):
+        mask = sum(1 << v for v in part)
+        odd, cycle = two_color(graph.adjacency, mask)
+        assert cycle is None
+        sides.append((mask & ~odd, odd))
+    found = []
+    for flips in itertools.product((0, 1), repeat=len(sides)):
+        first = second = 0
+        for flip, side in zip(flips, sides):
+            first |= side[flip]
+            second |= side[1 - flip]
+        classes = [[graph.vertices[v] for v in range(graph.n) if c >> v & 1]
+                   for c in (first, second)]
+        found.append(all(of.is_ferrers(ctx, c) for c in classes))
+    return [len(part) for part in components(graph)], found
+
+
+def test_forced_overlap_has_no_disjoint_factorization(
+    forced_overlap, contranominal3
+):
+    """The paper's disjointness question on its fixture: the graph of
+    ``forced_overlap`` has an 18-vertex component and the isolated
+    (6, f), and none of its 4 colorings gives two Ferrers classes, so
+    every two-factorization of it overlaps.  ``contranominal3``'s three
+    components give 8 colorings; some of them work, and some that mix
+    the components' orientations do not."""
+    sizes, found = _disjoint_colorings(forced_overlap)
+    assert sorted(sizes) == [1, 18]
+    graph = of.build_incompatibility_graph(forced_overlap)
+    assert _named(forced_overlap, of.isolated_pairs(graph)) == {("6", "f")}
+    assert found == [False] * 4
+    sizes, found = _disjoint_colorings(contranominal3)
+    assert len(found) == 8 and any(found) and not all(found)
 
 
 def test_canonical_partition_full_incidence():
