@@ -113,7 +113,9 @@ def render(
 
 
 def _render_csv(axes: tuple[FactorAxis, FactorAxis]) -> str:
-    # each comment stays on one line; the rows are quoted as in RFC 4180
+    # each comment stays on one line; the rows are quoted as in RFC 4180,
+    # and so is a name starting with "#", which a reader that skips the
+    # comment lines would skip too
     lines = [
         f"#axis{i}: "
         + ";".join(axis.labels).replace("\r", r"\r").replace("\n", r"\n")
@@ -121,7 +123,7 @@ def _render_csv(axes: tuple[FactorAxis, FactorAxis]) -> str:
     ]
     lines.append("object,x,y")
     for g, name in enumerate(axes[0].objects):
-        if any(ch in name for ch in ',"\r\n'):
+        if name.startswith("#") or any(ch in name for ch in ',"\r\n'):
             name = '"' + name.replace('"', '""') + '"'
         lines.append(f"{name},{axes[0].positions[g]},{axes[1].positions[g]}")
     return "\n".join(lines) + "\n"

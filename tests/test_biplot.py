@@ -122,6 +122,16 @@ def test_csv_rows_read_back_with_the_csv_module():
     ]
 
 
+def test_csv_quotes_names_starting_with_a_comment_mark():
+    """A reader that skips the ``#axis`` comment lines keeps every row."""
+    objects = ("#axis1: x", "#", "b")
+    ctx = FormalContext(objects, ("a",), (0b1,) * 3)
+    axes = of.biplot_axes(ctx, of.two_factorize(ctx))
+    text = of.render(axes, fmt="csv")
+    assert not any(line.startswith("#") for line in text.splitlines()[2:])
+    assert [name for name, _, _ in read_biplot_csv(text)] == list(objects)
+
+
 def test_svg_has_one_marker_per_object(monuments):
     result = of.maximal_two_factorization(monuments, mode="exact")
     axes = of.biplot_axes(monuments, result)
