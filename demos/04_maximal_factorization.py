@@ -41,11 +41,17 @@ def main() -> None:
           "(multi-round removals carry no certificate)")
     assert of.validate_factorization(hard, heur) == []
 
-    # exact search on the same input respects a time budget
+    # exact search respects a time budget and reports a lower bound; a
+    # random 16x16 context needs far longer than 1 s to finish
+    big = of.random_context(of.GeneratorSpec(16, 16, 0.5, 0))
     try:
-        of.maximal_two_factorization(hard, mode="exact", budget=1.0)
+        of.maximal_two_factorization(big, mode="exact", budget=1.0)
     except of.BudgetExceeded as exc:
+        print("\nrandom 16x16 context, density 0.5, seed 0:")
         print(f"exact mode with a 1 s budget stops cleanly: {exc}")
+        print(f"every valid removal has at least {exc.lower_bound} incidences")
+    else:
+        raise AssertionError("the 1 s budget was expected to run out")
 
 
 if __name__ == "__main__":

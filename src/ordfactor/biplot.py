@@ -42,11 +42,10 @@ def factor_axis(ctx: FormalContext, pairs: Iterable) -> FactorAxis:
     """Build the axis of one Ferrers factor of ``ctx``.
 
     Attributes without incidences in the factor do not appear on the
-    axis.  Raises NotFerrers when the pairs are no staircase.
+    axis.  Raises NotFerrers when the pairs are no staircase, and what
+    :func:`is_ferrers` raises when one is no incidence.
     """
-    pair_set = frozenset(
-        IncidencePair(int(g), int(m)) for g, m in pairs
-    )
+    pair_set = frozenset(IncidencePair(int(g), int(m)) for g, m in pairs)
     if not is_ferrers(ctx, pair_set):
         raise NotFerrers("axis requires a staircase-shaped factor")
     cols = [0] * ctx.n_attributes

@@ -102,16 +102,21 @@ def _nonnegative(convert: type, wording: str):
     return parse
 
 
+def _graph_report(ctx: FormalContext) -> tuple:
+    """The product graph, its bipartition, component count and isolated pairs."""
+    graph = product_graph(ctx)
+    return graph, bipartition(graph), len(components(graph)), isolated_pairs(graph)
+
+
 def _cmd_check(args: argparse.Namespace, text: str) -> dict:
     ctx = _load_context(text)
-    graph = product_graph(ctx)
-    witness = bipartition(graph)
+    graph, witness, n_components, isolated = _graph_report(ctx)
     return {
         "bipartite": witness.is_bipartite,
         "vertices": len(graph.vertices),
         "edges": graph.edge_count,
-        "components": len(components(graph)),
-        "isolated": _pair_names(ctx, isolated_pairs(graph)),
+        "components": n_components,
+        "isolated": _pair_names(ctx, isolated),
         "odd_cycle": (
             None
             if witness.odd_cycle is None
@@ -209,7 +214,7 @@ def _cmd_oracle(args: argparse.Namespace, text: str) -> dict:
 
 def _cmd_stats(args: argparse.Namespace, text: str) -> dict:
     ctx = _load_context(text)
-    graph = product_graph(ctx)
+    graph, witness, n_components, isolated = _graph_report(ctx)
     cells = ctx.n_objects * ctx.n_attributes
     return {
         "title": ctx.title,
@@ -223,9 +228,9 @@ def _cmd_stats(args: argparse.Namespace, text: str) -> dict:
         ),
         "graph": {
             "edges": graph.edge_count,
-            "components": len(components(graph)),
-            "isolated": len(isolated_pairs(graph)),
-            "bipartite": bipartition(graph).is_bipartite,
+            "components": n_components,
+            "isolated": len(isolated),
+            "bipartite": witness.is_bipartite,
         },
     }
 

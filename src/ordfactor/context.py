@@ -182,12 +182,10 @@ def remove_incidences(
     """A copy of the context with the given incidences deleted."""
     rows = list(ctx.rows)
     for g, m in pairs:
-        if not (0 <= g < ctx.n_objects and 0 <= m < ctx.n_attributes):
-            raise IndexOutOfRange(f"pair ({g}, {m}) outside the context")
-        bit = 1 << m
-        if not rows[g] & bit:
+        # rows[g], not ctx, so a pair named twice fails on its second copy
+        if not (ctx.has(g, m) and rows[g] >> m & 1):
             raise PairNotIncident(f"pair ({g}, {m}) is not an incidence")
-        rows[g] ^= bit
+        rows[g] ^= 1 << m
     return FormalContext(ctx.objects, ctx.attributes, tuple(rows), ctx.title)
 
 

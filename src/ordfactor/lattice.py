@@ -110,7 +110,7 @@ def cocomparability_graph(leq: Sequence[int]) -> tuple[int, ...]:
     """Adjacency bitmasks of the incomparability relation of an order.
 
     Accepts any reflexive order given as below-or-equal bitmask rows
-    (:class:`ConceptOrder` ``.leq`` or a poset's ``leq``).
+    (:class:`ConceptOrder` ``.leq``).
     """
     n = len(leq)
     geq = transpose(leq, n)

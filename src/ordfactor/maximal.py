@@ -20,7 +20,7 @@ from typing import Generator, Sequence
 
 from .bitset import bits, transpose
 from .context import FormalContext, IncidencePair, remove_incidences
-from .errors import BudgetExceeded, InvalidFactorization
+from .errors import BudgetExceeded
 from .incompat import (
     IncompatibilityGraph,
     bipartition,
@@ -28,11 +28,7 @@ from .incompat import (
     product_graph,
     two_color,
 )
-from .twofactor import (
-    FactorizationResult,
-    two_factorize,
-    validate_factorization,
-)
+from .twofactor import FactorizationResult, require_valid, two_factorize
 
 logger = logging.getLogger(__name__)
 
@@ -59,12 +55,15 @@ def max_bipartite_subset(
     first minimum odd cycle transversal the search reaches, fixed for a
     given graph) or
     ``"heuristic"`` (randomized coloring with local search, always
-    returns).  Both are deterministic for a fixed mode and seed.
+    returns; a bipartite graph loses nothing).  Both are deterministic
+    for a fixed mode and seed.
     """
     _check_mode(mode)
     deadline = time.monotonic() + budget if budget is not None else None
     if mode == "exact":
         deleted = _ExactOct(graph.adjacency, deadline).run(graph.n)
+    elif two_color(graph.adjacency, (1 << graph.n) - 1)[1] is None:
+        deleted = ()  # the local search can evict from a bipartite graph
     else:
         deleted = _heuristic_oct(graph.adjacency, seed, deadline)
     return OctSolution(frozenset(graph.vertices[v] for v in deleted))
@@ -151,9 +150,7 @@ def certify_global_optimality(
     :class:`BudgetExceeded`, with ``best_known`` the size of
     ``result.removed``, when the search outlasts ``budget`` seconds.
     """
-    problems = validate_factorization(ctx, result)
-    if problems:
-        raise InvalidFactorization("; ".join(v.message for v in problems))
+    require_valid(ctx, result)
     deadline = time.monotonic() + budget if budget is not None else None
     graph = product_graph(ctx)
     removed = [

@@ -88,14 +88,12 @@ def _ferrers_violation(pairs: frozenset[IncidencePair]) -> tuple | None:
 def is_ferrers(ctx: FormalContext, pairs: Iterable[tuple[int, int]]) -> bool:
     """Whether a subset of the incidence is a Ferrers relation.
 
-    Raises :class:`PairNotIncident` if some pair is not an incidence of
-    the context.
+    A pair outside the context raises what :meth:`FormalContext.has`
+    raises, any other non-incidence :class:`PairNotIncident`.
     """
     pair_set = frozenset(IncidencePair(g, m) for g, m in pairs)
     for g, m in sorted(pair_set):
-        if not (0 <= g < ctx.n_objects and 0 <= m < ctx.n_attributes) or (
-            not ctx.rows[g] >> m & 1
-        ):
+        if not ctx.has(g, m):
             raise PairNotIncident(f"pair ({g}, {m}) is not an incidence")
     return _ferrers_violation(pair_set) is None
 
@@ -224,6 +222,14 @@ def validate_factorization(
     return violations
 
 
+def require_valid(ctx: FormalContext, result: FactorizationResult) -> None:
+    """Raise :class:`InvalidFactorization`, naming every violation, unless
+    :func:`validate_factorization` finds none."""
+    problems = validate_factorization(ctx, result)
+    if problems:
+        raise InvalidFactorization("; ".join(v.message for v in problems))
+
+
 def canonical_partition(
     ctx: FormalContext, result: FactorizationResult
 ) -> FactorizationResult:
@@ -235,9 +241,7 @@ def canonical_partition(
     minus C, f2 minus C, C then partition the covered incidence.  Raises
     :class:`InvalidFactorization` on invalid input.
     """
-    problems = validate_factorization(ctx, result)
-    if problems:
-        raise InvalidFactorization("; ".join(v.message for v in problems))
+    require_valid(ctx, result)
     covered_ctx = (
         remove_incidences(ctx, result.removed) if result.removed else ctx
     )

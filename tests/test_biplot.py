@@ -39,6 +39,12 @@ def test_factor_axis_rejects_foreign_pairs():
         of.factor_axis(_tiny(), [(0, 0)])
 
 
+def test_factor_axis_rejects_pairs_outside_the_context():
+    for pair in ((99, 0), (0, 99)):
+        with pytest.raises(of.IndexOutOfRange):
+            of.factor_axis(_tiny(), [pair])
+
+
 def test_factor_axis_empty_factor():
     axis = of.factor_axis(_tiny(), [])
     assert axis.groups == ()

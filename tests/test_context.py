@@ -303,6 +303,14 @@ def test_remove_incidences(monuments):
         of.remove_incidences(smaller, [(romulus, gb1)])
 
 
+def test_remove_incidences_rejects_a_pair_named_twice(monuments):
+    """The second copy is no incidence of the rows left by the first,
+    though it is one of the context handed in."""
+    pair = monuments.pairs()[0]
+    with pytest.raises(of.PairNotIncident, match="is not an incidence"):
+        of.remove_incidences(monuments, [pair, pair])
+
+
 def test_out_of_range_pairs_and_unknown_datasets_rejected(monuments):
     with pytest.raises(of.IndexOutOfRange):
         of.remove_incidences(monuments, [(99, 0)])

@@ -947,6 +947,20 @@ def test_heuristic_under_zero_budget(persistent_odd_cycle):
     assert induced_bipartite(graph, deleted_idx)
 
 
+def test_heuristic_deletes_nothing_from_a_bipartite_graph():
+    """The local search alone evicts a star's centre (``(0,)`` at seed
+    0 with 16 leaves), so heuristic mode first checks the whole graph
+    with one 2-coloring.  A bipartite component inside a larger graph
+    is not covered by that check."""
+    star = _graph(17, [(0, leaf) for leaf in range(1, 17)])
+    assert _heuristic_oct(star.adjacency, 0, None) == (0,)
+    graphs = [star, _graph(8, _cycle(list(range(8)))), _graph(6, [])]
+    for graph in graphs:
+        for seed in range(6):
+            solution = max_bipartite_subset(graph, "heuristic", seed=seed)
+            assert solution.deleted == frozenset()
+
+
 def test_heuristic_deterministic_per_seed(monuments):
     graph = of.build_incompatibility_graph(monuments)
     first = max_bipartite_subset(graph, mode="heuristic", seed=5)

@@ -50,6 +50,14 @@ def test_is_ferrers_requires_incident_pairs(contranominal3):
         of.is_ferrers(contranominal3, _pairs([(0, 0)]))
 
 
+def test_is_ferrers_rejects_pairs_outside_the_context(contranominal3):
+    """Out of range is what ``FormalContext.has`` says it is, not a
+    non-incidence."""
+    for pair in ((99, 0), (0, 3), (-1, 0)):
+        with pytest.raises(of.IndexOutOfRange):
+            of.is_ferrers(contranominal3, [pair])
+
+
 def test_empty_set_and_single_pair_are_ferrers(contranominal3):
     assert of.is_ferrers(contranominal3, frozenset())
     assert of.is_ferrers(contranominal3, _pairs([(0, 1)]))
