@@ -143,6 +143,7 @@ __all__ = [
     "enumerate_concepts",
     "factor_axis",
     "is_ferrers",
+    "isolated_pairs",
     "load_dataset",
     "max_bipartite_subset",
     "maximal_two_factorization",

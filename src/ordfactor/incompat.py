@@ -78,17 +78,16 @@ def product_graph(ctx: FormalContext) -> IncompatibilityGraph:
     (g, m) is ``lacking[m] & missing[g]``: the vertices of the objects
     without m, masked by those of the attributes that g lacks.  That is
     O(|G|·|M|) big-int sums of disjoint masks, not |I|²/2 pair tests."""
-    vertices = tuple(ctx.pairs())
     # each object's vertices are a run of consecutive indices
+    vertices: list[IncidencePair] = []
     by_object = []
     by_attribute = [0] * ctx.n_attributes
-    i = 0
-    for row in ctx.rows:
-        start = i
+    for g, row in enumerate(ctx.rows):
+        start = len(vertices)
         for m in bits(row):
-            by_attribute[m] |= 1 << i
-            i += 1
-        by_object.append((1 << i) - (1 << start))
+            by_attribute[m] |= 1 << len(vertices)
+            vertices.append(IncidencePair(g, m))
+        by_object.append((1 << len(vertices)) - (1 << start))
     lacking = [
         sum(run for run, row in zip(by_object, ctx.rows) if not row >> m & 1)
         for m in range(ctx.n_attributes)
@@ -98,7 +97,7 @@ def product_graph(ctx: FormalContext) -> IncompatibilityGraph:
         for row in ctx.rows
     ]
     return IncompatibilityGraph(
-        vertices, tuple(lacking[m] & missing[g] for g, m in vertices)
+        tuple(vertices), tuple(lacking[m] & missing[g] for g, m in vertices)
     )
 
 

@@ -21,13 +21,7 @@ from typing import Generator, Sequence
 from .bitset import bits, transpose
 from .context import FormalContext, IncidencePair, remove_incidences
 from .errors import BudgetExceeded
-from .incompat import (
-    IncompatibilityGraph,
-    bipartition,
-    pack_odd_cycles,
-    product_graph,
-    two_color,
-)
+from .incompat import IncompatibilityGraph, pack_odd_cycles, product_graph, two_color
 from .twofactor import FactorizationResult, require_valid, two_factorize
 
 logger = logging.getLogger(__name__)
@@ -55,15 +49,15 @@ def max_bipartite_subset(
     first minimum odd cycle transversal the search reaches, fixed for a
     given graph) or
     ``"heuristic"`` (randomized coloring with local search, always
-    returns; a bipartite graph loses nothing).  Both are deterministic
-    for a fixed mode and seed.
+    returns).  One 2-coloring goes first, so a bipartite graph loses
+    nothing in either mode.  Both are deterministic for a fixed seed.
     """
     _check_mode(mode)
     deadline = time.monotonic() + budget if budget is not None else None
-    if mode == "exact":
+    if two_color(graph.adjacency, (1 << graph.n) - 1)[1] is None:
+        deleted = ()  # no search: the local search could evict from it
+    elif mode == "exact":
         deleted = _ExactOct(graph.adjacency, deadline).run(graph.n)
-    elif two_color(graph.adjacency, (1 << graph.n) - 1)[1] is None:
-        deleted = ()  # the local search can evict from a bipartite graph
     else:
         deleted = _heuristic_oct(graph.adjacency, seed, deadline)
     return OctSolution(frozenset(graph.vertices[v] for v in deleted))
@@ -82,8 +76,10 @@ def maximal_two_factorization(
 ) -> FactorizationResult:
     """Factorize after removing a transversal, repeating if needed.
 
-    The loop drops a bipartite-inducing vertex set and rebuilds the
-    graph until it is bipartite, then factorizes what is left.
+    Each round builds the graph of what is left and drops the vertex
+    set :func:`max_bipartite_subset` answers; the first empty answer,
+    which it gives exactly for a bipartite graph, ends the loop, and
+    :func:`two_factorize` factorizes and validates what is left.
     ``certificate`` is true when nothing was removed or exactly one
     exact round sufficed, in which case the removal is globally minimum.
     An exhausted budget raises :class:`BudgetExceeded`, whose
@@ -95,26 +91,26 @@ def maximal_two_factorization(
     removed: set[IncidencePair] = set()
     rounds = 0
     first = 0  # the first round's transversal size, set in that round
-    graph = product_graph(current)
-    while not bipartition(graph).is_bipartite:
-        if rounds >= ctx.incidence_count:
-            raise AssertionError("transversal loop failed to terminate")
+    while True:
         # an exact search out of time raises BudgetExceeded before its
         # first subproblem, which every non-bipartite graph needs
         remaining = deadline - time.monotonic() if deadline is not None else None
         try:
-            solution = max_bipartite_subset(graph, mode, remaining, seed)
+            solution = max_bipartite_subset(
+                product_graph(current), mode, remaining, seed
+            )
         except BudgetExceeded as exc:
             if not rounds:
                 raise
             # every valid removal is a transversal of the first round's
             # graph, so its minimum, not this round's bound, bounds them
             raise BudgetExceeded(str(exc), lower_bound=first) from None
+        if not solution.deleted:
+            break
         if not rounds:
             first = len(solution.deleted)
         removed |= solution.deleted
         current = remove_incidences(current, solution.deleted)
-        graph = product_graph(current)
         rounds += 1
     if rounds >= 2:
         logger.info(

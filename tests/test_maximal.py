@@ -18,6 +18,7 @@ from ordfactor.incompat import (
     IncompatibilityGraph,
     pack_odd_cycles,
     product_graph,
+    two_color,
 )
 from ordfactor.maximal import (
     _ExactOct,
@@ -30,6 +31,7 @@ from ordfactor.oracle import (
     GeneratorSpec,
     brute_force_min_removal,
     random_context,
+    random_two_factorizable_context,
 )
 
 from conftest import (
@@ -73,6 +75,20 @@ def test_bipartite_graph_needs_no_deletion(contranominal3):
     graph = of.build_incompatibility_graph(contranominal3)
     solution = max_bipartite_subset(graph, mode="exact")
     assert solution.deleted == frozenset()
+
+
+def test_exact_mode_builds_no_search_for_a_bipartite_graph(monkeypatch):
+    """The 2-coloring that goes before either mode answers a bipartite
+    graph, so exact mode builds no 2-core, clique list or packing."""
+
+    def refused(*args):
+        raise AssertionError("built an exact search for a bipartite graph")
+
+    monkeypatch.setattr(maximal, "_ExactOct", refused)
+    ctx = random_two_factorizable_context(GeneratorSpec(20, 20, 0.4, 0))
+    graph = product_graph(ctx)
+    assert graph.n > 100
+    assert max_bipartite_subset(graph, mode="exact").deleted == frozenset()
 
 
 def test_triangle_deletes_lexicographically_smallest_vertex():
@@ -1014,14 +1030,42 @@ def test_monuments_exact_deterministic(monuments):
 def test_a_transversal_loop_that_removes_nothing_is_stopped(
     monkeypatch, monuments
 ):
-    """Each round removes at least one incidence, so the loop ends
-    within as many rounds as there are incidences, or raises."""
+    """An empty answer ends the loop, so a solver that answers nothing
+    on a graph that is not bipartite leaves the final factorization to
+    reject the context."""
     monkeypatch.setattr(
         "ordfactor.maximal.max_bipartite_subset",
         lambda *args: of.OctSolution(frozenset()),
     )
-    with pytest.raises(AssertionError, match="failed to terminate"):
+    with pytest.raises(of.NotTwoFactorizable):
         of.maximal_two_factorization(monuments)
+
+
+@pytest.mark.parametrize(
+    "dataset, mode, calls",
+    [
+        ("persistent_odd_cycle", "heuristic", 3 + 1),
+        ("monuments", "exact", 1 + 1),
+    ],
+)
+def test_each_round_2_colors_its_graph_once(monkeypatch, dataset, mode, calls):
+    """Each round's graph, the final bipartite one too, is 2-colored by
+    ``max_bipartite_subset`` alone; the loop runs no ``bipartition``."""
+    colored = []
+
+    def counted(adj, active):
+        colored.append(len(adj))
+        return two_color(adj, active)
+
+    def refused(graph):
+        raise AssertionError("the repair loop ran bipartition")
+
+    monkeypatch.setattr(maximal, "two_color", counted)
+    monkeypatch.setattr("ordfactor.incompat.bipartition", refused)
+    result = of.maximal_two_factorization(
+        of.load_dataset(dataset), mode=mode, seed=0
+    )
+    assert len(colored) == calls == result.rounds + 1
 
 
 def test_factorizable_context_passes_through(forced_overlap):
