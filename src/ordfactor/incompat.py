@@ -5,9 +5,10 @@ nor (h, m) is an incidence: no Ferrers relation inside the incidence can
 contain both.  The context is a union of two Ferrers relations exactly
 when this graph is bipartite, which is what everything downstream leans
 on.  :func:`sweep` is the one breadth-first pass over it: it finds the
-components and each one's first odd cycle, and :func:`components`,
-:func:`two_color` and :func:`pack_odd_cycles` all read their answers
-from it.
+components and each one's first odd cycle.  :func:`components` reads
+every component of a full sweep; :func:`two_color` and
+:func:`pack_odd_cycles` read the one answer of a stopping sweep, the
+bipartite components before the first odd cycle and that cycle.
 """
 from __future__ import annotations
 
@@ -138,13 +139,12 @@ def two_color(
     """2-coloring of the subgraph induced by ``active``: ``(odd, None)``
     with ``odd`` the mask of the vertices in odd layers of :func:`sweep`
     (so the smallest vertex of each component is not in it), or
-    ``(None, cycle)`` with the first odd cycle the sweep closes."""
-    ones = 0
-    for _, odd, walk in sweep(adj, active, stop=True):
-        if walk is not None:
-            return None, tuple(bit.bit_length() - 1 for bit in walk)
-        ones |= odd
-    return ones, None
+    ``(None, cycle)`` with the first odd cycle the sweep closes.  Both
+    come from the one answer of a stopping sweep."""
+    _, odd, walk = next(sweep(adj, active, stop=True))
+    if walk is not None:
+        return None, tuple(bit.bit_length() - 1 for bit in walk)
+    return odd, None
 
 
 def pack_odd_cycles(adj: Sequence[int], active: int, limit: int) -> list[int]:
@@ -152,21 +152,19 @@ def pack_odd_cycles(adj: Sequence[int], active: int, limit: int) -> list[int]:
     induced by ``active`` as vertex masks, packed greedily: each one is
     the first cycle :func:`sweep` closes in what is left, and a
     bipartite subgraph gives ``[]``.  A bipartite component holds no
-    odd cycle and removing a cycle changes no other component, so each
-    bipartite component swept leaves ``active`` and the next sweep
-    starts where this one stopped.  A caller that wants every cycle
-    passes a ``limit`` of at least ``active``'s size over 3."""
+    odd cycle and removing a cycle changes no other component, so the
+    components a stopping sweep passed leave ``active`` with the cycle
+    it closed: the next sweep skips them, but starts the component it
+    stopped in over from its lowest vertex.  A caller that wants every
+    cycle passes a ``limit`` of at least ``active``'s size over 3."""
     cycles: list[int] = []
     while len(cycles) < limit:
-        for part, _, walk in sweep(adj, active, stop=True):
-            if walk is not None:
-                break
-            active &= ~part
-        else:
+        passed, _, walk = next(sweep(adj, active, stop=True))
+        if walk is None:
             break
         cycle = sum(walk)
         cycles.append(cycle)
-        active &= ~cycle
+        active &= ~(passed | cycle)
     return cycles
 
 
@@ -177,19 +175,29 @@ def sweep(
     component at a time from its smallest vertex not yet swept, one
     layer at a time: a layer is a bitmask and the next one holds its
     members' neighbours not yet seen.  An edge inside a layer (a clash)
-    closes an odd cycle; every other edge joins consecutive layers.
+    closes an odd cycle; every other edge joins consecutive layers.  A
+    component whose first vertex has no neighbour in ``active`` is that
+    vertex alone, and ends after that one test.
 
     Yields ``(mask, odd, walk)`` per component: its vertices, its odd
     layers and, unless it is bipartite, the cycle of its first clash as
     single-bit masks in cycle order.  That clash joins the smallest
     layer member v with a neighbour in the layer to its smallest such
     neighbour w; v and w each step to their smallest neighbour in the
-    layer above until they meet.  With ``stop`` the sweep ends at the
-    first clash, whose mask then holds only the layers swept so far.
+    layer above until they meet.  With ``stop`` the sweep yields once:
+    the union of the bipartite components it passed, their odd layers,
+    and the walk of the first clash, or ``None`` after the last
+    component, when the union is all of ``active``.
     """
     left = active
+    ones = 0
     while left:
         layer = seen = left & -left
+        if not adj[layer.bit_length() - 1] & active:
+            left ^= layer
+            if not stop:
+                yield layer, 0, None
+            continue
         layers = [layer]
         odd = 0
         walk = None
@@ -204,7 +212,7 @@ def sweep(
                 if nb & layer and walk is None:
                     walk = _layer_cycle(adj, layers, low, nb & layer)
                     if stop:
-                        yield seen, odd, walk
+                        yield active & ~left, ones, walk
                         return
                 nxt |= nb
             layer = nxt & active & ~seen
@@ -212,8 +220,13 @@ def sweep(
             if len(layers) & 1:
                 odd |= layer
             layers.append(layer)
-        yield seen, odd, walk
         left &= ~seen
+        if stop:
+            ones |= odd
+        else:
+            yield seen, odd, walk
+    if stop:
+        yield active, ones, None
 
 
 def _layer_cycle(

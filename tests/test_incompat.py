@@ -344,3 +344,61 @@ def test_sweep_components_match_networkx(persistent_odd_cycle):
             _, cycle = two_color(graph.adjacency, part)
             masks = None if cycle is None else [1 << v for v in cycle]
             assert walk == masks
+
+
+def _graphs_with_isolated_vertices():
+    """(adjacency, active) pairs where some vertices have no active
+    neighbour: an edgeless graph, a 16-leaf star on vertex 0 beside the
+    triangle 17, 18, 19 (whole, without the star's centre, without a
+    triangle vertex), and the empty mask."""
+    star = [0] * 20
+    for leaf in range(1, 17):
+        star[0] |= 1 << leaf
+        star[leaf] = 1
+    for v in (17, 18, 19):
+        star[v] = 0b111 << 17 & ~(1 << v)
+    everything = (1 << 20) - 1
+    yield (0,) * 6, (1 << 6) - 1
+    yield star, everything
+    yield star, everything & ~1
+    yield star, everything & ~(1 << 18)
+    yield star, 0
+
+
+def test_a_stopping_sweep_answers_once(
+    monuments, contranominal3, forced_overlap, persistent_odd_cycle
+):
+    """With ``stop`` the sweep yields one triple: the union of the full
+    sweep's parts before its first non-bipartite part, their odd
+    layers, and that part's walk; on a bipartite subgraph, every part,
+    every odd layer and ``None``.  A full sweep gives each vertex
+    without an active neighbour as a part of its own, in order."""
+    inputs = [
+        (product_graph(ctx).adjacency, None)
+        for ctx in (monuments, contranominal3, forced_overlap, persistent_odd_cycle)
+    ]
+    inputs += [
+        (graph.adjacency, active)
+        for graph, active in _sweep_inputs(persistent_odd_cycle)
+    ]
+    inputs += _graphs_with_isolated_vertices()
+    clashes = bipartite = 0
+    for adj, active in inputs:
+        if active is None:
+            active = (1 << len(adj)) - 1
+        swept = list(sweep(adj, active))
+        assert [item for item in swept if item[0].bit_count() == 1] == [
+            (1 << v, 0, None) for v in bits(active) if not adj[v] & active
+        ]
+        passed = ones = 0
+        first = None
+        for part, odd, walk in swept:
+            if walk is not None:
+                first = walk
+                break
+            passed |= part
+            ones |= odd
+        assert list(sweep(adj, active, stop=True)) == [(passed, ones, first)]
+        clashes += first is not None
+        bipartite += first is None
+    assert clashes >= 20 and bipartite >= 10

@@ -11,7 +11,7 @@ import types
 import pytest
 
 import ordfactor as of
-from ordfactor import maximal
+from ordfactor import incompat, maximal
 from ordfactor.bitset import bits
 from ordfactor.context import FormalContext, IncidencePair
 from ordfactor.incompat import (
@@ -645,6 +645,28 @@ def test_the_persistent_search_is_pinned(monkeypatch, persistent_odd_cycle):
     calls.clear()
     assert _ExactOct(adj, None).run(11) is None
     assert len(calls) == 725
+
+
+def test_the_persistent_packing_sweeps_once_per_call(
+    monkeypatch, persistent_odd_cycle
+):
+    """Every sweep of the persistent search stops and answers once, so
+    its 2,507 calls yield 2,507 times; a yield per component would make
+    12,102."""
+    calls = []
+    sweep = incompat.sweep
+
+    def counting(adj, active, stop=False):
+        calls.append(0)
+        for item in sweep(adj, active, stop):
+            calls[-1] += 1
+            yield item
+
+    monkeypatch.setattr(incompat, "sweep", counting)
+    adj = product_graph(persistent_odd_cycle).adjacency
+    assert len(_ExactOct(adj, None).run(len(adj))) == 12
+    assert len(calls) == 2507
+    assert set(calls) == {1}
 
 
 def test_the_children_partition_their_parents_transversals(
