@@ -41,14 +41,15 @@ class Poset:
                 raise NotAPartialOrder(f"row {i} relates unknown elements")
             if not row >> i & 1:
                 raise NotAPartialOrder(f"relation not reflexive at {i}")
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq[i] >> j & 1 and self.leq[j] >> i & 1:
+        for i, row in enumerate(self.leq):
+            # both rules read only the j above i, and j = i breaks neither
+            for j in bits(row & ~(1 << i)):
+                if self.leq[j] >> i & 1:
                     raise NotAPartialOrder(
                         f"{self.elements[i]} and {self.elements[j]} "
                         "are ordered both ways"
                     )
-                if self.leq[i] >> j & 1 and self.leq[j] & ~self.leq[i]:
+                if self.leq[j] & ~row:
                     raise NotAPartialOrder(f"relation not transitive at {i}")
 
     @property

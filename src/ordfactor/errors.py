@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule that
+turns a time budget into a deadline.
 
 The split into format and domain families mirrors the command line exit
 codes: format problems mean the input could not be read, domain problems
 mean the input was read fine but the requested answer does not exist.
 """
+import math
+import time
 
 
 class OrdfactorError(Exception):
@@ -91,3 +94,15 @@ class BudgetExceeded(OrdfactorError):
         super().__init__(message)
         self.lower_bound = lower_bound
         self.best_known = best_known
+
+
+def deadline_after(budget: float | None) -> float | None:
+    """The ``time.monotonic()`` reading past which ``budget`` seconds
+    have run out, or None for no budget.  A negative budget runs out at
+    once and ``math.inf`` never does; no reading is past NaN, so a NaN
+    budget raises ValueError instead of never running out."""
+    if budget is None:
+        return None
+    if math.isnan(budget):
+        raise ValueError("budget must be a number of seconds, not NaN")
+    return time.monotonic() + budget

@@ -4,16 +4,16 @@ Two incidences (g, m) and (h, n) are incompatible when neither (g, n)
 nor (h, m) is an incidence: no Ferrers relation inside the incidence can
 contain both.  The context is a union of two Ferrers relations exactly
 when this graph is bipartite, which is what everything downstream leans
-on.  :func:`sweep` is the one breadth-first pass over it: it finds the
-components and each one's first odd cycle.  :func:`components` reads
-every component of a full sweep; :func:`two_color` and
-:func:`pack_odd_cycles` read the one answer of a stopping sweep, the
-bipartite components before the first odd cycle and that cycle.
+on.  :func:`sweep` is the one odd-cycle search over it: a breadth-first
+pass that stops at the first odd cycle and returns that cycle with the
+bipartite components it passed.  :func:`two_color` and
+:func:`pack_odd_cycles` read that answer; :func:`components` is a plain
+flood fill.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .bitset import bits
 from .context import FormalContext, IncidencePair
@@ -103,9 +103,22 @@ def product_graph(ctx: FormalContext) -> IncompatibilityGraph:
 
 
 def components(graph: IncompatibilityGraph) -> list[tuple[int, ...]]:
-    """Connected components as sorted tuples, ordered by smallest member."""
-    parts = sweep(graph.adjacency, (1 << graph.n) - 1)
-    return [tuple(bits(part)) for part, _, _ in parts]
+    """Connected components as sorted tuples, ordered by smallest member:
+    each is flood-filled from the smallest vertex not yet reached."""
+    parts = []
+    left = (1 << graph.n) - 1
+    while left:
+        part = left & -left
+        frontier = graph.adjacency[part.bit_length() - 1]
+        while frontier:
+            part |= frontier
+            reach = 0
+            for v in bits(frontier):
+                reach |= graph.adjacency[v]
+            frontier = reach & ~part
+        left ^= part
+        parts.append(tuple(bits(part)))
+    return parts
 
 
 def isolated_pairs(graph: IncompatibilityGraph) -> frozenset[IncidencePair]:
@@ -139,9 +152,8 @@ def two_color(
     """2-coloring of the subgraph induced by ``active``: ``(odd, None)``
     with ``odd`` the mask of the vertices in odd layers of :func:`sweep`
     (so the smallest vertex of each component is not in it), or
-    ``(None, cycle)`` with the first odd cycle the sweep closes.  Both
-    come from the one answer of a stopping sweep."""
-    _, odd, walk = next(sweep(adj, active, stop=True))
+    ``(None, cycle)`` with the first odd cycle the sweep closes."""
+    _, odd, walk = sweep(adj, active)
     if walk is not None:
         return None, tuple(bit.bit_length() - 1 for bit in walk)
     return odd, None
@@ -153,13 +165,13 @@ def pack_odd_cycles(adj: Sequence[int], active: int, limit: int) -> list[int]:
     the first cycle :func:`sweep` closes in what is left, and a
     bipartite subgraph gives ``[]``.  A bipartite component holds no
     odd cycle and removing a cycle changes no other component, so the
-    components a stopping sweep passed leave ``active`` with the cycle
-    it closed: the next sweep skips them, but starts the component it
+    components a sweep passed leave ``active`` with the cycle it
+    closed: the next sweep skips them, but starts the component it
     stopped in over from its lowest vertex.  A caller that wants every
     cycle passes a ``limit`` of at least ``active``'s size over 3."""
     cycles: list[int] = []
     while len(cycles) < limit:
-        passed, _, walk = next(sweep(adj, active, stop=True))
+        passed, _, walk = sweep(adj, active)
         if walk is None:
             break
         cycle = sum(walk)
@@ -168,9 +180,7 @@ def pack_odd_cycles(adj: Sequence[int], active: int, limit: int) -> list[int]:
     return cycles
 
 
-def sweep(
-    adj: Sequence[int], active: int, stop: bool = False
-) -> Iterator[tuple[int, int, list[int] | None]]:
+def sweep(adj: Sequence[int], active: int) -> tuple[int, int, list[int] | None]:
     """Breadth-first sweep of the subgraph induced by ``active``, one
     component at a time from its smallest vertex not yet swept, one
     layer at a time: a layer is a bitmask and the next one holds its
@@ -179,15 +189,13 @@ def sweep(
     component whose first vertex has no neighbour in ``active`` is that
     vertex alone, and ends after that one test.
 
-    Yields ``(mask, odd, walk)`` per component: its vertices, its odd
-    layers and, unless it is bipartite, the cycle of its first clash as
-    single-bit masks in cycle order.  That clash joins the smallest
-    layer member v with a neighbour in the layer to its smallest such
-    neighbour w; v and w each step to their smallest neighbour in the
-    layer above until they meet.  With ``stop`` the sweep yields once:
-    the union of the bipartite components it passed, their odd layers,
-    and the walk of the first clash, or ``None`` after the last
-    component, when the union is all of ``active``.
+    Returns ``(passed, odd, walk)`` at the first clash: the union of
+    the bipartite components swept before it, their odd layers, and
+    the clash's cycle as single-bit masks in cycle order.  That clash
+    joins the smallest layer member v with a neighbour in the layer to
+    its smallest such neighbour w; v and w each step to their smallest
+    neighbour in the layer above until they meet.  A bipartite subgraph
+    gives ``(active, odd, None)``.
     """
     left = active
     ones = 0
@@ -195,12 +203,9 @@ def sweep(
         layer = seen = left & -left
         if not adj[layer.bit_length() - 1] & active:
             left ^= layer
-            if not stop:
-                yield layer, 0, None
             continue
         layers = [layer]
         odd = 0
-        walk = None
         while layer:
             nxt = 0
             rest = layer
@@ -209,11 +214,9 @@ def sweep(
                 rest ^= low
                 # the layer lies inside active, so nb needs no mask yet
                 nb = adj[low.bit_length() - 1]
-                if nb & layer and walk is None:
+                if nb & layer:
                     walk = _layer_cycle(adj, layers, low, nb & layer)
-                    if stop:
-                        yield active & ~left, ones, walk
-                        return
+                    return active & ~left, ones, walk
                 nxt |= nb
             layer = nxt & active & ~seen
             seen |= layer
@@ -221,12 +224,8 @@ def sweep(
                 odd |= layer
             layers.append(layer)
         left &= ~seen
-        if stop:
-            ones |= odd
-        else:
-            yield seen, odd, walk
-    if stop:
-        yield active, ones, None
+        ones |= odd
+    return active, ones, None
 
 
 def _layer_cycle(

@@ -20,7 +20,7 @@ from typing import Generator, Sequence
 
 from .bitset import bits, transpose
 from .context import FormalContext, IncidencePair, remove_incidences
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, deadline_after
 from .incompat import IncompatibilityGraph, pack_odd_cycles, product_graph, two_color
 from .twofactor import FactorizationResult, require_valid, two_factorize
 
@@ -53,7 +53,7 @@ def max_bipartite_subset(
     nothing in either mode.  Both are deterministic for a fixed seed.
     """
     _check_mode(mode)
-    deadline = time.monotonic() + budget if budget is not None else None
+    deadline = deadline_after(budget)
     if two_color(graph.adjacency, (1 << graph.n) - 1)[1] is None:
         deleted = ()  # no search: the local search could evict from it
     elif mode == "exact":
@@ -86,7 +86,7 @@ def maximal_two_factorization(
     ``lower_bound`` holds for every valid removal.
     """
     _check_mode(mode)
-    deadline = time.monotonic() + budget if budget is not None else None
+    deadline = deadline_after(budget)
     current = ctx
     removed: set[IncidencePair] = set()
     rounds = 0
@@ -147,7 +147,7 @@ def certify_global_optimality(
     ``result.removed``, when the search outlasts ``budget`` seconds.
     """
     require_valid(ctx, result)
-    deadline = time.monotonic() + budget if budget is not None else None
+    deadline = deadline_after(budget)
     graph = product_graph(ctx)
     removed = [
         1 << i for i, pair in enumerate(graph.vertices) if pair in result.removed

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .context import FormalContext, remove_incidences
-from .errors import BudgetExceeded, NotFound, NotTwoFactorizable
+from .errors import BudgetExceeded, NotFound, NotTwoFactorizable, deadline_after
 from .twofactor import two_factorize
 
 
@@ -85,7 +85,7 @@ def brute_force_min_removal(
     works and :class:`BudgetExceeded` when the enumeration outlasts
     ``budget`` seconds, read after each candidate.
     """
-    deadline = time.monotonic() + budget if budget is not None else None
+    deadline = deadline_after(budget)
     pairs = ctx.pairs()
     for k in range(min(k_max, len(pairs)) + 1):
         for subset in combinations(range(len(pairs)), k):

@@ -36,7 +36,6 @@ from ordfactor.incompat import (
     build_incompatibility_graph,
     isolated_pairs,
     pack_odd_cycles,
-    sweep,
     two_color,
 )
 from ordfactor.lattice import (
@@ -239,6 +238,26 @@ def reference_two_color(adj, active):
     return color, None
 
 
+def reference_parts(adj, active):
+    """The components of the subgraph induced by ``active`` as vertex
+    masks, ordered by smallest member: a queue flood fill from each
+    vertex not yet reached, so it shares no code with ``incompat``."""
+    parts = []
+    reached = 0
+    for start in bits(active):
+        if reached >> start & 1:
+            continue
+        part = 1 << start
+        queue = deque([start])
+        while queue:
+            for w in bits(adj[queue.popleft()] & active & ~part):
+                part |= 1 << w
+                queue.append(w)
+        reached |= part
+        parts.append(part)
+    return parts
+
+
 def brute_min_transversal(adj, active):
     """The lexicographically smallest minimum odd cycle transversal of
     the subgraph induced by ``active``, as a sorted vertex tuple: every
@@ -309,9 +328,12 @@ class reference_exact_oct:
     """The exact transversal search before it deepened its bound, kept
     as a reference: it solves a disconnected subgraph part by part (the
     parts share the allowed size) and :meth:`run` searches once at
-    ``ub = n``.  Its docstrings and annotations are left out, and its
-    call of ``pack_odd_cycles`` no longer passes the first cycle, which
-    that function now finds itself.  It returns the lexicographically
+    ``ub = n``.  Its docstrings and annotations are left out, its call
+    of ``pack_odd_cycles`` no longer passes the first cycle, which that
+    function now finds itself, and it splits a subgraph with
+    :func:`reference_parts` and tests a single part with
+    :func:`reference_two_color` instead of sweeping it with the code
+    under test.  It returns the lexicographically
     smallest minimum transversal; the deepening search returns the first
     minimum it reaches, so the two agree on each answer's size."""
 
@@ -355,16 +377,16 @@ class reference_exact_oct:
             return None
         # a bipartite subgraph, like the empty one, needs no deletion
         result = (0, ())
-        parts = list(sweep(self.adj, active))
+        parts = reference_parts(self.adj, active)
         if len(parts) != 1:
-            for part, _, _ in parts:
+            for part in parts:
                 sub = yield part, ub - result[0]
                 if sub is None:
                     result = None
                     break
                 merged = tuple(sorted(result[1] + sub[1]))
                 result = (result[0] + sub[0], merged)
-        elif parts[0][2] is not None:
+        elif reference_two_color(self.adj, active)[1] is not None:
             cycles = pack_odd_cycles(self.adj, active, active.bit_count())
             # prune: each packed cycle needs a deletion of its own
             branch = min(cycles, key=int.bit_count) if len(cycles) <= ub else 0

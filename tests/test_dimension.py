@@ -63,6 +63,24 @@ def test_poset_rejects_intransitive():
         Poset(("a", "b", "c"), rows)
 
 
+@pytest.mark.parametrize(
+    "names, rows, message",
+    [
+        (("w", "x", "y"), (0b001, 0b110, 0b110), "x and y are ordered both ways"),
+        (
+            ("a", "b", "c", "d"),
+            (0b0001, 0b0010, 0b1100, 0b1010),
+            "relation not transitive at 2",
+        ),
+    ],
+)
+def test_poset_names_the_first_broken_rule(names, rows, message):
+    """The first pair that breaks antisymmetry or transitivity, in row
+    order, names the rule it breaks."""
+    with pytest.raises(of.NotAPartialOrder, match=f"^{message}$"):
+        Poset(names, rows)
+
+
 def test_from_relations_closes_transitively():
     poset = Poset.from_relations(("a", "b", "c"), [("a", "b"), ("b", "c")])
     assert poset == _chain(["a", "b", "c"])

@@ -1,17 +1,28 @@
 """Incompatibility graph construction, bipartiteness, components."""
+import inspect
 import random
 
 import pytest
 
 import ordfactor as of
+from ordfactor import incompat
 from ordfactor.bitset import bits, transpose
 from ordfactor.context import FormalContext, IncidencePair
-from ordfactor.incompat import pack_odd_cycles, product_graph, sweep, two_color
+from ordfactor.incompat import (
+    IncompatibilityGraph,
+    components,
+    pack_odd_cycles,
+    product_graph,
+    sweep,
+    two_color,
+)
 from ordfactor.oracle import GeneratorSpec, random_context
 
 from conftest import (
     induced_bipartite,
+    planted_context,
     reference_disjoint_odd_cycles,
+    reference_parts,
     reference_two_color,
 )
 
@@ -321,31 +332,6 @@ def test_pack_odd_cycles_matches_restarted_reference(persistent_odd_cycle):
     assert packings >= 20 and empty >= 1
 
 
-def test_sweep_components_match_networkx(persistent_odd_cycle):
-    nx = pytest.importorskip("networkx")
-    for graph, active in _sweep_inputs(persistent_odd_cycle):
-        nxg = nx.Graph()
-        nxg.add_nodes_from(v for v in range(graph.n) if active >> v & 1)
-        nxg.add_edges_from(
-            (i, j)
-            for i in bits(active)
-            for j in bits(graph.adjacency[i] & active)
-        )
-        expected = sorted(
-            sum(1 << v for v in comp) for comp in nx.connected_components(nxg)
-        )
-        swept = list(sweep(graph.adjacency, active))
-        parts = [part for part, _, _ in swept]
-        assert sorted(parts) == expected
-        # ordered by smallest member
-        assert parts == sorted(parts, key=lambda part: part & -part)
-        # each part's cycle is the one two_color closes in it alone
-        for part, _, walk in swept:
-            _, cycle = two_color(graph.adjacency, part)
-            masks = None if cycle is None else [1 << v for v in cycle]
-            assert walk == masks
-
-
 def _graphs_with_isolated_vertices():
     """(adjacency, active) pairs where some vertices have no active
     neighbour: an edgeless graph, a 16-leaf star on vertex 0 beside the
@@ -365,14 +351,51 @@ def _graphs_with_isolated_vertices():
     yield star, 0
 
 
-def test_a_stopping_sweep_answers_once(
+def test_components_match_networkx(
     monuments, contranominal3, forced_overlap, persistent_odd_cycle
 ):
-    """With ``stop`` the sweep yields one triple: the union of the full
-    sweep's parts before its first non-bipartite part, their odd
-    layers, and that part's walk; on a bipartite subgraph, every part,
-    every odd layer and ``None``.  A full sweep gives each vertex
-    without an active neighbour as a part of its own, in order."""
+    """``components`` gives networkx's parts as sorted tuples, ordered by
+    smallest member: on the fixtures, on the graphs with isolated
+    vertices (each active mask's induced subgraph, its other vertices
+    left isolated) and on a planted 100x100 context."""
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        product_graph(ctx)
+        for ctx in (
+            monuments,
+            contranominal3,
+            forced_overlap,
+            persistent_odd_cycle,
+            planted_context(100, 0),
+        )
+    ]
+    for adj, active in _graphs_with_isolated_vertices():
+        rows = [adj[v] & active if active >> v & 1 else 0 for v in range(len(adj))]
+        vertices = tuple(IncidencePair(v, 0) for v in range(len(adj)))
+        graphs.append(IncompatibilityGraph(vertices, tuple(rows)))
+    isolated = 0
+    for graph in graphs:
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(graph.n))
+        nxg.add_edges_from(
+            (i, j) for i in range(graph.n) for j in bits(graph.adjacency[i])
+        )
+        expected = sorted(tuple(sorted(c)) for c in nx.connected_components(nxg))
+        assert components(graph) == expected
+        isolated += sum(len(part) == 1 for part in expected)
+    assert isolated >= 1000
+
+
+def test_a_sweep_answers_once(
+    monuments, contranominal3, forced_overlap, persistent_odd_cycle
+):
+    """``sweep`` returns one triple: the union of the parts of a
+    tests-local split of ``active`` before its first part that
+    :func:`reference_two_color` finds an odd cycle in, their odd masks,
+    and an odd cycle of that part; on a bipartite subgraph, every part,
+    every odd mask and ``None``.  The queue reference may close another
+    cycle than the layered sweep, so the walk is checked as a simple
+    odd cycle inside that part."""
     inputs = [
         (product_graph(ctx).adjacency, None)
         for ctx in (monuments, contranominal3, forced_overlap, persistent_odd_cycle)
@@ -386,19 +409,33 @@ def test_a_stopping_sweep_answers_once(
     for adj, active in inputs:
         if active is None:
             active = (1 << len(adj)) - 1
-        swept = list(sweep(adj, active))
-        assert [item for item in swept if item[0].bit_count() == 1] == [
-            (1 << v, 0, None) for v in bits(active) if not adj[v] & active
-        ]
         passed = ones = 0
-        first = None
-        for part, odd, walk in swept:
-            if walk is not None:
-                first = walk
+        clashing = None
+        for part in reference_parts(adj, active):
+            color, cycle = reference_two_color(adj, part)
+            if cycle is not None:
+                clashing = part
                 break
             passed |= part
-            ones |= odd
-        assert list(sweep(adj, active, stop=True)) == [(passed, ones, first)]
-        clashes += first is not None
-        bipartite += first is None
+            ones |= sum(1 << v for v, c in color.items() if c)
+        got_passed, got_ones, walk = sweep(adj, active)
+        assert (got_passed, got_ones) == (passed, ones)
+        assert (walk is None) == (clashing is None)
+        if walk is None:
+            assert passed == active
+            bipartite += 1
+            continue
+        cycle = [bit.bit_length() - 1 for bit in walk]
+        assert all(bit == 1 << v for bit, v in zip(walk, cycle))
+        assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle) >= 3
+        assert sum(walk) & ~clashing == 0
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert adj[a] >> b & 1
+        clashes += 1
     assert clashes >= 20 and bipartite >= 10
+
+
+def test_sweep_is_a_plain_function():
+    """``sweep`` returns its one answer; a generator could come back to
+    yield a triple per component unnoticed."""
+    assert inspect.isgeneratorfunction(incompat.sweep) is False

@@ -2,6 +2,7 @@
 import inspect
 import itertools
 import logging
+import math
 import random
 import re
 import sys
@@ -650,23 +651,19 @@ def test_the_persistent_search_is_pinned(monkeypatch, persistent_odd_cycle):
 def test_the_persistent_packing_sweeps_once_per_call(
     monkeypatch, persistent_odd_cycle
 ):
-    """Every sweep of the persistent search stops and answers once, so
-    its 2,507 calls yield 2,507 times; a yield per component would make
-    12,102."""
+    """The persistent search's cycle packing calls ``sweep`` 2,507
+    times, one answer per call."""
     calls = []
     sweep = incompat.sweep
 
-    def counting(adj, active, stop=False):
-        calls.append(0)
-        for item in sweep(adj, active, stop):
-            calls[-1] += 1
-            yield item
+    def counting(adj, active):
+        calls.append(active)
+        return sweep(adj, active)
 
     monkeypatch.setattr(incompat, "sweep", counting)
     adj = product_graph(persistent_odd_cycle).adjacency
     assert len(_ExactOct(adj, None).run(len(adj))) == 12
     assert len(calls) == 2507
-    assert set(calls) == {1}
 
 
 def test_the_children_partition_their_parents_transversals(
@@ -1126,6 +1123,32 @@ def test_a_spent_budget_still_runs_the_root_node(
     with pytest.raises(of.BudgetExceeded, match=proven) as caught:
         max_bipartite_subset(graph, "exact", budget=0)
     assert caught.value.lower_bound == root
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx, budget: max_bipartite_subset(product_graph(ctx), budget=budget),
+        lambda ctx, budget: of.maximal_two_factorization(ctx, budget=budget),
+        lambda ctx, budget: of.certify_global_optimality(
+            ctx, of.maximal_two_factorization(ctx), budget=budget
+        ),
+        lambda ctx, budget: brute_force_min_removal(ctx, k_max=2, budget=budget),
+    ],
+    ids=[
+        "max_bipartite_subset",
+        "maximal_two_factorization",
+        "certify_global_optimality",
+        "brute_force_min_removal",
+    ],
+)
+def test_a_nan_budget_is_refused(call, monuments):
+    """No clock reading is past NaN, so a NaN budget would never run
+    out: every entry point that takes a budget refuses it, while an
+    infinite one still answers."""
+    with pytest.raises(ValueError, match="not NaN"):
+        call(monuments, float("nan"))
+    call(monuments, math.inf)
 
 
 @pytest.mark.parametrize("k", [30, 40])
