@@ -28,14 +28,18 @@ def transpose(rows: Sequence[int], width: int) -> list[int]:
     more raises ValueError.  Each row is laid out as ``(width + 7) // 8``
     little-endian bytes, so byte ``j // 8`` of every row, read by its
     bit ``j % 8`` as a base-2 digit from the last row to the first, is
-    result row j.
+    result row j.  Rows of at most 8 bits are one byte each, laid out
+    by a single ``bytes`` call.
     """
     if not rows:
         return [0] * width
     if max(rows) >> width:
         raise ValueError(f"rows must be nonnegative and below 2**{width}")
     size = (width + 7) // 8
-    raw = b"".join([row.to_bytes(size, "little") for row in rows])
+    if size == 1:
+        raw = bytes(rows)
+    else:
+        raw = b"".join([row.to_bytes(size, "little") for row in rows])
     return [
         int(raw[j >> 3 :: size].translate(_DIGIT[j & 7])[::-1], 2)
         for j in range(width)

@@ -126,43 +126,58 @@ def transitive_orientation(adjacency: Sequence[int]) -> tuple[int, ...]:
     Edges are processed in lexicographic order; each choice is closed
     under the forcing rule (two edges sharing an endpoint whose other
     endpoints are nonadjacent must agree), working in the shrinking
-    graph as classes are removed.  A forcing conflict, or a failed final
-    transitivity check, raises :class:`NotTwoDimensional`.
+    graph as classes are removed.  The in-edge rows ``into`` are kept
+    beside ``out``, so a class edge a -> b forces its whole set of edges
+    a -> c (and c -> b) in one mask step: a forced edge already oriented
+    the other way is a conflict, one already oriented this way is
+    skipped, and only the new ones join the class, ascending.  A
+    forcing conflict, or a failed final check that every edge is
+    oriented once and the result is transitive, raises
+    :class:`NotTwoDimensional`.
     """
     n = len(adjacency)
     remaining = list(adjacency)
     out = [0] * n
-
-    def orient(a: int, b: int) -> bool:
-        # returns False if already present, raises on conflict
-        if out[b] >> a & 1:
-            raise NotTwoDimensional(f"edge {a}-{b} forced in both directions")
-        if out[a] >> b & 1:
-            return False
-        out[a] |= 1 << b
-        return True
-
+    into = [0] * n
     # rows below i are empty and oriented edges leave remaining with
     # their class, so row i's lowest bit is its next unoriented edge
     for i in range(n):
         while remaining[i]:
             j = (remaining[i] & -remaining[i]).bit_length() - 1
-            orient(i, j)
+            out[i] |= 1 << j
+            into[j] |= 1 << i
             # the class grows while it is read, first in first out
             klass = [(i, j)]
             for a, b in klass:
                 # edges a-c with b,c nonadjacent must point a -> c
-                for c in bits(remaining[a] & ~remaining[b] & ~(1 << b)):
-                    if orient(a, c):
-                        klass.append((a, c))
+                forced = remaining[a] & ~remaining[b] & ~(1 << b)
+                clash = forced & into[a]
+                if clash:
+                    c = (clash & -clash).bit_length() - 1
+                    raise NotTwoDimensional(
+                        f"edge {a}-{c} forced in both directions"
+                    )
+                new = forced & ~out[a]
+                out[a] |= new
+                for c in bits(new):
+                    into[c] |= 1 << a
+                    klass.append((a, c))
                 # edges c-b with a,c nonadjacent must point c -> b
-                for c in bits(remaining[b] & ~remaining[a] & ~(1 << a)):
-                    if orient(c, b):
-                        klass.append((c, b))
+                forced = remaining[b] & ~remaining[a] & ~(1 << a)
+                clash = forced & out[b]
+                if clash:
+                    c = (clash & -clash).bit_length() - 1
+                    raise NotTwoDimensional(
+                        f"edge {c}-{b} forced in both directions"
+                    )
+                new = forced & ~into[b]
+                into[b] |= new
+                for c in bits(new):
+                    out[c] |= 1 << b
+                    klass.append((c, b))
             for a, b in klass:
                 remaining[a] &= ~(1 << b)
                 remaining[b] &= ~(1 << a)
-    into = transpose(out, n)
     for a in range(n):
         if out[a] | into[a] != adjacency[a]:
             raise NotTwoDimensional(f"vertex {a} has unoriented or extra edges")

@@ -147,15 +147,18 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     index = {intent: i for i, intent in enumerate(intents)}
     gamma = [index[row] for row in comp.rows]
     mu = [index[meet] for meet in meets]
-    f1, f2 = (
-        frozenset(
-            p
-            for p in ctx.pairs()
-            if (leq[mu[p[1]]] | after[mu[p[1]]]) >> gamma[p[0]] & 1
-        )
+    first, second = (
+        [below | above for below, above in zip(leq, after)]
         for after in (conjugate, transpose(conjugate, len(leq)))
     )
-    f1, f2 = _canonical_labels(f1, f2)
+    pairs1, pairs2 = [], []
+    for p in ctx.pairs():
+        g, m = p
+        if first[mu[m]] >> gamma[g] & 1:
+            pairs1.append(p)
+        if second[mu[m]] >> gamma[g] & 1:
+            pairs2.append(p)
+    f1, f2 = _canonical_labels(frozenset(pairs1), frozenset(pairs2))
     result = FactorizationResult(
         FerrersFactor(f1), FerrersFactor(f2), frozenset(), certificate=True
     )

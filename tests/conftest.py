@@ -196,6 +196,57 @@ def reference_transpose(rows, width):
     return cols
 
 
+def reference_transitive_orientation(adjacency):
+    """``lattice.transitive_orientation`` as it was before it forced each
+    class edge's set of edges in one mask step: one ``orient`` call per
+    forced edge, and a transpose for the final check.  Kept verbatim as
+    a reference: the rows and every message must not change."""
+    n = len(adjacency)
+    remaining = list(adjacency)
+    out = [0] * n
+
+    def orient(a: int, b: int) -> bool:
+        # returns False if already present, raises on conflict
+        if out[b] >> a & 1:
+            raise NotTwoDimensional(f"edge {a}-{b} forced in both directions")
+        if out[a] >> b & 1:
+            return False
+        out[a] |= 1 << b
+        return True
+
+    # rows below i are empty and oriented edges leave remaining with
+    # their class, so row i's lowest bit is its next unoriented edge
+    for i in range(n):
+        while remaining[i]:
+            j = (remaining[i] & -remaining[i]).bit_length() - 1
+            orient(i, j)
+            # the class grows while it is read, first in first out
+            klass = [(i, j)]
+            for a, b in klass:
+                # edges a-c with b,c nonadjacent must point a -> c
+                for c in bits(remaining[a] & ~remaining[b] & ~(1 << b)):
+                    if orient(a, c):
+                        klass.append((a, c))
+                # edges c-b with a,c nonadjacent must point c -> b
+                for c in bits(remaining[b] & ~remaining[a] & ~(1 << a)):
+                    if orient(c, b):
+                        klass.append((c, b))
+            for a, b in klass:
+                remaining[a] &= ~(1 << b)
+                remaining[b] &= ~(1 << a)
+    into = transpose(out, n)
+    for a in range(n):
+        if out[a] | into[a] != adjacency[a]:
+            raise NotTwoDimensional(f"vertex {a} has unoriented or extra edges")
+    for a in range(n):
+        for b in bits(out[a]):
+            if out[b] & ~out[a]:
+                raise NotTwoDimensional(
+                    f"orientation not transitive at {a} -> {b}"
+                )
+    return tuple(out)
+
+
 def reference_brute_force_min_removal(
     ctx: FormalContext, k_max: int, budget: float | None = None
 ) -> int:

@@ -1,9 +1,10 @@
 """Concept enumeration, concept order, conjugate orders, realizers."""
 import math
+import random
 
 import pytest
 
-from conftest import reference_concept_masks
+from conftest import reference_concept_masks, reference_transitive_orientation
 import ordfactor as of
 from ordfactor.bitset import bits
 from ordfactor.context import FormalContext
@@ -23,6 +24,7 @@ from ordfactor.oracle import (
     random_context,
     random_two_factorizable_context,
 )
+from ordfactor.twofactor import two_factorize
 
 
 def _concept_set(concepts):
@@ -313,6 +315,77 @@ def test_orientation_refuses_an_asymmetric_adjacency():
     # vertex 0 lists 1 as a neighbour but 1 does not list 0
     with pytest.raises(of.NotTwoDimensional, match="vertex 1 has unoriented"):
         transitive_orientation((0b10, 0))
+
+
+def _orientation_or_message(orient, adjacency):
+    try:
+        return orient(adjacency)
+    except of.NotTwoDimensional as exc:
+        return str(exc)
+
+
+def _seeded_graphs(count):
+    """Random graphs of 0-15 vertices at mixed densities, one per seed."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(0, 15)
+        density = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
+        adj = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        yield tuple(adj)
+
+
+def _factorize_graphs(monkeypatch):
+    """The cocomparability graphs ``two_factorize`` orients for the
+    fixtures and 200 seeded contexts, half of them two-factorizable."""
+    contexts = [of.load_dataset(name) for name in of.available_datasets()]
+    for seed in range(200):
+        rng = random.Random(seed)
+        spec = GeneratorSpec(
+            rng.randint(3, 20), rng.randint(3, 20), rng.choice([0.3, 0.5, 0.7]), seed
+        )
+        generate = random_two_factorizable_context if seed % 2 else random_context
+        contexts.append(generate(spec))
+    graphs = []
+
+    def recording(adjacency):
+        graphs.append(adjacency)
+        return transitive_orientation(adjacency)
+
+    monkeypatch.setattr("ordfactor.twofactor.transitive_orientation", recording)
+    for ctx in contexts:
+        try:
+            two_factorize(ctx)
+        except of.NotTwoFactorizable:
+            pass
+    assert len(graphs) == len(contexts)
+    return graphs
+
+
+def test_orientation_matches_the_per_edge_reference(monkeypatch):
+    """Forcing a class edge's set of edges in one mask step gives the
+    rows, or the message, of the per-edge reference."""
+    counts = {"random": [0, 0], "factorize": [0, 0]}
+    corpora = {
+        "random": list(_seeded_graphs(4000)),
+        "factorize": _factorize_graphs(monkeypatch),
+    }
+    for name, graphs in corpora.items():
+        for adj in graphs:
+            got = _orientation_or_message(transitive_orientation, adj)
+            want = _orientation_or_message(reference_transitive_orientation, adj)
+            assert got == want, adj
+            if isinstance(got, tuple):
+                counts[name][0] += 1
+            elif "forced in both directions" in got:
+                counts[name][1] += 1
+    # orientable and conflicting graphs on both sides of the comparison
+    assert counts["random"][0] >= 2500 and counts["random"][1] >= 1000, counts
+    assert counts["factorize"][0] >= 100 and counts["factorize"][1] >= 75, counts
 
 
 @pytest.mark.parametrize(
