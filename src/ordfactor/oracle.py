@@ -7,6 +7,7 @@ or two-factorizable by construction.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -19,30 +20,45 @@ from .twofactor import two_factorize
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Shape and seed of a generated context."""
+    """Shape and seed of a generated context.
+
+    Raises ValueError for a negative size or a NaN density; a density
+    below 0 or above 1 gives no incidence or every one.
+    """
 
     objects: int
     attributes: int
     density: float
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.objects < 0 or self.attributes < 0:
+            raise ValueError(
+                f"objects and attributes must be nonnegative, got "
+                f"{self.objects} and {self.attributes}"
+            )
+        if self.density != self.density:
+            raise ValueError("density must not be NaN")
+
 
 def random_context(spec: GeneratorSpec) -> FormalContext:
     """Independent Bernoulli cells at the requested density.
 
-    Draw order: one ``rng.random()`` per cell, object by object and,
-    within an object, attribute by attribute; the cell is an incidence
-    when its draw is below ``spec.density``.  A test pins the rows.
+    Draw order: the rows are those of one ``rng.random()`` per cell,
+    object by object and, within an object, attribute by attribute, the
+    cell an incidence when its draw is below ``spec.density``; the draws
+    are made in bulk by :func:`_below`.  A test pins the rows.
     """
     rng = random.Random(spec.seed)
-    rows = []
-    for _ in range(spec.objects):
-        mask = 0
-        for m in range(spec.attributes):
-            if rng.random() < spec.density:
-                mask |= 1 << m
-        rows.append(mask)
-    return FormalContext(_names("g", spec.objects), _names("m", spec.attributes), tuple(rows))
+    width = spec.attributes
+    # reversed, so that each row's slice reads its last attribute first
+    cells = _below(rng, spec.objects * width, spec.density)[::-1]
+    if width:
+        rows = [int(cells[i : i + width], 2) for i in range(0, len(cells), width)]
+        rows.reverse()
+    else:
+        rows = [0] * spec.objects
+    return FormalContext(_names("g", spec.objects), _names("m", width), tuple(rows))
 
 
 def random_two_factorizable_context(spec: GeneratorSpec) -> FormalContext:
@@ -53,24 +69,55 @@ def random_two_factorizable_context(spec: GeneratorSpec) -> FormalContext:
     construction; the incidence is the union of the two.
 
     Draw order, per staircase in turn: one ``rng.shuffle`` of the
-    attributes, then for each object one ``rng.random()`` per attribute;
-    the prefix length is the number of draws below ``spec.density``.
-    A test pins the rows.
+    attributes, then the draws of one ``rng.random()`` per attribute for
+    each object, made in bulk by :func:`_below`; the prefix length is
+    the number of draws below ``spec.density``.  A test pins the rows.
     """
     rng = random.Random(spec.seed)
-    draw, density = rng.random, spec.density
+    width = spec.attributes
     rows = [0] * spec.objects
     for _ in range(2):
-        order = list(range(spec.attributes))
+        order = list(range(width))
         rng.shuffle(order)
         # prefix[k] is the mask of the first k attributes of the order
         prefix = [0]
         for m in order:
             prefix.append(prefix[-1] | 1 << m)
+        cells = _below(rng, spec.objects * width, spec.density)
         for g in range(spec.objects):
-            length = sum(1 for _ in range(spec.attributes) if draw() < density)
-            rows[g] |= prefix[length]
-    return FormalContext(_names("g", spec.objects), _names("m", spec.attributes), tuple(rows))
+            rows[g] |= prefix[cells.count(b"1", g * width, g * width + width)]
+    return FormalContext(_names("g", spec.objects), _names("m", width), tuple(rows))
+
+
+def _below(rng: random.Random, n: int, density) -> bytes:
+    """``b"1"`` or ``b"0"`` for each of ``n`` ``rng.random() < density``
+    tests, byte i the i-th, leaving ``rng`` as those calls would.
+
+    In Python 3.10 to 3.13, ``random()`` is K / 2**53 with
+    K = (w0 >> 5) * 2**26 + (w1 >> 6), from two consecutive 32-bit words,
+    and ``getrandbits(64 * n)`` is the next 2n words, word i at bit 32 i.
+    The test is K < T, T the number of the 2**53 values below
+    ``density``.  The top byte of w0 is K >> 45: one table maps it to
+    ``1`` below T >> 45, to ``0`` above it, and a tie, about one draw in
+    256, is settled on the whole of K.
+    """
+    if not 0 < density:  # NaN too
+        threshold = 0
+    elif not density < 1:
+        threshold = 1 << 53
+    else:
+        # exact for a float or Fraction density: 2**53 is an int
+        threshold = math.ceil(density * 2**53)
+    raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    top = threshold >> 45
+    cells = bytearray(raw[3::8].translate((b"1" * top + b"=" + b"0" * 255)[:256]))
+    i = cells.find(b"=")
+    while i >= 0:
+        word = int.from_bytes(raw[8 * i : 8 * i + 8], "little")
+        k = (word & 0xFFFFFFFF) >> 5 << 26 | word >> 38
+        cells[i] = 49 if k < threshold else 48
+        i = cells.find(b"=", i + 1)
+    return bytes(cells)
 
 
 def brute_force_min_removal(

@@ -49,6 +49,7 @@ from ordfactor.lattice import (
     transitive_orientation,
 )
 from ordfactor.maximal import HEURISTIC_RESTARTS
+from ordfactor.oracle import _names
 from ordfactor.twofactor import (
     FactorizationResult,
     FerrersFactor,
@@ -245,6 +246,40 @@ def reference_transitive_orientation(adjacency):
                     f"orientation not transitive at {a} -> {b}"
                 )
     return tuple(out)
+
+
+def reference_random_context(spec):
+    """``oracle.random_context`` as it was before it drew its cells in
+    bulk, kept verbatim: one ``rng.random()`` call per cell."""
+    rng = random.Random(spec.seed)
+    rows = []
+    for _ in range(spec.objects):
+        mask = 0
+        for m in range(spec.attributes):
+            if rng.random() < spec.density:
+                mask |= 1 << m
+        rows.append(mask)
+    return FormalContext(_names("g", spec.objects), _names("m", spec.attributes), tuple(rows))
+
+
+def reference_random_two_factorizable_context(spec):
+    """``oracle.random_two_factorizable_context`` as it was before it
+    drew its cells in bulk, kept verbatim: one ``rng.random()`` call per
+    cell of each staircase."""
+    rng = random.Random(spec.seed)
+    draw, density = rng.random, spec.density
+    rows = [0] * spec.objects
+    for _ in range(2):
+        order = list(range(spec.attributes))
+        rng.shuffle(order)
+        # prefix[k] is the mask of the first k attributes of the order
+        prefix = [0]
+        for m in order:
+            prefix.append(prefix[-1] | 1 << m)
+        for g in range(spec.objects):
+            length = sum(1 for _ in range(spec.attributes) if draw() < density)
+            rows[g] |= prefix[length]
+    return FormalContext(_names("g", spec.objects), _names("m", spec.attributes), tuple(rows))
 
 
 def reference_brute_force_min_removal(

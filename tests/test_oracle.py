@@ -1,13 +1,23 @@
 """Brute-force oracle and generator tests."""
 
 import hashlib
+import math
+import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 import ordfactor as of
 from ordfactor import GeneratorSpec
+from ordfactor import oracle
 
-from conftest import acceptance_5_corpus, reference_brute_force_min_removal
+from conftest import (
+    acceptance_5_corpus,
+    reference_brute_force_min_removal,
+    reference_random_context,
+    reference_random_two_factorizable_context,
+)
 
 
 def test_random_context_deterministic():
@@ -64,6 +74,81 @@ def test_generator_rows_are_pinned():
     assert digest.hexdigest() == (
         "5742620f99b572d206cfe74a61e94805a7e9cf7b4479329b6db1ebba79a6d31f"
     )
+
+
+# every way a density can sit against random()'s 2**53 values: outside
+# [0, 1], at either end of the range, on a top-byte boundary (77/256),
+# and as int, bool and Fraction
+DENSITIES = (
+    0, 1, True, False, -0.5, 1.5, math.inf, -math.inf,
+    2.0**-53, 1 - 2.0**-53, 0.5, 77 / 256, 0.3, Fraction(1, 3),
+)
+
+
+def _top_ties(density, draws):
+    """How many of ``draws`` share their top byte with the threshold,
+    the draws whose cell the exact comparison settles."""
+    if density <= 0:
+        threshold = 0
+    elif density >= 1:
+        return 0
+    else:
+        threshold = math.ceil(density * 2**53)
+    return sum(int(r * 256) == threshold >> 45 for r in draws)
+
+
+def test_generators_match_the_per_draw_references(monkeypatch):
+    """Both generators give the rows of one ``rng.random()`` call per
+    cell, on a seeded grid of shapes from 0 to 30 at every kind of
+    density, and the exact comparison settles many draws."""
+    ties = 0
+    below = oracle._below
+
+    def counting(rng, n, density):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        nonlocal ties
+        ties += _top_ties(density, [twin.random() for _ in range(n)])
+        return below(rng, n, density)
+
+    monkeypatch.setattr(oracle, "_below", counting)
+    shapes = random.Random(44)
+    sizes = (0, 1, 2, 3, 5, 8, 13, 21, 30)
+    checked = 0
+    for objects in sizes:
+        for attributes in sizes:
+            for density in DENSITIES:
+                spec = GeneratorSpec(
+                    objects, attributes, density, shapes.randrange(1 << 32)
+                )
+                assert of.random_context(spec) == reference_random_context(spec)
+                assert of.random_two_factorizable_context(
+                    spec
+                ) == reference_random_two_factorizable_context(spec), spec
+                checked += 1
+    assert checked == 81 * len(DENSITIES)
+    assert ties >= 800, ties
+
+
+@pytest.mark.parametrize("density", DENSITIES + (Decimal("0.3"), math.nan))
+def test_below_is_n_random_calls(density):
+    """One bulk draw gives the outcomes of n ``rng.random() < density``
+    calls and leaves the generator where those calls leave it."""
+    for seed in range(3):
+        calls, bulk = random.Random(seed), random.Random(seed)
+        for n in range(301):
+            expected = bytes(b"01"[calls.random() < density] for _ in range(n))
+            assert oracle._below(bulk, n, density) == expected, (seed, n)
+            assert bulk.getstate() == calls.getstate(), (seed, n)
+
+
+@pytest.mark.parametrize(
+    "objects, attributes, density",
+    [(-2, 5, 0.5), (3, -4, 0.5), (-1, -1, 0.5), (3, 4, math.nan)],
+)
+def test_generator_spec_refuses_negative_sizes_and_nan(objects, attributes, density):
+    with pytest.raises(ValueError):
+        GeneratorSpec(objects, attributes, density, 0)
 
 
 def test_staircase_union_always_two_factorizable():
