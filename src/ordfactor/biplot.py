@@ -1,11 +1,11 @@
 """Biplots for two-factorizations.
 
-Each Ferrers factor induces one axis: attributes with the same extent
-inside the factor form a group, groups are ordered by shrinking
-extent, and an object sits at the number of groups whose extent
-contains it.  Two axes drawn against each other place every object at
-an integer coordinate pair from which the covered incidence relation
-can be read back off.
+Each Ferrers factor induces one axis.  Its distinct nonempty rows,
+sorted by size, form a chain; each step adds one group of attributes,
+largest extent first, and an object sits at the rank of its row in the
+chain, 0 for an empty row.  Two axes drawn against each other place
+every object at an integer coordinate pair from which the covered
+incidence relation can be read back off.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Iterable
 
+from .bitset import bits
 from .context import FormalContext, IncidencePair
 from .errors import MalformedHeader, NotFerrers, UnsupportedFormat
 from .twofactor import FactorizationResult, is_ferrers
@@ -41,31 +42,27 @@ class FactorAxis:
 def factor_axis(ctx: FormalContext, pairs: Iterable) -> FactorAxis:
     """Build the axis of one Ferrers factor of ``ctx``.
 
-    Attributes without incidences in the factor do not appear on the
-    axis.  Raises NotFerrers when the pairs are no staircase, and what
-    :func:`is_ferrers` raises when one is no incidence.
+    Group i holds the attributes that step i of the row chain adds to
+    step i - 1.  Attributes without incidences in the factor do not
+    appear on the axis.  Raises NotFerrers when the pairs are no
+    staircase, and what :func:`is_ferrers` raises when one is no
+    incidence.
     """
     pair_set = frozenset(IncidencePair(int(g), int(m)) for g, m in pairs)
     if not is_ferrers(ctx, pair_set):
         raise NotFerrers("axis requires a staircase-shaped factor")
-    cols = [0] * ctx.n_attributes
+    rows = [0] * ctx.n_objects
     for g, m in pair_set:
-        cols[m] |= 1 << g
-    by_extent: dict[int, list[int]] = {}
-    for m, extent in enumerate(cols):
-        if extent:
-            by_extent.setdefault(extent, []).append(m)
-    ordered = sorted(
-        by_extent.items(), key=lambda item: (-item[0].bit_count(), item[1])
+        rows[g] |= 1 << m
+    chain = sorted({row for row in rows if row}, key=int.bit_count)
+    groups = tuple(
+        tuple(bits(row & ~below)) for below, row in zip([0, *chain], chain)
     )
-    groups = tuple(tuple(ms) for _, ms in ordered)
     labels = tuple(
         ",".join(ctx.attributes[m] for m in group) for group in groups
     )
-    positions = tuple(
-        sum(1 for extent, _ in ordered if extent >> g & 1)
-        for g in range(ctx.n_objects)
-    )
+    rank = {row: i for i, row in enumerate(chain, start=1)}
+    positions = tuple(rank.get(row, 0) for row in rows)
     return FactorAxis(tuple(ctx.objects), groups, labels, positions)
 
 

@@ -96,14 +96,18 @@ class ConceptOrder:
     leq: tuple[int, ...]
 
 
+def intent_order(intents: Sequence[int]) -> list[int]:
+    """Below-or-equal rows of concepts given by intent bitmasks: bit j
+    of row i is set iff intent i contains intent j."""
+    return [
+        sum(1 << j for j, sub in enumerate(intents) if intent & sub == sub)
+        for intent in intents
+    ]
+
+
 def concept_order(concepts: Sequence[Concept]) -> ConceptOrder:
-    n = len(concepts)
-    leq = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if concepts[i].extent <= concepts[j].extent:
-                leq[i] |= 1 << j
-    return ConceptOrder(tuple(leq))
+    intents = [sum(1 << m for m in c.intent) for c in concepts]
+    return ConceptOrder(tuple(intent_order(intents)))
 
 
 def cocomparability_graph(leq: Sequence[int]) -> tuple[int, ...]:

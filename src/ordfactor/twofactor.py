@@ -23,6 +23,7 @@ from .errors import (
 )
 from .lattice import (
     cocomparability_graph,
+    intent_order,
     lectic_sorted,
     transitive_orientation,
 )
@@ -68,20 +69,20 @@ class Violation(NamedTuple):
 
 
 def _ferrers_violation(pairs: frozenset[IncidencePair]) -> tuple | None:
-    """A witness ((g, m), (h, n)) with neither (g, n) nor (h, m), or None."""
+    """A witness ((g, m), (h, n)) with neither (g, n) nor (h, m), or None:
+    the first row g, by (size, object), not inside the next row h, which
+    is no smaller, and h, each at its lowest attribute outside the other."""
     rows: dict[int, int] = {}
     for g, m in pairs:
         rows[g] = rows.get(g, 0) | 1 << m
-    objects = sorted(rows)
-    for a in range(len(objects)):
-        for b in range(a + 1, len(objects)):
-            g, h = objects[a], objects[b]
-            only_g = rows[g] & ~rows[h]
+    chain = sorted(rows, key=lambda g: (rows[g].bit_count(), g))
+    for g, h in zip(chain, chain[1:]):
+        only_g = rows[g] & ~rows[h]
+        if only_g:
             only_h = rows[h] & ~rows[g]
-            if only_g and only_h:
-                m = (only_g & -only_g).bit_length() - 1
-                n = (only_h & -only_h).bit_length() - 1
-                return (IncidencePair(g, m), IncidencePair(h, n))
+            m = (only_g & -only_g).bit_length() - 1
+            n = (only_h & -only_h).bit_length() - 1
+            return (IncidencePair(g, m), IncidencePair(h, n))
     return None
 
 
@@ -134,10 +135,7 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
         for m in range(comp.n_attributes)
     ]
     intents = lectic_sorted({*comp.rows, *meets}, comp.n_attributes)
-    leq = [
-        sum(1 << j for j, sub in enumerate(intents) if intent & sub == sub)
-        for intent in intents
-    ]
+    leq = intent_order(intents)
     try:
         conjugate = transitive_orientation(cocomparability_graph(leq))
     except NotTwoDimensional as exc:
@@ -214,7 +212,8 @@ def validate_factorization(
             )
         )
     for label in ("f1", "f2"):
-        witness = _ferrers_violation(named[label])
+        # stray pairs are reported above and may lie outside the context
+        witness = _ferrers_violation(named[label] & incidence)
         if witness:
             violations.append(
                 Violation(

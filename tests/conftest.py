@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 import ordfactor as of
+from ordfactor.biplot import FactorAxis
 from ordfactor.bitset import bits, transpose
 from ordfactor.dimension import Poset
 from ordfactor.context import (
@@ -27,6 +28,7 @@ from ordfactor.errors import (
     IllegalCharacter,
     InvalidFactorization,
     MalformedHeader,
+    NotFerrers,
     NotFound,
     NotTwoDimensional,
     NotTwoFactorizable,
@@ -55,6 +57,7 @@ from ordfactor.twofactor import (
     FerrersFactor,
     _canonical_labels,
     _ferrers_violation,
+    is_ferrers,
     validate_factorization,
 )
 
@@ -732,6 +735,56 @@ def reference_realizer_two_factorize(ctx):
     if problems:
         raise NotTwoFactorizable("; ".join(v.message for v in problems))
     return result
+
+
+def reference_ferrers_violation(pairs):
+    """``_ferrers_violation`` as it was before it read the rows as one
+    size-sorted chain: it tests every two objects' rows.  Kept verbatim
+    as a reference: the verdicts must not change."""
+    rows: dict[int, int] = {}
+    for g, m in pairs:
+        rows[g] = rows.get(g, 0) | 1 << m
+    objects = sorted(rows)
+    for a in range(len(objects)):
+        for b in range(a + 1, len(objects)):
+            g, h = objects[a], objects[b]
+            only_g = rows[g] & ~rows[h]
+            only_h = rows[h] & ~rows[g]
+            if only_g and only_h:
+                m = (only_g & -only_g).bit_length() - 1
+                n = (only_h & -only_h).bit_length() - 1
+                return (IncidencePair(g, m), IncidencePair(h, n))
+    return None
+
+
+def reference_factor_axis(ctx, pairs):
+    """``factor_axis`` as it was before it read the steps of the row
+    chain: it groups attributes by column extent, sorts the groups by
+    shrinking extent, and counts for each object the groups whose extent
+    holds it.  Kept verbatim as a reference: groups, labels and positions
+    must not change."""
+    pair_set = frozenset(IncidencePair(int(g), int(m)) for g, m in pairs)
+    if not is_ferrers(ctx, pair_set):
+        raise NotFerrers("axis requires a staircase-shaped factor")
+    cols = [0] * ctx.n_attributes
+    for g, m in pair_set:
+        cols[m] |= 1 << g
+    by_extent: dict[int, list[int]] = {}
+    for m, extent in enumerate(cols):
+        if extent:
+            by_extent.setdefault(extent, []).append(m)
+    ordered = sorted(
+        by_extent.items(), key=lambda item: (-item[0].bit_count(), item[1])
+    )
+    groups = tuple(tuple(ms) for _, ms in ordered)
+    labels = tuple(
+        ",".join(ctx.attributes[m] for m in group) for group in groups
+    )
+    positions = tuple(
+        sum(1 for extent, _ in ordered if extent >> g & 1)
+        for g in range(ctx.n_objects)
+    )
+    return FactorAxis(tuple(ctx.objects), groups, labels, positions)
 
 
 def reference_canonical_partition(ctx, result):

@@ -2,7 +2,7 @@
 import xml.etree.ElementTree as ET
 
 import pytest
-from conftest import read_biplot_csv
+from conftest import read_biplot_csv, reference_factor_axis
 
 import ordfactor as of
 from ordfactor import FormalContext, GeneratorSpec, IncidencePair
@@ -74,13 +74,29 @@ def test_reconstruct_round_trip_on_fixtures(
         assert of.reconstruct(axes) == frozenset(ctx.pairs())
 
 
-def test_reconstruct_round_trip_on_random_staircases():
+def _staircases_and_repairs():
     for seed in range(25):
         spec = GeneratorSpec(objects=6, attributes=5, density=0.5, seed=seed)
         ctx = of.random_two_factorizable_context(spec)
-        result = of.two_factorize(ctx)
+        yield ctx, of.two_factorize(ctx)
+    for seed in range(10):
+        spec = GeneratorSpec(20, 14, 0.2 + 0.06 * seed, seed)
+        ctx = of.random_two_factorizable_context(spec)
+        yield ctx, of.two_factorize(ctx)
+    for seed in range(15):
+        ctx = of.random_context(GeneratorSpec(8, 7, 0.5, seed))
+        yield ctx, of.maximal_two_factorization(ctx, "heuristic", seed=0)
+
+
+def test_reconstruct_round_trip_on_random_staircases():
+    """Staircase unions and heuristic repairs of random contexts: the
+    axes give back the covered incidence, and each axis is the one the
+    column-extent reference builds."""
+    for ctx, result in _staircases_and_repairs():
         axes = of.biplot_axes(ctx, result)
-        assert of.reconstruct(axes) == frozenset(ctx.pairs())
+        assert of.reconstruct(axes) == result.covered
+        for axis, factor in zip(axes, (result.f1, result.f2)):
+            assert axis == reference_factor_axis(ctx, factor.pairs)
 
 
 def test_monuments_portico_coordinates(monuments):

@@ -129,16 +129,21 @@ def test_maximal_deterministic(capsys):
     assert first["input_digest"] == second["input_digest"]
 
 
-def test_maximal_budget_exhaustion(capsys):
-    """Exact mode needs about 0.3 s on persistent_odd_cycle, whose
-    minimum is 12 and whose root bound is 9; 0.05 s runs out between
-    them."""
-    code, report = _run(
-        capsys, ["maximal", PERSISTENT, "--budget", "0.05"]
-    )
+def test_maximal_budget_exhaustion(capsys, tmp_path):
+    """On random_context(14, 14, 0.5, seed 1) the exact search's root
+    bound is 23 and 120 s of search do not decide it, so a 0.3 s budget
+    runs out on any machine.  The proven bound lies between the root's
+    and 34, the size of the seed-0 heuristic's removal: every valid
+    removal is a transversal, so no proof can pass it."""
+    path = tmp_path / "random14.cxt"
+    ctx = of.random_context(of.GeneratorSpec(14, 14, 0.5, 1))
+    path.write_text(of.serialize_cxt(ctx), encoding="utf-8")
+    code, report = _run(capsys, ["maximal", str(path), "--budget", "0.3"])
     assert code == 3
-    assert report["error"]["type"] == "BudgetExceeded"
-    assert 9 <= report["error"]["lower_bound"] < 12
+    error = report["error"]
+    assert error["type"] == "BudgetExceeded"
+    assert 23 <= error["lower_bound"] <= 34
+    assert f"below {error['lower_bound']} vertices" in error["message"]
 
 
 def test_an_exhausted_budget_reports_the_proven_lower_bound(capsys):

@@ -237,11 +237,16 @@ def test_concept_order_of_diagonal_context():
 
 
 def test_concept_order_matches_extent_inclusion(forced_overlap):
-    concepts = enumerate_concepts(forced_overlap)
-    order = concept_order(concepts)
-    for i, a in enumerate(concepts):
-        for j, b in enumerate(concepts):
-            assert bool(order.leq[i] >> j & 1) == (a.extent <= b.extent)
+    """On the fixture and the seeded contexts up to 20x20."""
+    contexts = [forced_overlap] + [
+        ctx for ctx in _seeded_contexts() if ctx.n_objects <= 20
+    ]
+    for ctx in contexts:
+        concepts = enumerate_concepts(ctx, math.inf)
+        order = concept_order(concepts)
+        for i, a in enumerate(concepts):
+            for j, b in enumerate(concepts):
+                assert bool(order.leq[i] >> j & 1) == (a.extent <= b.extent)
 
 
 def test_cocomparability_of_diagonal_context_is_a_triangle():

@@ -873,9 +873,9 @@ def _milp_oct(adjacency):
 )
 def test_milp_proves_the_slow_optima(ctx, optimum):
     """The MILP oracle's minimum on inputs it needs 30 s to minutes
-    for, and the exact search's, which takes about 0.1 s on the 12x12
-    context and about 0.3 s on the fixture, whose graph has no
-    4-clique."""
+    for, and the exact search's, which takes about 0.05 s on the 12x12
+    context and about 0.06 s on the fixture, whose graph has no
+    4-clique (best of 5 and of 7 runs on a 2-CPU machine)."""
     graph = of.build_incompatibility_graph(ctx)
     milp = _milp_oct(graph.adjacency)
     assert induced_bipartite(graph, milp)
@@ -1263,7 +1263,7 @@ def test_certify_refutes_the_persistent_heuristic_without_a_search(
 ):
     """A removed incidence that fits back into the original graph on the
     kept ones proves a transversal of 73, so no search is needed; the
-    bounded search alone takes about 0.3 s to find one of 12."""
+    bounded search alone takes about 0.06 s to find one of 12."""
     result = of.maximal_two_factorization(
         persistent_odd_cycle, mode="heuristic", seed=0
     )
@@ -1422,7 +1422,7 @@ def test_the_lexicographic_removals_come_from_the_reference_search():
 
 
 def test_exact_budget_runs_out_on_a_14x14_context():
-    """Exact mode needs about 0.3 s on persistent_odd_cycle, so a
+    """Exact mode needs about 0.06 s on persistent_odd_cycle, so a
     0.3 s budget needs a harder input: on (14, 14, 0.5, 1) the root
     bound is 23 and the minimum is at least 30, which 120 s of search
     prove.  The bound the exhausted search reports is at least the

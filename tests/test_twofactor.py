@@ -13,12 +13,17 @@ from ordfactor.oracle import (
     random_context,
     random_two_factorizable_context,
 )
-from ordfactor.twofactor import FactorizationResult, FerrersFactor
+from ordfactor.twofactor import (
+    FactorizationResult,
+    FerrersFactor,
+    _ferrers_violation,
+)
 
 from conftest import (
     random_poset,
     reference_canonical_partition,
     reference_concept_two_factorize,
+    reference_ferrers_violation,
     reference_realizer_two_factorize,
     reference_two_factorize,
 )
@@ -245,6 +250,53 @@ def test_validator_flags_ferrers_violation(contranominal3):
     assert "FerrersViolation" in kinds
 
 
+def _seeded_pair_sets(count):
+    """Pair sets up to 9x9 whose rows are drawn from a small pool, so
+    equal rows and incomparable rows of equal size are common; every
+    other set is a staircase, half of them with one cell flipped."""
+    rng = random.Random(45)
+    yield frozenset()
+    yield _pairs([(3, 0), (3, 4)])
+    yield _pairs([(0, 1), (1, 1), (2, 1)])
+    yield _pairs([(0, 0), (0, 1), (1, 1), (1, 2)])
+    for i in range(count):
+        n_obj, n_att = rng.randint(0, 9), rng.randint(1, 9)
+        if i % 2:
+            pool = [rng.getrandbits(n_att) for _ in range(rng.randint(1, 4))]
+            rows = [rng.choice(pool) for _ in range(n_obj)]
+        else:
+            order = rng.sample(range(n_att), n_att)
+            rows = [
+                sum(1 << m for m in order[: rng.randint(0, n_att)])
+                for _ in range(n_obj)
+            ]
+            if n_obj and i % 4:
+                rows[rng.randrange(n_obj)] ^= 1 << rng.randrange(n_att)
+        yield frozenset(
+            IncidencePair(g, m)
+            for g, row in enumerate(rows)
+            for m in range(n_att)
+            if row >> m & 1
+        )
+
+
+def test_ferrers_chain_check_matches_the_pairwise_reference():
+    """Comparing each row with the next in (size, object) order gives
+    the verdict of comparing every two rows, and each witness holds its
+    two pairs and neither cross pair."""
+    verdicts = [0, 0]
+    for pairs in _seeded_pair_sets(5000):
+        witness = _ferrers_violation(pairs)
+        expected = reference_ferrers_violation(pairs)
+        assert (witness is None) == (expected is None), sorted(pairs)
+        verdicts[witness is None] += 1
+        if witness is not None:
+            (g, m), (h, n) = witness
+            assert {(g, m), (h, n)} <= pairs
+            assert (g, n) not in pairs and (h, m) not in pairs
+    assert min(verdicts) > 1000, verdicts
+
+
 def test_validator_flags_coverage_gap(contranominal3):
     result = FactorizationResult(
         f1=FerrersFactor(_pairs([(0, 1)])),
@@ -265,6 +317,23 @@ def test_validator_flags_stray_pairs(contranominal3):
     )
     kinds = {v.kind for v in of.validate_factorization(contranominal3, result)}
     assert "PairViolation" in kinds
+
+
+@pytest.mark.parametrize("attribute", [-1, 10**6])
+def test_pairs_outside_the_context_come_back_as_data(monuments, attribute):
+    """A factor pair outside the context is a non-incidence and leaves
+    the coverage short of nothing but itself: the validator names both,
+    without building a row for it, and the callers that require a valid
+    result raise InvalidFactorization."""
+    exact = of.maximal_two_factorization(monuments, mode="exact")
+    stray = IncidencePair(0, attribute)
+    bogus = replace(exact, f1=FerrersFactor(exact.f1.pairs | {stray}))
+    kinds = [v.kind for v in of.validate_factorization(monuments, bogus)]
+    assert kinds == ["PairViolation", "CoverageViolation"]
+    with pytest.raises(of.InvalidFactorization):
+        of.certify_global_optimality(monuments, bogus)
+    with pytest.raises(of.InvalidFactorization):
+        of.canonical_partition(monuments, bogus)
 
 
 def test_shared_is_derived_from_the_factors(forced_overlap):
