@@ -18,7 +18,7 @@ from typing import Iterable
 from .bitset import bits
 from .context import FormalContext, IncidencePair
 from .errors import MalformedHeader, NotFerrers, UnsupportedFormat
-from .twofactor import FactorizationResult, is_ferrers
+from .twofactor import FactorizationResult, FerrersFactor, is_ferrers
 
 _FORMATS = ("csv", "svg", "tikz")
 
@@ -39,7 +39,7 @@ class FactorAxis:
     positions: tuple[int, ...]
 
 
-def factor_axis(ctx: FormalContext, pairs: Iterable) -> FactorAxis:
+def factor_axis(ctx: FormalContext, pairs: Iterable | FerrersFactor) -> FactorAxis:
     """Build the axis of one Ferrers factor of ``ctx``.
 
     Group i holds the attributes that step i of the row chain adds to
@@ -48,12 +48,10 @@ def factor_axis(ctx: FormalContext, pairs: Iterable) -> FactorAxis:
     staircase, and what :func:`is_ferrers` raises when one is no
     incidence.
     """
-    pair_set = frozenset(IncidencePair(int(g), int(m)) for g, m in pairs)
-    if not is_ferrers(ctx, pair_set):
+    factor = pairs if isinstance(pairs, FerrersFactor) else FerrersFactor(pairs)
+    if not is_ferrers(ctx, factor):
         raise NotFerrers("axis requires a staircase-shaped factor")
-    rows = [0] * ctx.n_objects
-    for g, m in pair_set:
-        rows[g] |= 1 << m
+    rows = factor.rows_in(ctx)[0]
     chain = sorted({row for row in rows if row}, key=int.bit_count)
     groups = tuple(
         tuple(bits(row & ~below)) for below, row in zip([0, *chain], chain)
@@ -70,10 +68,7 @@ def biplot_axes(
     ctx: FormalContext, result: FactorizationResult
 ) -> tuple[FactorAxis, FactorAxis]:
     """Both axes of a factorization, first factor on the x axis."""
-    return (
-        factor_axis(ctx, result.f1.pairs),
-        factor_axis(ctx, result.f2.pairs),
-    )
+    return factor_axis(ctx, result.f1), factor_axis(ctx, result.f2)
 
 
 def reconstruct(

@@ -124,7 +124,10 @@ class FormalContext:
         return sum(row.bit_count() for row in self.rows)
 
     def has(self, g: int, m: int) -> bool:
-        if not (0 <= g < self.n_objects and 0 <= m < self.n_attributes):
+        """Whether (g, m) is an incidence; IndexOutOfRange when either
+        index is no ``int`` or lies outside the context."""
+        ints = isinstance(g, int) and isinstance(m, int)
+        if not (ints and 0 <= g < self.n_objects and 0 <= m < self.n_attributes):
             raise IndexOutOfRange(f"pair ({g}, {m}) outside the context")
         return bool(self.rows[g] >> m & 1)
 

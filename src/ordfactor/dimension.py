@@ -9,7 +9,6 @@ translation in both directions and builds an explicit realizer.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from .bitset import bits, transpose
@@ -165,8 +164,8 @@ def two_dimension_extension(
     at_or_before = [(1 << n) - 1] * n
     realizer = []
     for factor in (result.f1, result.f2):
-        inside = Counter(g for g, _ in factor.pairs)
-        ranking = sorted(range(n), key=inside.__getitem__)
+        inside = factor.rows_in(ctx)[0]
+        ranking = sorted(range(n), key=lambda v: inside[v].bit_count())
         placed = 0
         sequence = []
         for _ in range(n):

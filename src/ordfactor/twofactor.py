@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable, NamedTuple
 
-from .bitset import transpose
+from .bitset import bits, transpose
 from .context import FormalContext, IncidencePair, complement, remove_incidences
 from .errors import (
+    IndexOutOfRange,
     InvalidFactorization,
     NotTwoDimensional,
     NotTwoFactorizable,
@@ -29,11 +30,54 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
 class FerrersFactor:
-    """One factor of a factorization; a set of incidence pairs."""
+    """One factor of a factorization: one attribute mask per object, bit
+    m of the nonnegative ``rows[g]`` for (g, m), or the pairs it was
+    built from until :meth:`rows_in` reads them against a context.
+    ``pairs`` is built from the rows when first read; equality and
+    hashing compare pair sets."""
 
-    pairs: frozenset[IncidencePair]
+    def __init__(self, pairs: Iterable = (), *, rows: Iterable[int] | None = None):
+        self._rows = None if rows is None else tuple(rows)
+        self._pairs = frozenset(pairs) if rows is None else None
+
+    @property
+    def pairs(self) -> frozenset[IncidencePair]:
+        if self._pairs is None:
+            rows = enumerate(self._rows)
+            self._pairs = frozenset(
+                IncidencePair(g, m) for g, row in rows for m in bits(row)
+            )
+        return self._pairs
+
+    def rows_in(self, ctx: FormalContext) -> tuple[list[int], tuple | None]:
+        """The rows cut to the incidence of ``ctx``, and the smallest pair
+        that is no incidence (or outside ``ctx``, by its ``has``), or None."""
+        rows, outside = self._rows, []
+        if rows is None or len(rows) != ctx.n_objects:
+            rows = [0] * ctx.n_objects
+            for pair in self.pairs:
+                try:
+                    ctx.has(*pair)
+                except IndexOutOfRange:
+                    outside.append(pair)
+                else:
+                    rows[pair[0]] |= 1 << pair[1]
+        inside = [row & own for row, own in zip(rows, ctx.rows)]
+        for g, (row, own) in enumerate(zip(rows, inside)):
+            if row != own:
+                outside.append(IncidencePair(g, next(bits(row & ~own))))
+                break
+        return inside, min(outside, default=None)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FerrersFactor) and self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+    def __repr__(self) -> str:
+        return f"FerrersFactor(pairs={self.pairs!r})"
 
 
 @dataclass(frozen=True)
@@ -68,35 +112,30 @@ class Violation(NamedTuple):
     message: str
 
 
-def _ferrers_violation(pairs: frozenset[IncidencePair]) -> tuple | None:
+def _ferrers_violation(rows: list[int]) -> tuple | None:
     """A witness ((g, m), (h, n)) with neither (g, n) nor (h, m), or None:
     the first row g, by (size, object), not inside the next row h, which
     is no smaller, and h, each at its lowest attribute outside the other."""
-    rows: dict[int, int] = {}
-    for g, m in pairs:
-        rows[g] = rows.get(g, 0) | 1 << m
-    chain = sorted(rows, key=lambda g: (rows[g].bit_count(), g))
+    chain = sorted(range(len(rows)), key=lambda g: rows[g].bit_count())
     for g, h in zip(chain, chain[1:]):
-        only_g = rows[g] & ~rows[h]
-        if only_g:
-            only_h = rows[h] & ~rows[g]
-            m = (only_g & -only_g).bit_length() - 1
-            n = (only_h & -only_h).bit_length() - 1
+        if rows[g] & ~rows[h]:
+            m, n = next(bits(rows[g] & ~rows[h])), next(bits(rows[h] & ~rows[g]))
             return (IncidencePair(g, m), IncidencePair(h, n))
     return None
 
 
-def is_ferrers(ctx: FormalContext, pairs: Iterable[tuple[int, int]]) -> bool:
+def is_ferrers(ctx: FormalContext, pairs: Iterable | FerrersFactor) -> bool:
     """Whether a subset of the incidence is a Ferrers relation.
 
-    A pair outside the context raises what :meth:`FormalContext.has`
-    raises, any other non-incidence :class:`PairNotIncident`.
+    Its smallest pair that is no incidence raises what
+    :meth:`FormalContext.has` raises for it, or :class:`PairNotIncident`.
     """
-    pair_set = frozenset(IncidencePair(g, m) for g, m in pairs)
-    for g, m in sorted(pair_set):
-        if not ctx.has(g, m):
-            raise PairNotIncident(f"pair ({g}, {m}) is not an incidence")
-    return _ferrers_violation(pair_set) is None
+    factor = pairs if isinstance(pairs, FerrersFactor) else FerrersFactor(pairs)
+    rows, stray = factor.rows_in(ctx)
+    # has raises for a pair outside the context
+    if stray is not None and not ctx.has(*stray):
+        raise PairNotIncident(f"pair {tuple(stray)} is not an incidence")
+    return _ferrers_violation(rows) is None
 
 
 def two_factorize(ctx: FormalContext) -> FactorizationResult:
@@ -145,20 +184,14 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     index = {intent: i for i, intent in enumerate(intents)}
     gamma = [index[row] for row in comp.rows]
     mu = [index[meet] for meet in meets]
-    first, second = (
-        [below | above for below, above in zip(leq, after)]
-        for after in (conjugate, transpose(conjugate, len(leq)))
-    )
-    pairs1, pairs2 = [], []
-    for p in ctx.pairs():
-        g, m = p
-        if first[mu[m]] >> gamma[g] & 1:
-            pairs1.append(p)
-        if second[mu[m]] >> gamma[g] & 1:
-            pairs2.append(p)
-    f1, f2 = _canonical_labels(frozenset(pairs1), frozenset(pairs2))
+    factors = []
+    for after in (conjugate, transpose(conjugate, len(leq))):
+        # bit m of reach[c]: concept c lies in row μm of ≤ ∪ after
+        reach = transpose([leq[i] | after[i] for i in mu], len(leq))
+        factors.append([row & reach[c] for row, c in zip(ctx.rows, gamma)])
+    f1, f2 = _canonical_labels(*factors)
     result = FactorizationResult(
-        FerrersFactor(f1), FerrersFactor(f2), frozenset(), certificate=True
+        FerrersFactor(rows=f1), FerrersFactor(rows=f2), frozenset(), certificate=True
     )
     problems = validate_factorization(ctx, result)
     if problems:
@@ -166,14 +199,12 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     return result
 
 
-def _canonical_labels(
-    f1: frozenset[IncidencePair], f2: frozenset[IncidencePair]
-) -> tuple[frozenset[IncidencePair], frozenset[IncidencePair]]:
-    # factor 1 owns the lexicographically smallest exclusive pair
-    only1 = f1 - f2
-    only2 = f2 - f1
-    if only2 and (not only1 or min(only2) < min(only1)):
-        return f2, f1
+def _canonical_labels(f1: list[int], f2: list[int]) -> tuple[list[int], list[int]]:
+    # factor 1 owns the smallest exclusive pair, the lowest bit where the
+    # first rows that differ differ
+    for a, b in zip(f1, f2):
+        if a != b:
+            return (f1, f2) if a & (a ^ b) & -(a ^ b) else (f2, f1)
     return f1, f2
 
 
@@ -188,39 +219,23 @@ def validate_factorization(
     pair in both Ferrers factors is compatible with every covered pair.
     """
     violations = []
-    incidence = frozenset(ctx.pairs())
-    named = {
-        "f1": result.f1.pairs,
-        "f2": result.f2.pairs,
-        "removed": result.removed,
-    }
-    for label, pairs in named.items():
-        stray = pairs - incidence
-        if stray:
-            violations.append(
-                Violation(
-                    "PairViolation",
-                    f"{label} contains non-incidences, e.g. {min(stray)}",
-                )
-            )
-    covered = result.covered
-    if covered != incidence - result.removed:
-        violations.append(
-            Violation(
-                "CoverageViolation",
-                "f1 and f2 do not cover exactly the incidence minus removed",
-            )
-        )
-    for label in ("f1", "f2"):
-        # stray pairs are reported above and may lie outside the context
-        witness = _ferrers_violation(named[label] & incidence)
+    factors = (result.f1, result.f2, FerrersFactor(result.removed))
+    read = [factor.rows_in(ctx) for factor in factors]
+    for label, (_, stray) in zip(("f1", "f2", "removed"), read):
+        if stray is not None:
+            message = f"{label} contains non-incidences, e.g. {stray}"
+            violations.append(Violation("PairViolation", message))
+    (rows1, stray1), (rows2, stray2), (removed, _) = read
+    kept = [row & ~gone for row, gone in zip(ctx.rows, removed)]
+    covered = [a | b for a, b in zip(rows1, rows2)]
+    if stray1 is not None or stray2 is not None or covered != kept:
+        message = "f1 and f2 do not cover exactly the incidence minus removed"
+        violations.append(Violation("CoverageViolation", message))
+    for label, rows in (("f1", rows1), ("f2", rows2)):
+        witness = _ferrers_violation(rows)
         if witness:
-            violations.append(
-                Violation(
-                    "FerrersViolation",
-                    f"{label} violates the Ferrers condition at {witness}",
-                )
-            )
+            message = f"{label} violates the Ferrers condition at {witness}"
+            violations.append(Violation("FerrersViolation", message))
     return violations
 
 
@@ -244,13 +259,12 @@ def canonical_partition(
     :class:`InvalidFactorization` on invalid input.
     """
     require_valid(ctx, result)
-    covered_ctx = (
-        remove_incidences(ctx, result.removed) if result.removed else ctx
+    core = two_factorize(remove_incidences(ctx, result.removed))
+    core1, core2, f1, f2 = (
+        factor.rows_in(ctx)[0] for factor in (core.f1, core.f2, result.f1, result.f2)
     )
-    core = two_factorize(covered_ctx).shared
-    f1 = result.f1.pairs | core
-    f2 = result.f2.pairs | core
+    f1, f2 = ([row | a & b for row, a, b in zip(f, core1, core2)] for f in (f1, f2))
     if _ferrers_violation(f1) or _ferrers_violation(f2):
         raise InvalidFactorization("adding the core broke a factor")
     f1, f2 = _canonical_labels(f1, f2)
-    return replace(result, f1=FerrersFactor(f1), f2=FerrersFactor(f2))
+    return replace(result, f1=FerrersFactor(rows=f1), f2=FerrersFactor(rows=f2))

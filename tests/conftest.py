@@ -55,8 +55,7 @@ from ordfactor.oracle import _names
 from ordfactor.twofactor import (
     FactorizationResult,
     FerrersFactor,
-    _canonical_labels,
-    _ferrers_violation,
+    Violation,
     is_ferrers,
     validate_factorization,
 )
@@ -188,6 +187,29 @@ def acceptance_5_corpus():
         if ctx.incidence_count <= 14:
             corpus.append(ctx)
     return corpus
+
+
+def seeded_contexts():
+    """Random contexts and complements of staircase unions, from 0x0 up
+    to 40x40; the densest random 40x40 has too many concepts for the
+    NextClosure reference."""
+    shapes = (
+        (0, 0), (0, 3), (3, 0), (1, 1), (4, 7), (7, 4),
+        (10, 10), (16, 12), (20, 20), (30, 30), (40, 40),
+    )
+    for n_obj, n_att in shapes:
+        for seed in range(2):
+            for density in (0.1, 0.3, 0.5):
+                if n_obj < 40 or density < 0.5:
+                    yield of.random_context(
+                        of.GeneratorSpec(n_obj, n_att, density, seed)
+                    )
+            for density in (0.3, 0.5, 0.7):
+                yield of.complement(
+                    of.random_two_factorizable_context(
+                        of.GeneratorSpec(n_obj, n_att, density, seed)
+                    )
+                )
 
 
 def reference_transpose(rows, width):
@@ -625,7 +647,7 @@ def reference_two_factorize(ctx):
         )
         for seq in (seq1, seq2)
     )
-    f1, f2 = _canonical_labels(f1, f2)
+    f1, f2 = reference_canonical_labels(f1, f2)
     result = FactorizationResult(
         FerrersFactor(f1),
         FerrersFactor(f2),
@@ -691,7 +713,7 @@ def reference_concept_two_factorize(ctx):
         )
         for after in (conjugate, transpose(conjugate, len(leq)))
     )
-    f1, f2 = _canonical_labels(f1, f2)
+    f1, f2 = reference_canonical_labels(f1, f2)
     result = FactorizationResult(
         FerrersFactor(f1), FerrersFactor(f2), frozenset(), certificate=True
     )
@@ -727,7 +749,7 @@ def reference_realizer_two_factorize(ctx):
         frozenset(p for p in ctx.pairs() if at[mu[p[1]]] < at[gamma[p[0]]])
         for at in ({i: t for t, i in enumerate(seq)} for seq in realizer)
     )
-    f1, f2 = _canonical_labels(f1, f2)
+    f1, f2 = reference_canonical_labels(f1, f2)
     result = FactorizationResult(
         FerrersFactor(f1), FerrersFactor(f2), frozenset(), certificate=True
     )
@@ -755,6 +777,75 @@ def reference_ferrers_violation(pairs):
                 n = (only_h & -only_h).bit_length() - 1
                 return (IncidencePair(g, m), IncidencePair(h, n))
     return None
+
+
+def reference_canonical_labels(f1, f2):
+    """``_canonical_labels`` as it was before it read rows: factor 1 owns
+    the lexicographically smallest exclusive pair.  Kept verbatim for
+    the references above."""
+    only1 = f1 - f2
+    only2 = f2 - f1
+    if only2 and (not only1 or min(only2) < min(only1)):
+        return f2, f1
+    return f1, f2
+
+
+def reference_chain_violation(pairs):
+    """``_ferrers_violation`` as it was before it took rows: the chain of
+    the nonempty rows, in (size, object) order, built from the pairs."""
+    rows: dict[int, int] = {}
+    for g, m in pairs:
+        rows[g] = rows.get(g, 0) | 1 << m
+    chain = sorted(rows, key=lambda g: (rows[g].bit_count(), g))
+    for g, h in zip(chain, chain[1:]):
+        only_g = rows[g] & ~rows[h]
+        if only_g:
+            only_h = rows[h] & ~rows[g]
+            m = (only_g & -only_g).bit_length() - 1
+            n = (only_h & -only_h).bit_length() - 1
+            return (IncidencePair(g, m), IncidencePair(h, n))
+    return None
+
+
+def reference_validate_factorization(ctx, result):
+    """``validate_factorization`` as it was before it read rows: it tests
+    pair sets against ``frozenset(ctx.pairs())``.  Kept verbatim as a
+    reference: the violations and their messages must not change."""
+    violations = []
+    incidence = frozenset(ctx.pairs())
+    named = {
+        "f1": result.f1.pairs,
+        "f2": result.f2.pairs,
+        "removed": result.removed,
+    }
+    for label, pairs in named.items():
+        stray = pairs - incidence
+        if stray:
+            violations.append(
+                Violation(
+                    "PairViolation",
+                    f"{label} contains non-incidences, e.g. {min(stray)}",
+                )
+            )
+    covered = result.covered
+    if covered != incidence - result.removed:
+        violations.append(
+            Violation(
+                "CoverageViolation",
+                "f1 and f2 do not cover exactly the incidence minus removed",
+            )
+        )
+    for label in ("f1", "f2"):
+        # stray pairs are reported above and may lie outside the context
+        witness = reference_chain_violation(named[label] & incidence)
+        if witness:
+            violations.append(
+                Violation(
+                    "FerrersViolation",
+                    f"{label} violates the Ferrers condition at {witness}",
+                )
+            )
+    return violations
 
 
 def reference_factor_axis(ctx, pairs):
@@ -801,9 +892,9 @@ def reference_canonical_partition(ctx, result):
     core = isolated_pairs(build_incompatibility_graph(covered_ctx))
     f1 = result.f1.pairs | core
     f2 = result.f2.pairs | core
-    if _ferrers_violation(f1) or _ferrers_violation(f2):
+    if reference_chain_violation(f1) or reference_chain_violation(f2):
         raise InvalidFactorization("adding the core broke a factor")
-    f1, f2 = _canonical_labels(f1, f2)
+    f1, f2 = reference_canonical_labels(f1, f2)
     return f1, f2, core
 
 

@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from conftest import reference_concept_masks, reference_transitive_orientation
+from conftest import (
+    reference_concept_masks,
+    reference_transitive_orientation,
+    seeded_contexts,
+)
 import ordfactor as of
 from ordfactor.bitset import bits
 from ordfactor.context import FormalContext
@@ -161,29 +165,6 @@ def test_concept_cap_enforced():
     assert len(enumerate_concepts(six, cap=64)) == 64
 
 
-def _seeded_contexts():
-    """Random contexts and complements of staircase unions, from 0x0 up
-    to 40x40; the densest random 40x40 has too many concepts for the
-    NextClosure reference."""
-    shapes = (
-        (0, 0), (0, 3), (3, 0), (1, 1), (4, 7), (7, 4),
-        (10, 10), (16, 12), (20, 20), (30, 30), (40, 40),
-    )
-    for n_obj, n_att in shapes:
-        for seed in range(2):
-            for density in (0.1, 0.3, 0.5):
-                if n_obj < 40 or density < 0.5:
-                    yield random_context(
-                        GeneratorSpec(n_obj, n_att, density, seed)
-                    )
-            for density in (0.3, 0.5, 0.7):
-                yield of.complement(
-                    random_two_factorizable_context(
-                        GeneratorSpec(n_obj, n_att, density, seed)
-                    )
-                )
-
-
 def _outcome(enumerate_, ctx, cap):
     try:
         return enumerate_(ctx, cap)
@@ -202,7 +183,7 @@ def test_enumeration_matches_next_closure_on_seeded_contexts():
     """Same concepts in the same order as NextClosure, and the same
     error and message whenever the cap is below the concept count."""
     compared = refused = 0
-    for ctx in _seeded_contexts():
+    for ctx in seeded_contexts():
         count = len(_reference_concepts(ctx, math.inf))
         for cap in (None, math.inf, 0, 1, count, count - 1):
             expected = _outcome(_reference_concepts, ctx, cap)
@@ -239,7 +220,7 @@ def test_concept_order_of_diagonal_context():
 def test_concept_order_matches_extent_inclusion(forced_overlap):
     """On the fixture and the seeded contexts up to 20x20."""
     contexts = [forced_overlap] + [
-        ctx for ctx in _seeded_contexts() if ctx.n_objects <= 20
+        ctx for ctx in seeded_contexts() if ctx.n_objects <= 20
     ]
     for ctx in contexts:
         concepts = enumerate_concepts(ctx, math.inf)

@@ -1,4 +1,5 @@
 """Exact two-factorization, Ferrers checks, canonical partition."""
+from collections import Counter
 from dataclasses import replace
 import itertools
 import random
@@ -23,9 +24,12 @@ from conftest import (
     random_poset,
     reference_canonical_partition,
     reference_concept_two_factorize,
+    reference_factor_axis,
     reference_ferrers_violation,
     reference_realizer_two_factorize,
     reference_two_factorize,
+    reference_validate_factorization,
+    seeded_contexts,
 )
 
 
@@ -286,7 +290,10 @@ def test_ferrers_chain_check_matches_the_pairwise_reference():
     two pairs and neither cross pair."""
     verdicts = [0, 0]
     for pairs in _seeded_pair_sets(5000):
-        witness = _ferrers_violation(pairs)
+        rows = [0] * 9
+        for g, m in pairs:
+            rows[g] |= 1 << m
+        witness = _ferrers_violation(rows)
         expected = reference_ferrers_violation(pairs)
         assert (witness is None) == (expected is None), sorted(pairs)
         verdicts[witness is None] += 1
@@ -334,6 +341,140 @@ def test_pairs_outside_the_context_come_back_as_data(monuments, attribute):
         of.certify_global_optimality(monuments, bogus)
     with pytest.raises(of.InvalidFactorization):
         of.canonical_partition(monuments, bogus)
+
+
+def _with_pair(result, label, pair):
+    if label == "removed":
+        return replace(result, removed=result.removed | {pair})
+    factor = getattr(result, label)
+    return replace(result, **{label: FerrersFactor(factor.pairs | {pair})})
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda ctx, pair: of.factor_axis(ctx, [pair]), "IndexOutOfRange"),
+        (lambda ctx, pair: of.is_ferrers(ctx, [pair]), "IndexOutOfRange"),
+        (lambda ctx, pair: of.remove_incidences(ctx, [pair]), "IndexOutOfRange"),
+        (
+            lambda ctx, pair: [
+                v.kind
+                for v in of.validate_factorization(
+                    ctx, _with_pair(of.maximal_two_factorization(ctx), "f1", pair)
+                )
+            ],
+            ["PairViolation", "CoverageViolation"],
+        ),
+    ],
+    ids=["factor_axis", "is_ferrers", "remove_incidences", "validate"],
+)
+def test_an_index_that_is_no_int_is_outside_the_context(monuments, call, expected):
+    """``FormalContext.has`` refuses (0, 0.5): factor_axis no longer
+    truncates it to attribute 0, is_ferrers and remove_incidences raise
+    IndexOutOfRange instead of a TypeError from a shift, and validation
+    reports it as a stray pair."""
+    try:
+        got = call(monuments, (0, 0.5))
+    except of.IndexOutOfRange as exc:
+        got = type(exc).__name__
+    assert got == expected
+
+
+def _validation_corpus():
+    """Every seeded result of ``seeded_contexts``, a factorization or
+    the seed-0 heuristic repair of a "no"; each with one covered pair
+    dropped from a factor, moved into ``removed`` and swapped between
+    the factors; and the pairs (0, -1), (0, 10**6), (-1, 0) and
+    (n_objects, 0) and the first non-incidence in f1, f2 and removed;
+    and the result of the context before, whose rows may be too many,
+    too few or too wide."""
+    result = None
+    for s, ctx in enumerate(seeded_contexts()):
+        if result is not None:
+            yield ctx, result
+        try:
+            result = of.two_factorize(ctx)
+        except of.NotTwoFactorizable:
+            result = of.maximal_two_factorization(ctx, mode="heuristic")
+        yield ctx, result
+        f1, f2 = result.f1.pairs, result.f2.pairs
+        covered = sorted(f1 | f2)
+        if covered:
+            p = random.Random(s).choice(covered)
+            owner, other = ("f1", "f2") if p in f1 else ("f2", "f1")
+            without = {
+                label: FerrersFactor(getattr(result, label).pairs - {p})
+                for label in ("f1", "f2")
+            }
+            yield ctx, replace(result, **{owner: without[owner]})
+            yield ctx, replace(result, removed=result.removed | {p}, **without)
+            moved = {owner: without[owner], other: getattr(result, other).pairs}
+            moved[other] = FerrersFactor(moved[other] | {p})
+            yield ctx, replace(result, **moved)
+        outside = [(0, -1), (0, 10**6), (-1, 0), (ctx.n_objects, 0)]
+        gaps = [
+            (g, m)
+            for g, row in enumerate(ctx.rows)
+            for m in range(ctx.n_attributes)
+            if not row >> m & 1
+        ]
+        for g, m in outside + gaps[:1]:
+            for label in ("f1", "f2", "removed"):
+                yield ctx, _with_pair(result, label, IncidencePair(g, m))
+
+
+def test_validation_matches_the_pair_reference():
+    """Reading each factor and ``removed`` as rows gives the violations,
+    messages included, that testing pair sets against the incidence gave."""
+    kinds = Counter()
+    for ctx, result in _validation_corpus():
+        got = of.validate_factorization(ctx, result)
+        assert got == reference_validate_factorization(ctx, result), ctx
+        kinds.update(v.kind for v in got)
+        kinds["results"] += 1
+        kinds["valid"] += not got
+    assert kinds == {
+        "results": 2338,
+        "valid": 242,
+        "PairViolation": 1961,
+        "CoverageViolation": 1342,
+        "FerrersViolation": 278,
+    }
+
+
+def test_factor_layers_build_no_incidence_pairs(
+    monkeypatch, contranominal3, forced_overlap, monuments, s3_poset
+):
+    """two_factorize, validation, the biplot axes and dim2ext read rows:
+    with ``FormalContext.pairs`` refusing, they give the answers they
+    gave before, and the pairs read off the factors afterwards are those
+    the pair walk of the parent construction built."""
+    fixtures = (contranominal3, forced_overlap)
+    expected = [reference_concept_two_factorize(ctx) for ctx in fixtures]
+    repair = of.maximal_two_factorization(monuments, mode="exact")
+    kept = of.remove_incidences(monuments, repair.removed)
+    expected_repair = reference_concept_two_factorize(kept)
+    axes = [
+        tuple(reference_factor_axis(ctx, f.pairs) for f in (want.f1, want.f2))
+        for ctx, want in zip((*fixtures, monuments), (*expected, expected_repair))
+    ]
+    extension = of.two_dimension_extension(s3_poset)
+
+    def refuse(self):
+        raise AssertionError("FormalContext.pairs was called")
+
+    monkeypatch.setattr(FormalContext, "pairs", refuse)
+    results = [of.two_factorize(ctx) for ctx in fixtures]
+    results.append(of.maximal_two_factorization(monuments, mode="exact"))
+    for ctx, got, want_axes in zip((*fixtures, monuments), results, axes):
+        assert of.validate_factorization(ctx, got) == []
+        assert of.biplot_axes(ctx, got) == want_axes
+    assert of.two_dimension_extension(s3_poset) == extension
+    for got, want in zip(results, (*expected, expected_repair)):
+        assert (got.f1.pairs, got.f2.pairs, got.shared) == (
+            want.f1.pairs, want.f2.pairs, want.shared
+        )
+    assert results[2].removed == repair.removed
 
 
 def test_shared_is_derived_from_the_factors(forced_overlap):
