@@ -31,6 +31,7 @@ from .errors import (
     BudgetExceeded,
     FormatError,
     OrdfactorError,
+    deadline_after,
 )
 from .incompat import bipartition, components, isolated_pairs, product_graph
 from .lattice import concept_intents
@@ -48,7 +49,7 @@ _EXIT_BUDGET = 3
 _STATS_CONCEPT_CAP = 1 << 16
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str) -> tuple[str, str]:
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -57,10 +58,10 @@ def _read_input(path: str) -> str:
                 text = handle.read()
         # stdin may decode with surrogateescape, which hides bad bytes
         # until the text is encoded again
-        text.encode("utf-8")
+        data = text.encode("utf-8")
     except UnicodeError as exc:
         raise FormatError(f"input is not UTF-8 text: {exc}") from None
-    return text
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _load_context(text: str) -> FormalContext:
@@ -70,18 +71,16 @@ def _load_context(text: str) -> FormalContext:
 
 
 def _pair_names(ctx: FormalContext, pairs: Iterable) -> list[list[str]]:
-    return [
-        [ctx.objects[g], ctx.attributes[m]]
-        for g, m in sorted((int(g), int(m)) for g, m in pairs)
-    ]
+    """The object and attribute names of each pair, in the given order."""
+    return [[ctx.objects[g], ctx.attributes[m]] for g, m in pairs]
 
 
 def _factor_payload(ctx: FormalContext, result) -> dict:
     return {
-        "factor1": _pair_names(ctx, result.f1.pairs),
-        "factor2": _pair_names(ctx, result.f2.pairs),
-        "shared": _pair_names(ctx, result.shared),
-        "removed": _pair_names(ctx, result.removed),
+        "factor1": _pair_names(ctx, sorted(result.f1.pairs)),
+        "factor2": _pair_names(ctx, sorted(result.f2.pairs)),
+        "shared": _pair_names(ctx, sorted(result.shared)),
+        "removed": _pair_names(ctx, sorted(result.removed)),
     }
 
 
@@ -116,14 +115,11 @@ def _cmd_check(args: argparse.Namespace, text: str) -> dict:
         "vertices": len(graph.vertices),
         "edges": graph.edge_count,
         "components": n_components,
-        "isolated": _pair_names(ctx, isolated),
+        "isolated": _pair_names(ctx, sorted(isolated)),
         "odd_cycle": (
             None
             if witness.odd_cycle is None
-            else [
-                [ctx.objects[g], ctx.attributes[m]]
-                for g, m in (graph.vertices[i] for i in witness.odd_cycle)
-            ]
+            else _pair_names(ctx, (graph.vertices[i] for i in witness.odd_cycle))
         ),
     }
 
@@ -136,7 +132,8 @@ def _cmd_factorize(args: argparse.Namespace, text: str) -> dict:
 
 def _cmd_maximal(args: argparse.Namespace, text: str) -> dict:
     ctx = _load_context(text)
-    started = time.monotonic()
+    # one --budget covers both the search and the proof
+    deadline = deadline_after(args.budget)
     result = maximal_two_factorization(
         ctx, mode=args.mode, budget=args.budget, seed=args.seed
     )
@@ -147,10 +144,7 @@ def _cmd_maximal(args: argparse.Namespace, text: str) -> dict:
         certificate=result.certificate,
     )
     if args.certify and not result.certificate:
-        # one --budget covers both the search and the proof
-        left = None
-        if args.budget is not None:
-            left = max(0.0, args.budget - (time.monotonic() - started))
+        left = None if deadline is None else deadline - time.monotonic()
         payload["certificate"] = certify_global_optimality(ctx, result, left)
     return payload
 
@@ -164,7 +158,7 @@ def _cmd_biplot(args: argparse.Namespace, text: str) -> dict:
     rendering = render(axes, fmt=args.format, title=ctx.title)
     payload = {
         "format": args.format,
-        "removed": _pair_names(ctx, result.removed),
+        "removed": _pair_names(ctx, sorted(result.removed)),
         "axes": [
             {
                 "labels": list(axis.labels),
@@ -323,10 +317,8 @@ def run(argv: list[str] | None = None) -> int:
     report: dict = {"command": args.command}
     started = time.perf_counter()
     try:
-        text = _read_input(args.input)
-        report["input_digest"] = "sha256:" + hashlib.sha256(
-            text.encode("utf-8")
-        ).hexdigest()
+        text, digest = _read_input(args.input)
+        report["input_digest"] = "sha256:" + digest
         report["payload"] = _COMMANDS[args.command](args, text)
     except (OrdfactorError, OSError) as exc:
         report["status"] = "error"

@@ -44,6 +44,12 @@ def _check_names(kind: str, names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
+def _is_index(i: object, n: int) -> bool:
+    """The one index rule of :meth:`FormalContext.has` and :func:`derive`:
+    an ``int`` (a ``bool`` is one) in [0, n)."""
+    return isinstance(i, int) and 0 <= i < n
+
+
 @dataclass(frozen=True)
 class FormalContext:
     """An immutable formal context.
@@ -126,8 +132,7 @@ class FormalContext:
     def has(self, g: int, m: int) -> bool:
         """Whether (g, m) is an incidence; IndexOutOfRange when either
         index is no ``int`` or lies outside the context."""
-        ints = isinstance(g, int) and isinstance(m, int)
-        if not (ints and 0 <= g < self.n_objects and 0 <= m < self.n_attributes):
+        if not (_is_index(g, self.n_objects) and _is_index(m, self.n_attributes)):
             raise IndexOutOfRange(f"pair ({g}, {m}) outside the context")
         return bool(self.rows[g] >> m & 1)
 
@@ -163,7 +168,7 @@ def derive(ctx: FormalContext, side: str, subset: Iterable[int]) -> frozenset[in
     else:
         raise ValueError(f"side must be 'objects' or 'attributes', got {side!r}")
     for i in indices:
-        if not 0 <= i < len(rows):
+        if not _is_index(i, len(rows)):
             raise IndexOutOfRange(f"{side[:-1]} index {i} outside the context")
     mask = (1 << width) - 1
     for i in indices:

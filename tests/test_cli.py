@@ -1,4 +1,5 @@
 """End-to-end tests of the command line front end."""
+import hashlib
 import io
 import json
 import math
@@ -470,6 +471,21 @@ def test_stdin_input(capsys, monkeypatch, contranominal3):
     code, report = _run(capsys, ["check", "-"])
     assert code == 0
     assert report["payload"]["bipartite"] is True
+
+
+def test_input_digest_is_the_sha256_of_the_utf8_bytes(
+    capsys, monkeypatch, tmp_path
+):
+    text = "B\n\n1\n1\n\nCaf\u00e9\nm\u00b2\nX\n"
+    expected = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path = tmp_path / "cafe.cxt"
+    path.write_bytes(text.encode("utf-8"))
+    code, report = _run(capsys, ["check", str(path)])
+    assert code == 0 and report["input_digest"] == expected
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, report = _run(capsys, ["check", "-"])
+    assert code == 0 and report["input_digest"] == expected
+    assert report["payload"]["isolated"] == [["Caf\u00e9", "m\u00b2"]]
 
 
 def test_non_utf8_file_is_a_format_error(capsys, tmp_path):

@@ -259,6 +259,14 @@ def test_derive_errors(contranominal3):
         of.derive(contranominal3, "attributes", [-1])
     with pytest.raises(ValueError):
         of.derive(contranominal3, "rows", [0])
+    # derive follows has's index rule: an int in range, a bool counting as one
+    for side in ("objects", "attributes"):
+        for index in (0.5, "0", None):
+            with pytest.raises(of.IndexOutOfRange):
+                of.derive(contranominal3, side, [index])
+        assert of.derive(contranominal3, side, [True]) == of.derive(
+            contranominal3, side, [1]
+        )
 
 
 def test_derivation_galois_properties():

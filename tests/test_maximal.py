@@ -1488,6 +1488,16 @@ def test_the_clique_list_stops_at_the_deadline():
         max_bipartite_subset(graph, "exact", budget=0)
 
 
+def test_a_late_round_below_4_vertices_lists_nothing():
+    """Past its deadline a round keeps only a clique of 4 or more: the
+    first start, vertex 0, grows the triangle {0, 1, 2}, so the list is
+    empty although a K4 lies on vertices 4-7."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2)]
+    graph = _graph(8, edges + [(a + 4, b + 4) for a, b in _complete(4)])
+    assert _greedy_cliques(graph.adjacency, 255, None) == [240]
+    assert _greedy_cliques(graph.adjacency, 255, time.monotonic() - 1) == []
+
+
 def test_a_late_clique_list_ends_after_its_first_growth(monkeypatch):
     """Past its deadline the clique list reads the clock once, after
     the clique grown from the first start vertex, and returns that one

@@ -492,6 +492,25 @@ def test_shared_is_derived_from_the_factors(forced_overlap):
     assert good.shared == good.f1.pairs & good.f2.pairs
 
 
+def test_factors_of_the_same_cells_are_equal_values():
+    """A factor built from rows and one built from pairs of the same
+    cells compare and hash equal, so a result holding them is hashable.
+    Their reprs differ (rows give IncidencePair elements, pairs plain
+    tuples), so only the named pairs are checked."""
+    by_rows = FerrersFactor(rows=[0b11, 0b01])
+    by_pairs = FerrersFactor([(0, 0), (0, 1), (1, 0)])
+    assert by_rows == by_pairs and hash(by_rows) == hash(by_pairs)
+    assert by_rows != FerrersFactor([(0, 0)])
+    result = FactorizationResult(
+        f1=by_rows, f2=by_pairs, removed=frozenset(), certificate=True
+    )
+    assert hash(result) == hash(replace(result, f1=by_pairs))
+    for factor in (by_rows, by_pairs):
+        text = repr(factor)
+        assert text.startswith("FerrersFactor(pairs=")
+        assert all(repr(pair) in text for pair in factor.pairs)
+
+
 def test_random_staircase_unions_always_factorize():
     for seed in range(120):
         spec = GeneratorSpec(
