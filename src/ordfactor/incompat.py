@@ -12,6 +12,7 @@ flood fill.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,16 +80,19 @@ def product_graph(ctx: FormalContext) -> IncompatibilityGraph:
     (g, m) is ``lacking[m] & missing[g]``: the vertices of the objects
     without m, masked by those of the attributes that g lacks.  That is
     O(|G|·|M|) big-int sums of disjoint masks, not |I|²/2 pair tests."""
-    # each object's vertices are a run of consecutive indices
-    vertices: list[IncidencePair] = []
+    # each object's vertices are a run of consecutive indices; vertex i
+    # is (objects[i], attributes[i])
+    objects: list[int] = []
+    attributes: list[int] = []
     by_object = []
     by_attribute = [0] * ctx.n_attributes
     for g, row in enumerate(ctx.rows):
-        start = len(vertices)
+        start = len(attributes)
         for m in bits(row):
-            by_attribute[m] |= 1 << len(vertices)
-            vertices.append(IncidencePair(g, m))
-        by_object.append((1 << len(vertices)) - (1 << start))
+            by_attribute[m] |= 1 << len(attributes)
+            attributes.append(m)
+        objects += [g] * (len(attributes) - start)
+        by_object.append((1 << len(attributes)) - (1 << start))
     lacking = [
         sum(run for run, row in zip(by_object, ctx.rows) if not row >> m & 1)
         for m in range(ctx.n_attributes)
@@ -98,7 +102,14 @@ def product_graph(ctx: FormalContext) -> IncompatibilityGraph:
         for row in ctx.rows
     ]
     return IncompatibilityGraph(
-        tuple(vertices), tuple(lacking[m] & missing[g] for g, m in vertices)
+        tuple(map(IncidencePair._make, zip(objects, attributes))),
+        tuple(
+            map(
+                operator.and_,
+                map(lacking.__getitem__, attributes),
+                map(missing.__getitem__, objects),
+            )
+        ),
     )
 
 

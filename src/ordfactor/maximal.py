@@ -20,7 +20,7 @@ from typing import Generator, Sequence
 
 from .bitset import bits, transpose
 from .context import FormalContext, IncidencePair, remove_incidences
-from .errors import BudgetExceeded, deadline_after
+from .errors import BudgetExceeded, NotTwoFactorizable, deadline_after
 from .incompat import IncompatibilityGraph, pack_odd_cycles, product_graph, two_color
 from .twofactor import FactorizationResult, require_valid, two_factorize
 
@@ -76,10 +76,14 @@ def maximal_two_factorization(
 ) -> FactorizationResult:
     """Factorize after removing a transversal, repeating if needed.
 
-    Each round builds the graph of what is left and drops the vertex
-    set :func:`max_bipartite_subset` answers; the first empty answer,
-    which it gives exactly for a bipartite graph, ends the loop, and
-    :func:`two_factorize` factorizes and validates what is left.
+    Each round drops the vertex set :func:`max_bipartite_subset`
+    answers on the graph of what is left, and :func:`two_factorize`
+    confirms the removal: it refuses exactly the contexts whose graph
+    has an odd cycle, so its result ends the loop and only a refusal
+    builds the next round's graph.  A graph is thus built once per round
+    that needs a transversal, and once for a context that needs none.
+    An empty answer also ends in :func:`two_factorize`, which raises for
+    a context the solver left unrepaired.
     ``certificate`` is true when nothing was removed or exactly one
     exact round sufficed, in which case the removal is globally minimum.
     An exhausted budget raises :class:`BudgetExceeded`, whose
@@ -91,14 +95,13 @@ def maximal_two_factorization(
     removed: set[IncidencePair] = set()
     rounds = 0
     first = 0  # the first round's transversal size, set in that round
+    graph = product_graph(current)
     while True:
         # an exact search out of time raises BudgetExceeded before its
         # first subproblem, which every non-bipartite graph needs
         remaining = deadline - time.monotonic() if deadline is not None else None
         try:
-            solution = max_bipartite_subset(
-                product_graph(current), mode, remaining, seed
-            )
+            solution = max_bipartite_subset(graph, mode, remaining, seed)
         except BudgetExceeded as exc:
             if not rounds:
                 raise
@@ -106,12 +109,18 @@ def maximal_two_factorization(
             # graph, so its minimum, not this round's bound, bounds them
             raise BudgetExceeded(str(exc), lower_bound=first) from None
         if not solution.deleted:
+            result = two_factorize(current)
             break
         if not rounds:
             first = len(solution.deleted)
         removed |= solution.deleted
         current = remove_incidences(current, solution.deleted)
         rounds += 1
+        try:
+            result = two_factorize(current)
+            break
+        except NotTwoFactorizable:
+            graph = product_graph(current)
     if rounds >= 2:
         logger.info(
             "input needed %d transversal rounds; single-round optimality "
@@ -119,7 +128,7 @@ def maximal_two_factorization(
             rounds,
         )
     return replace(
-        two_factorize(current),
+        result,
         removed=frozenset(removed),
         certificate=rounds == 0 or (rounds == 1 and mode == "exact"),
         rounds=rounds,

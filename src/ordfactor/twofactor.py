@@ -35,7 +35,8 @@ class FerrersFactor:
     m of the nonnegative ``rows[g]`` for (g, m), or the pairs it was
     built from until :meth:`rows_in` reads them against a context.
     ``pairs`` is built from the rows when first read; equality and
-    hashing compare pair sets."""
+    hashing compare pair sets, and the repr lists them as sorted plain
+    tuples."""
 
     def __init__(self, pairs: Iterable = (), *, rows: Iterable[int] | None = None):
         self._rows = None if rows is None else tuple(rows)
@@ -77,7 +78,8 @@ class FerrersFactor:
         return hash(self.pairs)
 
     def __repr__(self) -> str:
-        return f"FerrersFactor(pairs={self.pairs!r})"
+        # equal factors print alike, whether built from rows or pairs
+        return f"FerrersFactor(pairs={sorted(map(tuple, self.pairs))!r})"
 
 
 @dataclass(frozen=True)

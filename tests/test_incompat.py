@@ -79,10 +79,11 @@ def test_vertices_are_incidences_in_lexicographic_order(monuments):
 def test_adjacency_matches_pair_rule(
     monuments, contranominal3, forced_overlap, persistent_odd_cycle
 ):
-    """Both builders give the pair rule's graph: the pair loop and the
-    masked product, on the fixtures, random squares, non-square shapes
-    at densities 0.1-0.9, a context with an empty row and an empty
-    column, a full incidence and the empty context."""
+    """Both builders give the pair rule's graph, with IncidencePair
+    vertices: the pair loop and the masked product, on the fixtures,
+    random squares, non-square shapes at densities 0.1-0.9, a context
+    with an empty row and an empty column, a full incidence and the
+    empty context."""
     contexts = [monuments, contranominal3, forced_overlap, persistent_odd_cycle]
     contexts += [
         random_context(
@@ -106,6 +107,7 @@ def test_adjacency_matches_pair_rule(
         assert graphs[0] == graphs[1]
         for graph in graphs:
             assert graph.vertices == tuple(ctx.pairs())
+            assert all(type(pair) is IncidencePair for pair in graph.vertices)
             for i, (g, m) in enumerate(graph.vertices):
                 for j, (h, n) in enumerate(graph.vertices):
                     clash = not ctx.has(g, n) and not ctx.has(h, m)

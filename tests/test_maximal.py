@@ -1063,13 +1063,16 @@ def test_a_transversal_loop_that_removes_nothing_is_stopped(
 @pytest.mark.parametrize(
     "dataset, mode, calls",
     [
-        ("persistent_odd_cycle", "heuristic", 3 + 1),
-        ("monuments", "exact", 1 + 1),
+        pytest.param("persistent_odd_cycle", "heuristic", 3, id="persistent-heuristic"),
+        pytest.param("monuments", "exact", 1, id="monuments-exact"),
+        pytest.param("forced_overlap", "exact", 1, id="forced_overlap-exact"),
     ],
 )
 def test_each_round_2_colors_its_graph_once(monkeypatch, dataset, mode, calls):
-    """Each round's graph, the final bipartite one too, is 2-colored by
-    ``max_bipartite_subset`` alone; the loop runs no ``bipartition``."""
+    """Each round that needs a transversal 2-colors its graph once, in
+    ``max_bipartite_subset`` alone, and so does a context that needs
+    none; ``two_factorize`` confirms the last removal, so what is left
+    is not colored, and the loop runs no ``bipartition``."""
     colored = []
 
     def counted(adj, active):
@@ -1084,7 +1087,86 @@ def test_each_round_2_colors_its_graph_once(monkeypatch, dataset, mode, calls):
     result = of.maximal_two_factorization(
         of.load_dataset(dataset), mode=mode, seed=0
     )
-    assert len(colored) == calls == result.rounds + 1
+    assert len(colored) == calls == max(result.rounds, 1)
+
+
+def _count_builds(monkeypatch):
+    """The vertex count of each graph the repair loop builds, in order."""
+    built = []
+    build = maximal.product_graph
+
+    def counted(ctx):
+        graph = build(ctx)
+        built.append(graph.n)
+        return graph
+
+    monkeypatch.setattr(maximal, "product_graph", counted)
+    return built
+
+
+# exact mode needs two rounds here: the minimum transversal it returns
+# (4 vertices) leaves an odd cycle behind
+_TWO_ROUNDS = GeneratorSpec(8, 8, 0.6, 249)
+
+
+@pytest.mark.parametrize(
+    "context, mode, rounds, builds, answers",
+    [
+        pytest.param(
+            "forced_overlap", "exact", 0, [19], ["ok"], id="forced_overlap-exact"
+        ),
+        pytest.param("monuments", "exact", 1, [44], ["ok"], id="monuments-exact"),
+        pytest.param(
+            _TWO_ROUNDS, "exact", 2, [43, 39], ["no", "ok"], id="seed249-exact"
+        ),
+        pytest.param(
+            "persistent_odd_cycle", "heuristic", 3, [273, 230, 207],
+            ["no", "no", "ok"], id="persistent-heuristic",
+        ),
+    ],
+)
+def test_one_graph_per_transversal_round(
+    monkeypatch, context, mode, rounds, builds, answers
+):
+    """The loop builds a graph for round 0 and, after each removal, asks
+    ``two_factorize`` whether what is left factorizes: a result ends the
+    loop, and only a refusal builds the next round's graph."""
+    built = _count_builds(monkeypatch)
+    factorized = []
+    factorize = maximal.two_factorize
+
+    def counted_factorize(ctx):
+        try:
+            result = factorize(ctx)
+        except of.NotTwoFactorizable:
+            factorized.append("no")
+            raise
+        factorized.append("ok")
+        return result
+
+    monkeypatch.setattr(maximal, "two_factorize", counted_factorize)
+    ctx = (
+        random_context(context)
+        if isinstance(context, GeneratorSpec)
+        else of.load_dataset(context)
+    )
+    result = of.maximal_two_factorization(ctx, mode=mode, seed=0)
+    assert (result.rounds, built, factorized) == (rounds, builds, answers)
+
+
+def test_a_refused_repair_is_not_retried(monkeypatch, monuments):
+    """When ``two_factorize`` refuses every context, monuments' removal
+    builds one more graph, which is bipartite, so the empty answer ends
+    the loop in a last refusal instead of another round."""
+    built = _count_builds(monkeypatch)
+
+    def refused(ctx):
+        raise of.NotTwoFactorizable("refused")
+
+    monkeypatch.setattr(maximal, "two_factorize", refused)
+    with pytest.raises(of.NotTwoFactorizable, match="refused"):
+        of.maximal_two_factorization(monuments, mode="exact")
+    assert built == [44, 42]
 
 
 def test_factorizable_context_passes_through(forced_overlap):
@@ -1240,8 +1322,9 @@ def test_each_round_rebuilds_the_pair_loops_graph(
     monkeypatch, persistent_odd_cycle
 ):
     """The repair loop builds its graphs by the masked product; in the
-    pinned seed-0 persistent run, the graph it builds after each round's
-    removal equals the pair loop's on the same context."""
+    pinned seed-0 persistent run, the graph it builds for each round
+    equals the pair loop's on the same context.  ``two_factorize``
+    confirms the last removal, so what is left gets no graph."""
     built = []
 
     def checked(ctx):
@@ -1255,7 +1338,7 @@ def test_each_round_rebuilds_the_pair_loops_graph(
         persistent_odd_cycle, mode="heuristic", seed=0
     )
     assert (len(result.removed), result.rounds) == (74, 3)
-    assert built == [273, 230, 207, 273 - 74]
+    assert built == [273, 230, 207]
 
 
 def test_certify_refutes_the_persistent_heuristic_without_a_search(
@@ -1272,11 +1355,6 @@ def test_certify_refutes_the_persistent_heuristic_without_a_search(
         persistent_odd_cycle, result, budget=5.0
     )
     assert claim is False
-
-
-# exact mode needs two rounds here: the minimum transversal it returns
-# (4 vertices) leaves an odd cycle behind
-_TWO_ROUNDS = GeneratorSpec(8, 8, 0.6, 249)
 
 
 @pytest.mark.parametrize(

@@ -494,9 +494,8 @@ def test_shared_is_derived_from_the_factors(forced_overlap):
 
 def test_factors_of_the_same_cells_are_equal_values():
     """A factor built from rows and one built from pairs of the same
-    cells compare and hash equal, so a result holding them is hashable.
-    Their reprs differ (rows give IncidencePair elements, pairs plain
-    tuples), so only the named pairs are checked."""
+    cells compare and hash equal, so a result holding them is hashable,
+    and print alike: their pairs as sorted plain tuples."""
     by_rows = FerrersFactor(rows=[0b11, 0b01])
     by_pairs = FerrersFactor([(0, 0), (0, 1), (1, 0)])
     assert by_rows == by_pairs and hash(by_rows) == hash(by_pairs)
@@ -505,10 +504,8 @@ def test_factors_of_the_same_cells_are_equal_values():
         f1=by_rows, f2=by_pairs, removed=frozenset(), certificate=True
     )
     assert hash(result) == hash(replace(result, f1=by_pairs))
-    for factor in (by_rows, by_pairs):
-        text = repr(factor)
-        assert text.startswith("FerrersFactor(pairs=")
-        assert all(repr(pair) in text for pair in factor.pairs)
+    assert repr(by_rows) == repr(by_pairs)
+    assert repr(by_rows) == "FerrersFactor(pairs=[(0, 0), (0, 1), (1, 0)])"
 
 
 def test_random_staircase_unions_always_factorize():
