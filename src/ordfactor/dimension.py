@@ -152,7 +152,9 @@ def two_dimension_extension(
     factor's complement ranks the elements by how many cells of their
     row it holds, most first, ties broken by ascending element index;
     the realizer order places each element as soon as everything
-    strictly below it in the poset is placed.  The two orders are thus
+    strictly below it in the poset is placed.  A mask of the ready
+    elements, by rank, gives the next one as its lowest bit, and placing
+    an element tests only the elements above it.  The two orders are thus
     linear extensions, and they meet in the returned extension.  With
     an exact single-round-certified factorization, ``k`` is minimum.
     """
@@ -166,14 +168,25 @@ def two_dimension_extension(
     for factor in (result.f1, result.f2):
         inside = factor.rows_in(ctx)[0]
         ranking = sorted(range(n), key=lambda v: inside[v].bit_count())
+        rank = [0] * n
+        for r, v in enumerate(ranking):
+            rank[v] = r
+        # bit r of ready: ranking[r] is unplaced and all below it placed
+        ready = sum(1 << rank[v] for v in range(n) if below[v] == 1 << v)
         placed = 0
         sequence = []
-        for _ in range(n):
-            # the first ranked element that is unplaced, all below it placed
-            v = next(v for v in ranking if below[v] & ~placed == 1 << v)
+        while ready:
+            low = ready & -ready
+            v = ranking[low.bit_length() - 1]
+            ready ^= low
             placed |= 1 << v
             at_or_before[v] &= placed
             sequence.append(v)
+            for u in bits(poset.leq[v] ^ 1 << v):
+                if below[u] & ~placed == 1 << u:
+                    ready |= 1 << rank[u]
+        if len(sequence) != n:
+            raise AssertionError("no element is ready: the order has a cycle")
         realizer.append(tuple(sequence))
     k = sum(col.bit_count() for col in at_or_before) - poset.pair_count
     return DimensionExtension(

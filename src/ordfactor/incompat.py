@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .bitset import bits
@@ -78,8 +79,10 @@ def product_graph(ctx: FormalContext) -> IncompatibilityGraph:
     repair engine behind ``maximal``, ``biplot`` and ``dim2ext``.
     (g, m) and (h, n) clash iff h lacks m and g lacks n, so the row of
     (g, m) is ``lacking[m] & missing[g]``: the vertices of the objects
-    without m, masked by those of the attributes that g lacks.  That is
-    O(|G|·|M|) big-int sums of disjoint masks, not |I|²/2 pair tests."""
+    without m, masked by those of the attributes that g lacks.  Both
+    lists fill in one walk over the non-incidences, each (g, n) adding
+    g's run to ``lacking[n]`` and n's vertices to ``missing[g]``, not
+    in |I|²/2 pair tests."""
     # each object's vertices are a run of consecutive indices; vertex i
     # is (objects[i], attributes[i])
     objects: list[int] = []
@@ -93,16 +96,17 @@ def product_graph(ctx: FormalContext) -> IncompatibilityGraph:
             attributes.append(m)
         objects += [g] * (len(attributes) - start)
         by_object.append((1 << len(attributes)) - (1 << start))
-    lacking = [
-        sum(run for run, row in zip(by_object, ctx.rows) if not row >> m & 1)
-        for m in range(ctx.n_attributes)
-    ]
-    missing = [
-        sum(col for n, col in enumerate(by_attribute) if not row >> n & 1)
-        for row in ctx.rows
-    ]
+    full = (1 << ctx.n_attributes) - 1
+    lacking = [0] * ctx.n_attributes
+    missing = []
+    for run, row in zip(by_object, ctx.rows):
+        gap = 0
+        for n in bits(row ^ full):
+            lacking[n] |= run
+            gap |= by_attribute[n]
+        missing.append(gap)
     return IncompatibilityGraph(
-        tuple(map(IncidencePair._make, zip(objects, attributes))),
+        tuple(map(tuple.__new__, repeat(IncidencePair), zip(objects, attributes))),
         tuple(
             map(
                 operator.and_,

@@ -10,11 +10,10 @@ of the complement context.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Iterable, NamedTuple
 
 from .bitset import bits, transpose
-from .context import FormalContext, IncidencePair, complement, remove_incidences
+from .context import FormalContext, IncidencePair, remove_incidences
 from .errors import (
     IndexOutOfRange,
     InvalidFactorization,
@@ -149,9 +148,11 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
     Glodeanu 2012).  With γg and μm the object and attribute concepts of
     the complement, (g, m) is not incident iff γg ≤ μm.  Their intents
     are the complement's row g and the meet of its rows holding m (all
-    attributes when none does), and a concept lies below another iff
-    its intent contains the other's, so the order is read off these
-    masks, taken in lectic order.  When the context factorizes, these
+    attributes when none does).  The complement is a list of rows, not
+    a context, and one walk over its incidences narrows each meet by
+    every row holding m.  A concept lies below another iff its intent
+    contains the other's, so the order is read off these masks, taken
+    in lectic order.  When the context factorizes, these
     concepts alone have dimension at most two, as no subposet has a
     larger dimension than the lattice (Trotter 1992), so
     :func:`transitive_orientation` finds and verifies a transitive
@@ -169,13 +170,13 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
       is strict, and the two orders of a realizer agree exactly on the
       poset order, so μm comes first in both iff μm < γg.
     """
-    comp = complement(ctx)
-    full = (1 << comp.n_attributes) - 1
-    meets = [
-        reduce(int.__and__, (row for row in comp.rows if row >> m & 1), full)
-        for m in range(comp.n_attributes)
-    ]
-    intents = lectic_sorted({*comp.rows, *meets}, comp.n_attributes)
+    full = (1 << ctx.n_attributes) - 1
+    comp = [row ^ full for row in ctx.rows]
+    meets = [full] * ctx.n_attributes
+    for row in comp:
+        for m in bits(row):
+            meets[m] &= row
+    intents = lectic_sorted({*comp, *meets}, ctx.n_attributes)
     leq = intent_order(intents)
     try:
         conjugate = transitive_orientation(cocomparability_graph(leq))
@@ -184,7 +185,7 @@ def two_factorize(ctx: FormalContext) -> FactorizationResult:
             "complement object and attribute concepts have no conjugate order"
         ) from exc
     index = {intent: i for i, intent in enumerate(intents)}
-    gamma = [index[row] for row in comp.rows]
+    gamma = [index[row] for row in comp]
     mu = [index[meet] for meet in meets]
     factors = []
     for after in (conjugate, transpose(conjugate, len(leq))):

@@ -312,18 +312,41 @@ def test_extension_orders_wait_for_everything_below(monkeypatch):
         assert ext.k == 8 * 9 // 2 - poset.pair_count
 
 
+def test_extension_refuses_an_order_with_a_cycle(monkeypatch):
+    """When no element is ready, placing raises rather than returning a
+    short order: here the bottom of a chain waits for its top."""
+    real = of.dimension.transpose
+
+    def cyclic(rows, width):
+        below = real(rows, width)
+        below[0] |= 1 << 2
+        return below
+
+    monkeypatch.setattr("ordfactor.dimension.transpose", cyclic)
+    with pytest.raises(AssertionError, match="has a cycle"):
+        of.two_dimension_extension(_chain(["a", "b", "c"]))
+
+
 def test_extension_matches_the_reference():
     """Exact runs give the reference's result; heuristic runs give it or
     a smaller ``k``, and a valid extension where the reference fails."""
+    modes = [("exact", 0), *(("heuristic", h) for h in range(3))]
     cases = [
         (three_order_poset(n, s), mode, h)
         for n in range(10)
         for s in range(50)
-        for mode, h in [("exact", 0), *(("heuristic", h) for h in range(3))]
+        for mode, h in modes
     ]
     # a reference failure and a smaller k, both at 10 elements
     cases += [(three_order_poset(10, 11), "heuristic", 2)]
     cases += [(three_order_poset(10, 29), "heuristic", 2)]
+    # the sizes the benchmark extends; seed 6 at 14 gives a smaller k
+    cases += [
+        (three_order_poset(n, s), mode, h)
+        for n in (12, 14)
+        for s in range(10)
+        for mode, h in modes
+    ]
     outcomes = {"same": 0, "smaller": 0, "failed": 0}
     for poset, mode, h in cases:
         ext = of.two_dimension_extension(poset, mode=mode, seed=h)
@@ -340,4 +363,4 @@ def test_extension_matches_the_reference():
             assert mode == "heuristic" and ext.k < expected.k
             _assert_valid_extension(poset, ext)
             outcomes["smaller"] += 1
-    assert outcomes == {"same": 2000, "smaller": 1, "failed": 1}
+    assert outcomes == {"same": 2079, "smaller": 2, "failed": 1}

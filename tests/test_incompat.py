@@ -24,6 +24,7 @@ from conftest import (
     reference_disjoint_odd_cycles,
     reference_parts,
     reference_two_color,
+    three_order_poset,
 )
 
 
@@ -81,9 +82,10 @@ def test_adjacency_matches_pair_rule(
 ):
     """Both builders give the pair rule's graph, with IncidencePair
     vertices: the pair loop and the masked product, on the fixtures,
-    random squares, non-square shapes at densities 0.1-0.9, a context
-    with an empty row and an empty column, a full incidence and the
-    empty context."""
+    random squares, non-square shapes at densities 0.1-0.9, the "not
+    below" contexts of 6-14 element posets, wide sparse contexts, a
+    context with an empty row and an empty column, a full incidence and
+    the empty context."""
     contexts = [monuments, contranominal3, forced_overlap, persistent_odd_cycle]
     contexts += [
         random_context(
@@ -97,6 +99,12 @@ def test_adjacency_matches_pair_rule(
         for tenths in range(1, 10, 2)
         for seed in range(2)
     ]
+    contexts += [
+        of.poset_to_context(three_order_poset(n, seed))
+        for n in range(6, 15, 2)
+        for seed in range(2)
+    ]
+    contexts += [random_context(GeneratorSpec(3, 200, 0.02, s)) for s in range(3)]
     contexts += [
         FormalContext.from_strings("abc", "xyz", ["X.X", "...", "X.X"]),
         FormalContext.from_strings("ab", "xyz", ["XXX", "XXX"]),

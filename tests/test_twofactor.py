@@ -228,6 +228,25 @@ def test_two_factorize_refuses_factors_that_fail_validation(
         of.two_factorize(contranominal3)
 
 
+def test_two_factorize_builds_no_context(
+    monkeypatch, contranominal3, forced_overlap, monuments
+):
+    """The complement is read as rows: with every new FormalContext
+    refused, two_factorize gives the factors it gave before."""
+    repaired = of.remove_incidences(
+        monuments, of.maximal_two_factorization(monuments).removed
+    )
+    contexts = (contranominal3, forced_overlap, repaired)
+    expected = [of.two_factorize(ctx) for ctx in contexts]
+
+    def refuse(self):
+        raise AssertionError("two_factorize built a context")
+
+    monkeypatch.setattr(FormalContext, "__post_init__", refuse)
+    for ctx, result in zip(contexts, expected):
+        assert of.two_factorize(ctx) == result
+
+
 def test_canonical_partition_refuses_a_core_that_breaks_a_factor(
     monkeypatch, contranominal3
 ):
