@@ -6,7 +6,7 @@ rows.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # _DIGIT[b] maps a byte to b"1" when its bit b is set, else to b"0"
 _DIGIT = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
@@ -18,6 +18,13 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def row_pairs(rows: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """``(i, j)`` for each bit j of row i, in row-major order."""
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            yield i, j
 
 
 def transpose(rows: Sequence[int], width: int) -> list[int]:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from . import __version__
 from .biplot import biplot_axes, render
-from .bitset import bits
+from .bitset import row_pairs
 from .context import (
     FormalContext,
     complement,
@@ -76,17 +76,12 @@ def _pair_names(ctx: FormalContext, pairs: Iterable) -> list[list[str]]:
     return [[ctx.objects[g], ctx.attributes[m]] for g, m in pairs]
 
 
-def _row_pairs(rows: Iterable[int]) -> Iterable[tuple[int, int]]:
-    """The pairs of one attribute mask per object, in sorted order."""
-    return ((g, m) for g, row in enumerate(rows) for m in bits(row))
-
-
 def _factor_payload(ctx: FormalContext, result) -> dict:
     rows1, rows2 = (factor.rows_in(ctx)[0] for factor in (result.f1, result.f2))
     return {
-        "factor1": _pair_names(ctx, _row_pairs(rows1)),
-        "factor2": _pair_names(ctx, _row_pairs(rows2)),
-        "shared": _pair_names(ctx, _row_pairs(map(int.__and__, rows1, rows2))),
+        "factor1": _pair_names(ctx, row_pairs(rows1)),
+        "factor2": _pair_names(ctx, row_pairs(rows2)),
+        "shared": _pair_names(ctx, row_pairs(map(int.__and__, rows1, rows2))),
         "removed": _pair_names(ctx, sorted(result.removed)),
     }
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .bitset import bits, transpose
+from .bitset import bits, row_pairs, transpose
 from .errors import (
     CountMismatch,
     DuplicateName,
@@ -138,11 +138,7 @@ class FormalContext:
 
     def pairs(self) -> list[IncidencePair]:
         """All incidences in lexicographic (object, attribute) order."""
-        return [
-            IncidencePair(g, m)
-            for g, row in enumerate(self.rows)
-            for m in bits(row)
-        ]
+        return list(map(IncidencePair._make, row_pairs(self.rows)))
 
     def row_string(self, g: int) -> str:
         """Row g in the 'X.' cell notation, cell j for attribute j."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bitset import bits, transpose
+from .bitset import bits, row_pairs, transpose
 from .context import FormalContext, is_string_list, json_object
 from .errors import MalformedHeader, NotAPartialOrder
 from .maximal import maximal_two_factorization
@@ -98,14 +98,10 @@ def poset_from_json(text: str) -> Poset:
 
 
 def poset_to_json(poset: Poset) -> str:
-    relations = [
-        [poset.elements[i], poset.elements[j]]
-        for i in range(poset.n)
-        for j in range(poset.n)
-        if i != j and poset.leq[i] >> j & 1
-    ]
+    names = poset.elements
+    relations = [[names[i], names[j]] for i, j in row_pairs(poset.leq) if i != j]
     return json.dumps(
-        {"elements": list(poset.elements), "relations": relations},
+        {"elements": list(names), "relations": relations},
         sort_keys=True,
         indent=2,
     ) + "\n"
@@ -191,6 +187,6 @@ def two_dimension_extension(
     k = sum(col.bit_count() for col in at_or_before) - poset.pair_count
     return DimensionExtension(
         k,
-        frozenset((i, j) for j in range(n) for i in bits(at_or_before[j])),
+        frozenset((i, j) for j, i in row_pairs(at_or_before)),
         (realizer[0], realizer[1]),
     )

@@ -76,14 +76,14 @@ def maximal_two_factorization(
 ) -> FactorizationResult:
     """Factorize after removing a transversal, repeating if needed.
 
-    Each round drops the vertex set :func:`max_bipartite_subset`
-    answers on the graph of what is left, and :func:`two_factorize`
-    confirms the removal: it refuses exactly the contexts whose graph
-    has an odd cycle, so its result ends the loop and only a refusal
-    builds the next round's graph.  A graph is thus built once per round
+    Each round builds the graph of what is left, drops the vertex set
+    :func:`max_bipartite_subset` answers on it, if any, and asks
+    :func:`two_factorize` to confirm.  That refuses exactly the contexts
+    whose graph has an odd cycle, so its result ends the loop and only
+    a refusal starts the next round: a graph is built once per round
     that needs a transversal, and once for a context that needs none.
-    An empty answer also ends in :func:`two_factorize`, which raises for
-    a context the solver left unrepaired.
+    A refusal after an empty answer is raised, since the solver left
+    the context unrepaired.
     ``certificate`` is true when nothing was removed or exactly one
     exact round sufficed, in which case the removal is globally minimum.
     An exhausted budget raises :class:`BudgetExceeded`, whose
@@ -95,8 +95,8 @@ def maximal_two_factorization(
     removed: set[IncidencePair] = set()
     rounds = 0
     first = 0  # the first round's transversal size, set in that round
-    graph = product_graph(current)
     while True:
+        graph = product_graph(current)
         # an exact search out of time raises BudgetExceeded before its
         # first subproblem, which every non-bipartite graph needs
         remaining = deadline - time.monotonic() if deadline is not None else None
@@ -108,19 +108,18 @@ def maximal_two_factorization(
             # every valid removal is a transversal of the first round's
             # graph, so its minimum, not this round's bound, bounds them
             raise BudgetExceeded(str(exc), lower_bound=first) from None
-        if not solution.deleted:
-            result = two_factorize(current)
-            break
-        if not rounds:
-            first = len(solution.deleted)
-        removed |= solution.deleted
-        current = remove_incidences(current, solution.deleted)
-        rounds += 1
+        if solution.deleted:
+            if not rounds:
+                first = len(solution.deleted)
+            removed |= solution.deleted
+            current = remove_incidences(current, solution.deleted)
+            rounds += 1
         try:
             result = two_factorize(current)
             break
         except NotTwoFactorizable:
-            graph = product_graph(current)
+            if not solution.deleted:
+                raise
     if rounds >= 2:
         logger.info(
             "input needed %d transversal rounds; single-round optimality "

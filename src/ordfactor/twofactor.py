@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
-from .bitset import bits, transpose
+from .bitset import bits, row_pairs, transpose
 from .context import FormalContext, IncidencePair, remove_incidences
 from .errors import (
     IndexOutOfRange,
@@ -44,15 +44,12 @@ class FerrersFactor:
     @property
     def pairs(self) -> frozenset[IncidencePair]:
         if self._pairs is None:
-            rows = enumerate(self._rows)
-            self._pairs = frozenset(
-                IncidencePair(g, m) for g, row in rows for m in bits(row)
-            )
+            self._pairs = frozenset(map(IncidencePair._make, row_pairs(self._rows)))
         return self._pairs
 
     def rows_in(self, ctx: FormalContext) -> tuple[list[int], tuple | None]:
-        """The rows cut to the incidence of ``ctx``, and the smallest pair
-        that is no incidence (or outside ``ctx``, by its ``has``), or None."""
+        """The rows cut to the incidence of ``ctx``, and the first pair by
+        :func:`_pair_order` outside it (or, by ``has``, outside ``ctx``) or None."""
         rows, outside = self._rows, []
         if rows is None or len(rows) != ctx.n_objects:
             rows = [0] * ctx.n_objects
@@ -68,7 +65,7 @@ class FerrersFactor:
             if row != own:
                 outside.append(IncidencePair(g, next(bits(row & ~own))))
                 break
-        return inside, min(outside, default=None)
+        return inside, min(outside, key=_pair_order, default=None)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FerrersFactor) and self.pairs == other.pairs
@@ -78,7 +75,15 @@ class FerrersFactor:
 
     def __repr__(self) -> str:
         # equal factors print alike, whether built from rows or pairs
-        return f"FerrersFactor(pairs={sorted(map(tuple, self.pairs))!r})"
+        pairs = sorted(map(tuple, self.pairs), key=_pair_order)
+        return f"FerrersFactor(pairs={pairs!r})"
+
+
+def _pair_order(pair: tuple) -> tuple:
+    """Pairs of ints by value, then any other pair by its repr: unlike
+    ``<``, a total order on pairs of any index types."""
+    ints = all(isinstance(i, int) for i in pair)
+    return (False, pair) if ints else (True, repr(pair))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ordfactor.bitset import transpose
+from ordfactor.bitset import row_pairs, transpose
 from ordfactor.maximal import _coloring
 
 from conftest import reference_transpose
@@ -32,6 +32,30 @@ def test_transpose_matches_the_reference_loop():
         assert transpose(rows, width) == reference_transpose(rows, width), width
         checked += 1
     assert checked == 71 * 7 + 6
+
+
+def _reference_row_pairs(rows):
+    return [
+        (i, j)
+        for i, row in enumerate(rows)
+        for j in range(row.bit_length())
+        if row >> j & 1
+    ]
+
+
+def test_row_pairs_match_the_reference_double_loop():
+    """Row-major order, bits ascending within a row, in value and order:
+    no rows, all-zero rows, bits past 2,000 and seeded random rows."""
+    rng = random.Random(0)
+    wide = 1 << 2047 | 1 << 2000 | 5
+    cases = [[], [0, 0, 0], [0, wide, 0, 1 << 4500]]
+    for _ in range(300):
+        width = rng.randrange(1, 80)
+        cases.append([rng.getrandbits(width) for _ in range(rng.randrange(12))])
+    for rows in cases:
+        assert list(row_pairs(rows)) == _reference_row_pairs(rows), rows
+    assert list(row_pairs([0, wide])) == [(1, 0), (1, 2), (1, 2000), (1, 2047)]
+    assert list(row_pairs(iter([6, 1]))) == [(0, 1), (0, 2), (1, 0)]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
 """Exact two-factorization, Ferrers checks, canonical partition."""
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -362,27 +366,46 @@ def test_pairs_outside_the_context_come_back_as_data(monuments, attribute):
         of.canonical_partition(monuments, bogus)
 
 
-def _with_pair(result, label, pair):
+def _with_pairs(result, label, pairs):
     if label == "removed":
-        return replace(result, removed=result.removed | {pair})
+        return replace(result, removed=result.removed | set(pairs))
     factor = getattr(result, label)
-    return replace(result, **{label: FerrersFactor(factor.pairs | {pair})})
+    return replace(result, **{label: FerrersFactor(factor.pairs | set(pairs))})
+
+
+def _first_gap(ctx):
+    return next(
+        (g, m)
+        for g, row in enumerate(ctx.rows)
+        for m in range(ctx.n_attributes)
+        if not row >> m & 1
+    )
 
 
 @pytest.mark.parametrize(
     "call, expected",
     [
-        (lambda ctx, pair: of.factor_axis(ctx, [pair]), "IndexOutOfRange"),
-        (lambda ctx, pair: of.is_ferrers(ctx, [pair]), "IndexOutOfRange"),
-        (lambda ctx, pair: of.remove_incidences(ctx, [pair]), "IndexOutOfRange"),
         (
-            lambda ctx, pair: [
+            lambda ctx, pairs: of.factor_axis(ctx, pairs),
+            ["IndexOutOfRange", "PairNotIncident", "IndexOutOfRange"],
+        ),
+        (
+            lambda ctx, pairs: of.is_ferrers(ctx, pairs),
+            ["IndexOutOfRange", "PairNotIncident", "IndexOutOfRange"],
+        ),
+        (
+            lambda ctx, pairs: of.remove_incidences(ctx, pairs),
+            ["IndexOutOfRange"] * 3,
+        ),
+        (
+            lambda ctx, pairs: [
                 v.kind
                 for v in of.validate_factorization(
-                    ctx, _with_pair(of.maximal_two_factorization(ctx), "f1", pair)
+                    ctx,
+                    _with_pairs(of.maximal_two_factorization(ctx), "f1", pairs),
                 )
             ],
-            ["PairViolation", "CoverageViolation"],
+            [["PairViolation", "CoverageViolation"]] * 3,
         ),
     ],
     ids=["factor_axis", "is_ferrers", "remove_incidences", "validate"],
@@ -391,12 +414,56 @@ def test_an_index_that_is_no_int_is_outside_the_context(monuments, call, expecte
     """``FormalContext.has`` refuses (0, 0.5): factor_axis no longer
     truncates it to attribute 0, is_ferrers and remove_incidences raise
     IndexOutOfRange instead of a TypeError from a shift, and validation
-    reports it as a stray pair."""
-    try:
-        got = call(monuments, (0, 0.5))
-    except of.IndexOutOfRange as exc:
-        got = type(exc).__name__
+    reports it as a stray pair.  Strays whose indices differ in type,
+    (0, "a") beside a non-incidence and (None, 0) beside (0, -1), are
+    ordered int pairs first, so the pair reported is the non-incidence
+    or (0, -1), not a TypeError from comparing "a" or None with an int."""
+    got = []
+    for pairs in ([(0, 0.5)], [(0, "a"), _first_gap(monuments)], [(None, 0), (0, -1)]):
+        try:
+            got.append(call(monuments, pairs))
+        except (of.IndexOutOfRange, of.PairNotIncident) as exc:
+            got.append(type(exc).__name__)
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0, "a"), (None, 0), ("x", 0), (0, 0.5), (b"", 1)], "pair (x, 0) outside"),
+        ([(0, "a"), (None, 0), (0, -1), (0, 10**6), (-1, 0)], "pair (-1, 0) outside"),
+    ],
+    ids=["no_int_pair", "int_pairs_first"],
+)
+def test_the_reported_stray_does_not_depend_on_the_hash_seed(pairs, message):
+    """A pair-built factor is a frozenset, whose order PYTHONHASHSEED
+    sets for str and bytes indices; the stray is_ferrers reports, and
+    the factor's repr, are the same under two seeds."""
+    script = (
+        "import ordfactor as of\n"
+        f"print(repr(of.FerrersFactor({pairs!r})))\n"
+        f"try:\n    of.is_ferrers(of.load_dataset('monuments'), {pairs!r})\n"
+        "except of.IndexOutOfRange as exc:\n    print(exc)\n"
+    )
+    src = str(Path(of.__file__).parents[1])
+    reported = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    (stdout,) = reported  # one answer under both seeds
+    assert stdout.splitlines()[1].startswith(message)
+
+
+def test_a_factor_built_from_rows_holds_incidence_pairs():
+    factor = FerrersFactor(rows=[0b101, 0, 0b10])
+    assert factor.pairs == {(0, 0), (0, 2), (2, 1)}
+    assert all(type(pair) is IncidencePair for pair in factor.pairs)
 
 
 def _validation_corpus():
@@ -439,7 +506,7 @@ def _validation_corpus():
         ]
         for g, m in outside + gaps[:1]:
             for label in ("f1", "f2", "removed"):
-                yield ctx, _with_pair(result, label, IncidencePair(g, m))
+                yield ctx, _with_pairs(result, label, [IncidencePair(g, m)])
 
 
 def test_validation_matches_the_pair_reference():
